@@ -10,7 +10,7 @@ from . import inert
 from .errors import UnknownFunction, UnsupportedTag
 from .forward import InfoMessage, TranslationResult
 from .inert import InertForm
-from .lexicon import Lexicon, LexiconEntry
+from .lexicon import Lexicon, LexiconEntry, call_shape
 
 _CALL_TEMPLATE_RE = re.compile(r"^([A-Za-z_]\w*)\((\$\d+(?:,\$\d+)*)\)$")
 
@@ -44,9 +44,9 @@ def _macro_template(entry: LexiconEntry, permutation: List[int]) -> str:
 def build_reverse_rules(lex: Lexicon) -> Dict[Tuple[str, int], ReverseRule]:
     """Derive CAS-function -> macro rules by inverting simple call patterns.
 
-    Patterns that are not plain calls with distinct placeholders (argument
-    compositions like EllipticF's sine-of-amplitude) come from a small
-    special-case table.
+    An entry whose Maple pattern is not a plain call with distinct
+    placeholders (an argument composition like EllipticF's sine of the
+    amplitude) takes its reverse template from the lexicon instead.
     """
     rules: Dict[Tuple[str, int], ReverseRule] = {}
     for table in (lex.entries, lex.builtins):
@@ -54,14 +54,10 @@ def build_reverse_rules(lex: Lexicon) -> Dict[Tuple[str, int], ReverseRule]:
             template = entry.translations.get("maple")
             if template is None or entry.role != "function":
                 continue
-            if entry.macro_name == "\\EllIntF":
-                rules[("EllipticF", 2)] = ReverseRule(
-                    "EllipticF", 2, "\\EllIntF@{\\asin@{$0}}{$1}",
-                    advisories=entry.advisories)
-                continue
-            if entry.macro_name == "\\root":
-                rules[("root", 2)] = ReverseRule(
-                    "root", 2, "\\sqrt[$1]{$0}", advisories=entry.advisories)
+            if entry.reverse is not None:
+                fname, arity = call_shape(template)
+                rules[(fname, arity)] = ReverseRule(
+                    fname, arity, entry.reverse, advisories=entry.advisories)
                 continue
             m = _CALL_TEMPLATE_RE.match(template)
             if m is None:
@@ -109,7 +105,7 @@ class _Backward:
         if tag == inert.INTNEG:
             return f"-{t.payload}"
         if tag == inert.FLOAT:
-            return repr(t.payload)
+            return inert.float_text(t.payload)
         if tag == inert.RATIONAL:
             p, q = t.children
             sign = "-" if p.tag == inert.INTNEG else ""
@@ -178,8 +174,6 @@ class _Backward:
     def render_function(self, t: InertForm) -> str:
         fname = t.children[0].payload
         args = t.children[1].children
-        if fname == "sqrt" and len(args) == 1:
-            return "\\sqrt{%s}" % self.render(args[0])
         rule = self.rules.get((fname, len(args)))
         if rule is None:
             raise UnknownFunction(fname)

@@ -17,21 +17,19 @@ from . import inert, verify
 from .backward import backward_string
 from .errors import (LexiconError, MapleSyntaxError, ScanError,
                      TranslationError, UnsupportedConstruct)
-from .forward import DIALECTS, InfoMessage, translate_string
-from .lexicon import Lexicon, compile_lexicon, load_default, seed_path
+from .forward import InfoMessage, translate_string
+from .lexicon import (ADVISORY_KINDS, DIALECTS, Lexicon, compile_lexicon,
+                      load_default, seed_path)
 
 EXIT_OK = 0
 EXIT_TRANSLATION = 2
 EXIT_PARSE = 3
 EXIT_SCHEMA = 4
 
-_WARN_KINDS = {"branch-cut", "domain", "definition-difference",
-               "no-direct-translation"}
-
 
 def _emit_infos(infos: List[InfoMessage]) -> None:
     for info in infos:
-        prefix = "warn" if info.kind in _WARN_KINDS else "info"
+        prefix = "warn" if info.kind in ADVISORY_KINDS else "info"
         print(f"{prefix}: {info.kind}: {info.text}", file=sys.stderr)
 
 

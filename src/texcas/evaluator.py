@@ -43,30 +43,22 @@ def _as_degree(value: complex) -> int:
     return int(round(value.real))
 
 
+# (Maple function name, arity) -> evaluator
+_FUNCTIONS = {
+    ("sin", 1): cmath.sin, ("cos", 1): cmath.cos, ("tan", 1): cmath.tan,
+    ("exp", 1): cmath.exp, ("ln", 1): cmath.log, ("arcsin", 1): cmath.asin,
+    ("sqrt", 1): cmath.sqrt,
+    ("root", 2): lambda base, order:
+        0j if base == 0 else cmath.exp(cmath.log(base) / order),
+    ("JacobiP", 4): lambda n, a, b, x: jacobi_p(_as_degree(n), a, b, x),
+}
+
+
 def _call(fname: str, args) -> complex:
-    if fname == "sin" and len(args) == 1:
-        return cmath.sin(args[0])
-    if fname == "cos" and len(args) == 1:
-        return cmath.cos(args[0])
-    if fname == "tan" and len(args) == 1:
-        return cmath.tan(args[0])
-    if fname == "exp" and len(args) == 1:
-        return cmath.exp(args[0])
-    if fname == "ln" and len(args) == 1:
-        return cmath.log(args[0])
-    if fname == "arcsin" and len(args) == 1:
-        return cmath.asin(args[0])
-    if fname == "sqrt" and len(args) == 1:
-        return cmath.sqrt(args[0])
-    if fname == "root" and len(args) == 2:
-        base, order = args
-        if base == 0:
-            return 0j
-        return cmath.exp(cmath.log(base) / order)
-    if fname == "JacobiP" and len(args) == 4:
-        n, a, b, x = args
-        return jacobi_p(_as_degree(n), a, b, x)
-    raise NoEvaluator(fname)
+    fn = _FUNCTIONS.get((fname, len(args)))
+    if fn is None:
+        raise NoEvaluator(fname)
+    return fn(*args)
 
 
 def evaluate(tree: InertForm, env: Dict[str, complex]) -> complex:

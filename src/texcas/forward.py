@@ -8,22 +8,10 @@ from typing import List, Optional, Tuple
 
 from .errors import (ArityMismatch, NoDirectTranslation, TranslationError,
                      UnknownMacro)
-from .lexicon import Lexicon, LexiconEntry
+# the dialect table lives in the lexicon; MAPLE and MATHEMATICA re-exported
+from .lexicon import (DIALECTS, MAPLE, MATHEMATICA, CASDialect, Lexicon,
+                      LexiconEntry)
 from .scanner import DelimiterClass, PomTree, TermKind, scan
-
-
-@dataclass(frozen=True)
-class CASDialect:
-    name: str
-    mult_token: str
-    call_delims: Tuple[str, str]
-    greek_style: str  # bare-name | bracketed-name
-
-
-MAPLE = CASDialect("maple", "*", ("(", ")"), "bare-name")
-MATHEMATICA = CASDialect("mathematica", " ", ("[", "]"), "bracketed-name")
-
-DIALECTS = {"maple": MAPLE, "mathematica": MATHEMATICA}
 
 
 @dataclass
@@ -119,8 +107,8 @@ def _build_items(children: List[PomTree], ctx: _Context) -> List[tuple]:
         term = node.term
         kind = term.kind
         if kind in (TermKind.MACRO_COMMAND, TermKind.GREEK_LETTER_COMMAND):
-            unit, i = _translate_macro(children, i, ctx)
-            items.append(("val", unit))
+            item, i = _translate_macro(children, i, ctx)
+            items.append(item)
             continue
         if kind is TermKind.LATIN_LETTER:
             suggestion = ctx.lex.letter_suggestions.get(term.lexeme)
@@ -166,7 +154,7 @@ def _build_items(children: List[PomTree], ctx: _Context) -> List[tuple]:
     return items
 
 
-def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[_Unit, int]:
+def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[tuple, int]:
     term = children[i].term
     name = term.lexeme
     entry = ctx.lex.lookup(name)
@@ -175,7 +163,7 @@ def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[_U
 
     if entry.role == "operator":
         # \idt: multiplication with no presentation appearance
-        return _OperatorUnit(ctx.dialect.mult_token), i + 1
+        return ("op", ctx.dialect.mult_token), i + 1
 
     if entry.role == "greek-letter":
         text = entry.translations[ctx.dialect.name]
@@ -184,7 +172,7 @@ def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[_U
             ctx.add_info("constant-suggestion",
                          f"command '{name}' may denote the constant {suggestion};"
                          f" it is translated as a Greek letter")
-        return _Unit(text, "atom"), i + 1
+        return ("val", _Unit(text, "atom")), i + 1
 
     if entry.role == "constant":
         template = entry.translations.get(ctx.dialect.name)
@@ -192,7 +180,7 @@ def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[_U
             raise NoDirectTranslation(name, ctx.dialect.name)
         ctx.note_entry(entry)
         kind = "call" if "(" in template or "[" in template else "atom"
-        return _Unit(template, kind), i + 1
+        return ("val", _Unit(template, kind)), i + 1
 
     # function role: consume parameter groups, at-marker, variable groups
     if name == "\\sqrt":
@@ -226,20 +214,12 @@ def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[_U
     if name == "\\frac":
         num, den = args
         compact = bool(_ATOMIC_RE.match(num) and _ATOMIC_RE.match(den))
-        return _Unit("", "frac", frac=(num, den, compact)), j
+        return ("val", _Unit("", "frac", frac=(num, den, compact))), j
 
-    text = _substitute(template, args)
-    return _Unit(text, "call"), j
-
-
-class _OperatorUnit:
-    """Marker wrapper so \\idt lands in the item stream as an explicit operator."""
-
-    def __init__(self, token: str):
-        self.token = token
+    return ("val", _Unit(_substitute(template, args), "call")), j
 
 
-def _translate_sqrt(children, i, ctx, entry) -> Tuple[_Unit, int]:
+def _translate_sqrt(children, i, ctx, entry) -> Tuple[tuple, int]:
     j = i + 1
     order = None
     if (j < len(children) and children[j].is_group
@@ -260,7 +240,7 @@ def _translate_sqrt(children, i, ctx, entry) -> Tuple[_Unit, int]:
     if template is None:
         raise NoDirectTranslation("\\sqrt", ctx.dialect.name)
     ctx.note_entry(entry)
-    return _Unit(_substitute(template, args), "call"), j
+    return ("val", _Unit(_substitute(template, args), "call")), j
 
 
 def _is_curly(node: PomTree) -> bool:
@@ -274,15 +254,6 @@ def _substitute(template: str, args: List[str]) -> str:
 # --- caret / subscript resolution -------------------------------------------
 
 def _resolve_scripts(items: List[tuple], ctx: _Context) -> List[tuple]:
-    # normalize \idt operator units emitted by _translate_macro
-    norm = []
-    for tag, payload in items:
-        if tag == "val" and isinstance(payload, _OperatorUnit):
-            norm.append(("op", payload.token))
-        else:
-            norm.append((tag, payload))
-    items = norm
-
     while True:
         idx = None
         for k in range(len(items) - 1, -1, -1):

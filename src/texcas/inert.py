@@ -193,19 +193,15 @@ class _Parser:
             flipped = InertForm(POWER, children=[
                 denominator.children[0],
                 intlit(-int_value(denominator.children[1]))])
-            if numerator.tag == INTPOS and numerator.payload == 1:
-                return flipped
-            if numerator.tag == PROD:
-                return InertForm(PROD, children=numerator.children + [flipped])
-            return InertForm(PROD, children=[numerator, flipped])
-        if not self.use_divide:
+        elif not self.use_divide:
             flipped = InertForm(POWER, children=[denominator, InertForm(INTNEG, 1)])
-            if numerator.tag == INTPOS and numerator.payload == 1:
-                return flipped
-            if numerator.tag == PROD:
-                return InertForm(PROD, children=numerator.children + [flipped])
-            return InertForm(PROD, children=[numerator, flipped])
-        return InertForm(DIVIDE, children=[numerator, denominator])
+        else:
+            return InertForm(DIVIDE, children=[numerator, denominator])
+        if numerator.tag == INTPOS and numerator.payload == 1:
+            return flipped
+        if numerator.tag == PROD:
+            return InertForm(PROD, children=numerator.children + [flipped])
+        return InertForm(PROD, children=[numerator, flipped])
 
     def unary(self) -> InertForm:
         if self.peek()[1] == "-":
@@ -288,6 +284,15 @@ def parse_maple(text: str, use_divide: bool = True) -> InertForm:
 
 # --- preprocessing ------------------------------------------------------------
 
+def _reciprocal(t: InertForm) -> Optional[InertForm]:
+    """The denominator ``x^(-n)`` stands for (``x``, or ``x^n``); else None."""
+    if t.tag != POWER or t.children[1].tag != INTNEG:
+        return None
+    base, expo = t.children
+    return base if expo.payload == 1 else \
+        InertForm(POWER, children=[base, InertForm(INTPOS, expo.payload)])
+
+
 def preprocess(tree: InertForm, use_divide: bool = True) -> InertForm:
     """Normalize a parsed tree for rendering (idempotent, value-preserving)."""
     children = [preprocess(c, use_divide) for c in tree.children]
@@ -301,10 +306,9 @@ def preprocess(tree: InertForm, use_divide: bool = True) -> InertForm:
     if use_divide and t.tag == PROD:
         numerator, denominator = [], []
         for c in t.children:
-            if c.tag == POWER and c.children[1].tag == INTNEG:
-                base, expo = c.children
-                denominator.append(base if expo.payload == 1 else
-                                   InertForm(POWER, children=[base, InertForm(INTPOS, expo.payload)]))
+            den = _reciprocal(c)
+            if den is not None:
+                denominator.append(den)
             elif c.tag == DIVIDE and c.children[0] == InertForm(INTPOS, 1):
                 # a reciprocal factor produced by the child-level POWER rule
                 denominator.append(c.children[1])
@@ -318,10 +322,8 @@ def preprocess(tree: InertForm, use_divide: bool = True) -> InertForm:
                 else InertForm(PROD, children=denominator)
             return preprocess(InertForm(DIVIDE, children=[num, den]), use_divide)
 
-    if use_divide and t.tag == POWER and t.children[1].tag == INTNEG:
-        base, expo = t.children
-        den = base if expo.payload == 1 else \
-            InertForm(POWER, children=[base, InertForm(INTPOS, expo.payload)])
+    den = _reciprocal(t) if use_divide else None
+    if den is not None:
         return preprocess(InertForm(DIVIDE, children=[InertForm(INTPOS, 1), den]),
                           use_divide)
 
@@ -409,6 +411,16 @@ def render_maple(tree: InertForm) -> str:
     return _render(tree, 0)
 
 
+def float_text(x: float) -> str:
+    """Positional decimal text with a '.': neither grammar reads ``1e-05``,
+    and text without a '.' would reparse as an integer."""
+    text = repr(x)
+    if "e" in text:
+        from decimal import Decimal  # imported only when a float needs it
+        text = format(Decimal(text), "f")
+    return text if "." in text else text + ".0"
+
+
 # precedence levels for canonical parenthesization
 _PREC = {EQUATION: 1, RANGE: 2, SUM: 3, PROD: 4, DIVIDE: 4, POWER: 6}
 
@@ -425,8 +437,8 @@ def _render(t: InertForm, parent_prec: int) -> str:
         text = f"-{t.payload}"
         return f"({text})" if parent_prec >= 4 else text
     if tag == FLOAT:
-        return repr(t.payload) if parent_prec < 4 or t.payload >= 0 \
-            else f"({t.payload!r})"
+        text = float_text(t.payload)
+        return text if parent_prec < 4 or t.payload >= 0 else f"({text})"
     if tag == RATIONAL:
         text = f"{_render(t.children[0], 5)}/{_render(t.children[1], 5)}"
         return f"({text})" if parent_prec >= 4 else text
@@ -456,10 +468,8 @@ def _render(t: InertForm, parent_prec: int) -> str:
                         else [InertForm(INTPOS, children[0].payload)]) + children[1:]
         num_parts, den_parts = [], []
         for c in children:
-            if c.tag == POWER and c.children[1].tag == INTNEG:
-                base, expo = c.children
-                den = base if expo.payload == 1 else \
-                    InertForm(POWER, children=[base, InertForm(INTPOS, expo.payload)])
+            den = _reciprocal(c)
+            if den is not None:
                 den_parts.append(_render(den, _PREC[POWER]))
             else:
                 num_parts.append(_render(c, _PREC[PROD]))

@@ -9,16 +9,28 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .errors import DuplicateMacro, PlaceholderOutOfRange, SchemaError
 
-DIALECTS = ("maple", "mathematica")
 
+@dataclass(frozen=True)
+class CASDialect:
+    name: str
+    mult_token: str
+
+
+MAPLE = CASDialect("maple", "*")
+MATHEMATICA = CASDialect("mathematica", " ")
+
+DIALECTS = {"maple": MAPLE, "mathematica": MATHEMATICA}
+
+# the trailing ``reverse`` column is optional, so 8-column sources still compile
 CSV_COLUMNS = ["macro", "num_params", "num_vars", "at_variants",
-               "dlmf_link", "maple", "mathematica", "advisories"]
+               "dlmf_link", "maple", "mathematica", "advisories", "reverse"]
 
 ADVISORY_KINDS = {"branch-cut", "domain", "definition-difference",
                   "no-direct-translation"}
@@ -41,7 +53,9 @@ class LexiconEntry:
     advisories: List[Advisory] = field(default_factory=list)
     role: str = "function"  # function | constant | greek-letter | operator
     source: str = "lexicon"  # lexicon | builtin
-    plain_letter_alias: Optional[str] = None
+    # semantic-LaTeX template over the Maple call's arguments, for Maple
+    # templates that are not a plain call with distinct placeholders
+    reverse: Optional[str] = None
 
     @property
     def arity(self) -> int:
@@ -54,6 +68,7 @@ class ConstantRecord:
     translations: Dict[str, str]  # dialect -> CAS string (absent = no translation)
     plain_letter_alias: Optional[str] = None
     advisory: Optional[str] = None
+    suggest_for: Optional[str] = None  # generic command that may denote it
 
 
 class Lexicon:
@@ -74,13 +89,9 @@ class Lexicon:
         # plain letter -> macro suggestion (\iunit, \expe, \CatalansConstant)
         self.letter_suggestions = {c.plain_letter_alias: c.semantic_macro
                                    for c in constants if c.plain_letter_alias}
-        # generic command -> constant macro suggestion (\pi -> \cpi, ...)
-        self.command_suggestions = {}
-        for c in constants:
-            if c.semantic_macro == "\\cpi":
-                self.command_suggestions["\\pi"] = c.semantic_macro
-            if c.semantic_macro == "\\finestructure":
-                self.command_suggestions["\\alpha"] = c.semantic_macro
+        # generic command -> constant macro suggestion
+        self.command_suggestions = {c.suggest_for: c.semantic_macro
+                                    for c in constants if c.suggest_for}
 
     def lookup(self, name: str) -> Optional[LexiconEntry]:
         for table in (self.entries, self.builtins, self._greek_entries,
@@ -97,7 +108,8 @@ class Lexicon:
             "entries": {n: _entry_to_json(e) for n, e in sorted(self.entries.items())},
             "constants": [
                 {"macro": c.semantic_macro, "translations": c.translations,
-                 "alias": c.plain_letter_alias, "advisory": c.advisory}
+                 "alias": c.plain_letter_alias, "advisory": c.advisory,
+                 "suggest_for": c.suggest_for}
                 for c in self.constants
             ],
             "greek": self.greek,
@@ -112,7 +124,8 @@ class Lexicon:
         builtins = {n: _entry_from_json(n, d, "builtin")
                     for n, d in doc["builtins"].items()}
         constants = [ConstantRecord(c["macro"], c["translations"],
-                                    c.get("alias"), c.get("advisory"))
+                                    c.get("alias"), c.get("advisory"),
+                                    c.get("suggest_for"))
                      for c in doc["constants"]]
         return Lexicon(entries, constants, doc["greek"], builtins)
 
@@ -131,8 +144,7 @@ def _constant_entry(c: ConstantRecord) -> LexiconEntry:
     if c.advisory:
         advisories.append(Advisory("no-direct-translation", c.advisory))
     return LexiconEntry(macro_name=c.semantic_macro, translations=dict(c.translations),
-                        advisories=advisories, role="constant", source="lexicon",
-                        plain_letter_alias=c.plain_letter_alias)
+                        advisories=advisories, role="constant", source="lexicon")
 
 
 def _entry_to_json(e: LexiconEntry) -> dict:
@@ -144,6 +156,7 @@ def _entry_to_json(e: LexiconEntry) -> dict:
         "translations": e.translations,
         "advisories": [{"kind": a.kind, "text": a.text} for a in e.advisories],
         "role": e.role,
+        "reverse": e.reverse,
     }
 
 
@@ -158,17 +171,42 @@ def _entry_from_json(name: str, d: dict, source: str) -> LexiconEntry:
         advisories=[Advisory(a["kind"], a["text"]) for a in d.get("advisories", [])],
         role=d.get("role", "function"),
         source=source,
+        reverse=d.get("reverse"),
     )
 
 
 # --- compilation ----------------------------------------------------------
 
-def _check_placeholders(entry: LexiconEntry) -> None:
-    import re
-    for template in entry.translations.values():
+_CALL_RE = re.compile(r"([A-Za-z_]\w*)\((.*)\)")
+
+
+def call_shape(template: str) -> Optional[Tuple[str, int]]:
+    """Function name and argument count of a Maple template that is one call."""
+    m = _CALL_RE.fullmatch(template)
+    if m is None:
+        return None
+    depth, arity = 0, 1
+    for ch in m.group(2):
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            return None
+        arity += ch == "," and depth == 0
+    return m.group(1), arity
+
+
+def _check_placeholders(entry: LexiconEntry, file, line) -> None:
+    checks = [(t, entry.arity) for t in entry.translations.values()]
+    if entry.reverse is not None:
+        # reverse placeholders index the arguments of the Maple call
+        shape = call_shape(entry.translations.get("maple", ""))
+        if shape is None:
+            raise SchemaError(file, line, f"{entry.macro_name}: a reverse "
+                              "template needs a Maple pattern that is one call")
+        checks.append((entry.reverse, shape[1]))
+    for template, arity in checks:
         for m in re.finditer(r"\$(\d+)", template):
             idx = int(m.group(1))
-            if not 0 <= idx < entry.arity:
+            if not 0 <= idx < arity:
                 raise PlaceholderOutOfRange(entry.macro_name, idx)
 
 
@@ -203,7 +241,7 @@ def compile_macro_csv(path) -> Dict[str, LexiconEntry]:
     entries: Dict[str, LexiconEntry] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_COLUMNS:
+        if reader.fieldnames not in (CSV_COLUMNS, CSV_COLUMNS[:-1]):
             raise SchemaError(path, 1,
                               f"header must be {','.join(CSV_COLUMNS)}")
         for lineno, row in enumerate(reader, start=2):
@@ -234,8 +272,10 @@ def compile_macro_csv(path) -> Dict[str, LexiconEntry]:
                 advisories=_parse_advisories(row["advisories"], path, lineno),
                 role="function",
                 source="lexicon",
+                # absent in 8-column sources and None in short rows
+                reverse=(row.get("reverse") or "").strip() or None,
             )
-            _check_placeholders(entry)
+            _check_placeholders(entry, path, lineno)
             entries[name] = entry
     return entries
 
@@ -261,7 +301,7 @@ def compile_lexicon(macro_csv, constants_json, greek_json, builtins_json) -> Lex
         translations = {k: v for k, v in d.items()
                         if k in DIALECTS and v is not None}
         constants.append(ConstantRecord(name, translations, alias,
-                                        d.get("advisory")))
+                                        d.get("advisory"), d.get("suggest_for")))
 
     greek = {}
     for cmd, d in _load_json(greek_json).items():
@@ -285,8 +325,9 @@ def compile_lexicon(macro_csv, constants_json, greek_json, builtins_json) -> Lex
                         for a in d.get("advisories", [])],
             role=d.get("role", "function"),
             source="builtin",
+            reverse=d.get("reverse"),
         )
-        _check_placeholders(entry)
+        _check_placeholders(entry, builtins_json, 1)
         builtins[name] = entry
 
     return Lexicon(entries, constants, greek, builtins)

@@ -14,20 +14,8 @@ from enum import Enum
 from typing import Iterator, List, Optional, Set
 
 from .errors import EmptyInput, UnbalancedDelimiters
+from .lexicon import load_default
 
-GREEK_NAMES = {
-    "alpha", "beta", "gamma", "delta", "epsilon", "varepsilon", "zeta",
-    "eta", "theta", "vartheta", "iota", "kappa", "lambda", "mu", "nu",
-    "xi", "pi", "varpi", "rho", "varrho", "sigma", "varsigma", "tau",
-    "upsilon", "phi", "varphi", "chi", "psi", "omega",
-    "Gamma", "Delta", "Theta", "Lambda", "Xi", "Pi", "Sigma", "Upsilon",
-    "Phi", "Psi", "Omega",
-}
-
-# Reserved symbols accepted by the first scan; anything else unknown is an error.
-RESERVED_LEXEMES = {"\\\\", "&"}
-
-_OPERATOR_CHARS = set("+-*/!|.,;:")
 _RELATION_CHARS = set("=<>")
 
 
@@ -151,17 +139,15 @@ def _classify(lexeme: str, tag: str, kb) -> MathTerm:
     if tag == "linebreak" or tag == "amp":
         return MathTerm(lexeme, TermKind.RESERVED, definite_tags={"reserved"})
     if tag == "macro":
-        name = lexeme[1:]
-        if name in GREEK_NAMES:
+        entry = kb.lookup(lexeme)
+        if entry is not None and entry.role == "greek-letter":
             term = MathTerm(lexeme, TermKind.GREEK_LETTER_COMMAND,
                             definite_tags={"letter", "greek"})
         else:
             term = MathTerm(lexeme, TermKind.MACRO_COMMAND, definite_tags={"command"})
-        if kb is not None:
-            entry = kb.lookup(lexeme)
-            if entry is not None:
-                term.tentative_features.append(
-                    FeatureRecord(role=entry.role, source=entry.source))
+        if entry is not None:
+            term.tentative_features.append(
+                FeatureRecord(role=entry.role, source=entry.source))
         return term
     if tag == "at":
         return MathTerm(lexeme, TermKind.AT_MARKER, definite_tags={"at"})
@@ -183,13 +169,16 @@ def _classify(lexeme: str, tag: str, kb) -> MathTerm:
 def scan(text: str, kb=None) -> PomTree:
     """Build the first-scan syntax tree for one math-mode LaTeX expression.
 
-    ``kb`` is a Lexicon (or anything with a ``lookup`` method); known macros
-    get tentative features copied from their records, unknown macros are still
-    tokenized.
+    ``kb`` is a Lexicon (or anything with a ``lookup`` method; default: the
+    seed lexicon); known macros get tentative features copied from their
+    records, and Greek-letter entries decide the Greek command kind.  Unknown
+    macros are still tokenized.
     """
     tokens = list(_tokenize(text))
     if not tokens:
         raise EmptyInput()
+    if kb is None:
+        kb = load_default()
 
     # stack of (children-list, open-lexeme, open-position); index 0 is the root
     root: List[PomTree] = []
