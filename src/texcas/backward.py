@@ -72,18 +72,25 @@ def build_reverse_rules(lex: Lexicon) -> Dict[Tuple[str, int], ReverseRule]:
     return rules
 
 
+def _name_map(lex: Lexicon) -> Dict[str, str]:
+    """Maple name -> semantic macro; constants shadow Greek letters (gamma)."""
+    names: Dict[str, str] = {}
+    for cmd, renderings in lex.greek.items():
+        names[renderings["maple"]] = cmd
+    for record in lex.constants:
+        maple = record.translations.get("maple")
+        if maple and re.fullmatch(r"[A-Za-z_]\w*", maple):
+            names[maple] = record.semantic_macro
+    return names
+
+
 class _Backward:
     def __init__(self, lex: Lexicon):
+        # the lexicon is immutable, so its reverse tables are built once
+        if lex.reverse_tables is None:
+            lex.reverse_tables = (build_reverse_rules(lex), _name_map(lex))
         self.lex = lex
-        self.rules = build_reverse_rules(lex)
-        # maple name -> semantic macro; constants shadow Greek letters (gamma)
-        self.name_map: Dict[str, str] = {}
-        for cmd, renderings in lex.greek.items():
-            self.name_map[renderings["maple"]] = cmd
-        for record in lex.constants:
-            maple = record.translations.get("maple")
-            if maple and re.fullmatch(r"[A-Za-z_]\w*", maple):
-                self.name_map[maple] = record.semantic_macro
+        self.rules, self.name_map = lex.reverse_tables
         self.infos: List[InfoMessage] = []
         self._seen = set()
 

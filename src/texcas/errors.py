@@ -23,6 +23,14 @@ class UnbalancedDelimiters(ScanError):
         super().__init__(f"unbalanced delimiters at position {position}: {detail}")
 
 
+class ScanTooDeep(ScanError):
+    def __init__(self, position, limit):
+        self.position = position
+        self.limit = limit
+        super().__init__(f"groups nested deeper than {limit} levels "
+                         f"at position {position}")
+
+
 # --- lexicon compilation --------------------------------------------------
 
 class LexiconError(TexcasError):
@@ -84,6 +92,12 @@ class MapleSyntaxError(TexcasError):
         self.position = position
         self.expected = expected
         super().__init__(f"syntax error at position {position}: expected {expected}")
+
+
+class MapleTooDeep(MapleSyntaxError):
+    def __init__(self, position, limit):
+        self.limit = limit
+        super().__init__(position, f"at most {limit} nested levels")
 
 
 class UnsupportedConstruct(TexcasError):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from typing import Dict
+from typing import Callable, Dict
 
 from . import inert
 from .errors import NoEvaluator, UnknownSymbol
@@ -61,6 +61,106 @@ def _call(fname: str, args) -> complex:
     return fn(*args)
 
 
+def compile_tree(tree: InertForm) -> Callable[[Dict[str, complex]], complex]:
+    """Walk the tree once and return ``env -> complex`` doing only arithmetic.
+
+    The closure performs the operations of a recursive walk in the same order,
+    so a compiled tree gives bit-identical values.  Unknown names and
+    functions raise UnknownSymbol / NoEvaluator when the closure runs (a
+    function's arguments first), never at compile time; arithmetic
+    exceptions (division by zero, overflow) propagate to the caller.
+    """
+    tag = tree.tag
+    if tag == inert.NAME:
+        return _compile_name(tree.payload)
+    if tag == inert.INTPOS:
+        return _literal(lambda: complex(tree.payload))
+    if tag == inert.INTNEG:
+        return _literal(lambda: complex(-tree.payload))
+    if tag == inert.FLOAT:
+        return _literal(lambda: complex(tree.payload))
+    if tag == inert.RATIONAL:
+        p, q = tree.children
+        return _literal(lambda: complex(Fraction(inert.int_value(p), q.payload)))
+    if tag == inert.SUM:
+        terms = [compile_tree(c) for c in tree.children]
+        # two operands are the common case: unrolled, a call builds no list
+        if len(terms) == 2:
+            a, b = terms
+            return lambda env: sum((a(env), b(env)), 0j)
+        return lambda env: sum([f(env) for f in terms], 0j)
+    if tag == inert.PROD:
+        factors = [compile_tree(c) for c in tree.children]
+        if len(factors) == 2:
+            a, b = factors
+            return lambda env: (1 + 0j) * a(env) * b(env)
+
+        def product(env):
+            out = 1 + 0j
+            for f in factors:
+                out *= f(env)
+            return out
+        return product
+    if tag == inert.DIVIDE:
+        num, den = (compile_tree(c) for c in tree.children)
+        return lambda env: num(env) / den(env)
+    if tag == inert.POWER:
+        base_of, expo_of = (compile_tree(c) for c in tree.children)
+
+        def power(env):
+            base = base_of(env)
+            expo = expo_of(env)
+            if base == 0 and expo.real > 0 and abs(expo.imag) < 1e-300:
+                return 0j
+            return base ** expo
+        return power
+    if tag == inert.FUNCTION:
+        fname = tree.children[0].payload
+        args = [compile_tree(c) for c in tree.children[1].children]
+        fn = _FUNCTIONS.get((fname, len(args)))
+        if fn is None:
+            def unknown(env):
+                for f in args:
+                    f(env)
+                raise NoEvaluator(fname)
+            return unknown
+        if len(args) == 1:
+            arg, = args
+            return lambda env: fn(arg(env))
+        return lambda env: fn(*[f(env) for f in args])
+
+    def unsupported(env):
+        raise NoEvaluator(tag)
+    return unsupported
+
+
+def _compile_name(name: str) -> Callable[[Dict[str, complex]], complex]:
+    # an env binding shadows a constant of the same name
+    fallback = CONSTANTS.get(name)
+    if fallback is None and name == "infinity":
+        fallback = complex("inf")
+
+    def lookup(env):
+        if name in env:
+            return complex(env[name])
+        if fallback is None:
+            raise UnknownSymbol(name)
+        return fallback
+    return lookup
+
+
+def _literal(value_of: Callable[[], complex]
+             ) -> Callable[[Dict[str, complex]], complex]:
+    """A constant closure.  A literal with no double value (an integer too
+    large) raises on every call instead, so a caller skips each point;
+    compiling never raises."""
+    try:
+        value = value_of()
+    except ArithmeticError:
+        return lambda env: value_of()
+    return lambda env: value
+
+
 def evaluate(tree: InertForm, env: Dict[str, complex]) -> complex:
     """Evaluate an inert tree at a point assignment.
 
@@ -68,44 +168,7 @@ def evaluate(tree: InertForm, env: Dict[str, complex]) -> complex:
     NoEvaluator for functions outside the supported library.  Arithmetic
     exceptions (division by zero, overflow) propagate to the caller.
     """
-    tag = tree.tag
-    if tag == inert.NAME:
-        if tree.payload in env:
-            return complex(env[tree.payload])
-        if tree.payload in CONSTANTS:
-            return CONSTANTS[tree.payload]
-        if tree.payload == "infinity":
-            return complex("inf")
-        raise UnknownSymbol(tree.payload)
-    if tag == inert.INTPOS:
-        return complex(tree.payload)
-    if tag == inert.INTNEG:
-        return complex(-tree.payload)
-    if tag == inert.FLOAT:
-        return complex(tree.payload)
-    if tag == inert.RATIONAL:
-        p, q = tree.children
-        return complex(Fraction(inert.int_value(p), q.payload))
-    if tag == inert.SUM:
-        return sum((evaluate(c, env) for c in tree.children), 0j)
-    if tag == inert.PROD:
-        out = 1 + 0j
-        for c in tree.children:
-            out *= evaluate(c, env)
-        return out
-    if tag == inert.DIVIDE:
-        return evaluate(tree.children[0], env) / evaluate(tree.children[1], env)
-    if tag == inert.POWER:
-        base = evaluate(tree.children[0], env)
-        expo = evaluate(tree.children[1], env)
-        if base == 0 and expo.real > 0 and abs(expo.imag) < 1e-300:
-            return 0j
-        return base ** expo
-    if tag == inert.FUNCTION:
-        fname = tree.children[0].payload
-        args = [evaluate(c, env) for c in tree.children[1].children]
-        return _call(fname, args)
-    raise NoEvaluator(tag)
+    return compile_tree(tree)(env)
 
 
 def free_names(tree: InertForm) -> set:

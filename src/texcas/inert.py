@@ -17,7 +17,8 @@ import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
-from .errors import MalformedList, MapleSyntaxError, UnsupportedConstruct
+from .errors import (MalformedList, MapleSyntaxError, MapleTooDeep,
+                     UnsupportedConstruct)
 
 # inert tags
 NAME = "NAME"
@@ -119,11 +120,28 @@ def _maple_tokens(text: str):
 # --- recursive descent parser ------------------------------------------------
 # precedence: = < .. < +,- < *,/ < unary minus < ^ < atoms/calls
 
+# Sub-expressions (parentheses, quotes, call arguments, signs, exponents and
+# chained divisions) may nest this deep.  The parser and every later stage
+# recurse once or more per level, so the limit keeps them all within Python's
+# default recursion limit.
+MAX_NESTING = 64
+
+
 class _Parser:
     def __init__(self, tokens, use_divide: bool = True):
         self.tokens = tokens
         self.i = 0
         self.use_divide = use_divide
+        self.depth = 0
+
+    def nested(self, parse) -> InertForm:
+        """Run ``parse`` one nesting level deeper."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise MapleTooDeep(self.peek()[2], MAX_NESTING)
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self):
         return self.tokens[self.i]
@@ -174,6 +192,7 @@ class _Parser:
 
     def product(self) -> InertForm:
         factors = [self.unary()]
+        divisions = 0
         while self.peek()[1] in ("*", "/"):
             op = self.next()[1]
             rhs = self.unary()
@@ -183,6 +202,11 @@ class _Parser:
                 lhs = factors[0] if len(factors) == 1 \
                     else InertForm(PROD, children=factors)
                 factors = [self._divide(lhs, rhs)]
+                # in a/b/c/... each DIVIDE nests the one before it
+                if factors[0].tag == DIVIDE:
+                    divisions += 1
+                    if self.depth + divisions > MAX_NESTING:
+                        raise MapleTooDeep(self.peek()[2], MAX_NESTING)
         if len(factors) == 1:
             return factors[0]
         return InertForm(PROD, children=factors)
@@ -206,10 +230,10 @@ class _Parser:
     def unary(self) -> InertForm:
         if self.peek()[1] == "-":
             self.next()
-            return _negate(self.unary())
+            return _negate(self.nested(self.unary))
         if self.peek()[1] == "+":
             self.next()
-            return self.unary()
+            return self.nested(self.unary)
         return self.power()
 
     def power(self) -> InertForm:
@@ -217,7 +241,8 @@ class _Parser:
         if self.peek()[1] == "^":
             self.next()
             # right-associative; unary minus allowed in the exponent
-            exponent = self.unary() if self.peek()[1] == "-" else self.power()
+            exponent = self.nested(self.unary if self.peek()[1] == "-"
+                                   else self.power)
             return InertForm(POWER, children=[base, exponent])
         return base
 
@@ -226,12 +251,12 @@ class _Parser:
         if lexeme == "'":
             # unevaluation quotes: accepted and stripped
             self.next()
-            inner = self.equation()
+            inner = self.nested(self.equation)
             self.expect("'")
             return inner
         if lexeme == "(":
             self.next()
-            inner = self.equation()
+            inner = self.nested(self.equation)
             self.expect(")")
             return inner
         if kind == "int":
@@ -251,10 +276,10 @@ class _Parser:
                 self.next()
                 args = []
                 if self.peek()[1] != ")":
-                    args.append(self.equation())
+                    args.append(self.nested(self.equation))
                     while self.peek()[1] == ",":
                         self.next()
-                        args.append(self.equation())
+                        args.append(self.nested(self.equation))
                 self.expect(")")
                 return InertForm(FUNCTION, children=[
                     name(lexeme), InertForm(EXPSEQ, children=args)])

@@ -92,6 +92,9 @@ class Lexicon:
         # generic command -> constant macro suggestion
         self.command_suggestions = {c.suggest_for: c.semantic_macro
                                     for c in constants if c.suggest_for}
+        # (reverse rules, Maple name map) of backward translation, which
+        # builds them on first use so loading a lexicon does not pay for them
+        self.reverse_tables = None
 
     def lookup(self, name: str) -> Optional[LexiconEntry]:
         for table in (self.entries, self.builtins, self._greek_entries,

@@ -13,10 +13,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, List, Optional, Set
 
-from .errors import EmptyInput, UnbalancedDelimiters
+from .errors import EmptyInput, ScanTooDeep, UnbalancedDelimiters
 from .lexicon import load_default
 
 _RELATION_CHARS = set("=<>")
+
+# Groups may nest this deep; forward translation recurses a few frames per
+# group, so the limit keeps it within Python's default recursion limit.
+MAX_NESTING = 64
 
 
 class TermKind(Enum):
@@ -196,6 +200,8 @@ def scan(text: str, kb=None) -> PomTree:
                 if dlex not in _DELIM_PAIRS:
                     raise UnbalancedDelimiters(dpos, f"cannot open group with {dlex!r}")
                 stack.append(([], "\\left" + dlex, pos))
+                if len(stack) > MAX_NESTING + 1:  # the root is no group
+                    raise ScanTooDeep(pos, MAX_NESTING)
             else:
                 if len(stack) == 1:
                     raise UnbalancedDelimiters(pos, "\\right without matching \\left")
@@ -212,6 +218,8 @@ def scan(text: str, kb=None) -> PomTree:
             continue
         if tag == "open":
             stack.append(([], lexeme, pos))
+            if len(stack) > MAX_NESTING + 1:  # the root is no group
+                raise ScanTooDeep(pos, MAX_NESTING)
         elif tag == "close":
             if len(stack) == 1:
                 raise UnbalancedDelimiters(pos, f"unmatched {lexeme!r}")

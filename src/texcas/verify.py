@@ -9,6 +9,7 @@ at fixed machine precision (tolerance 1e-10 by default, annulus
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -17,11 +18,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import inert
 from .backward import backward_string
 from .errors import NoEvaluator, TexcasError, UnknownSymbol
-from .evaluator import evaluate, free_names
+# evaluate stays importable here: perfbench/worker.py wraps verify.evaluate
+from .evaluator import compile_tree, evaluate, free_names  # noqa: F401
 from .forward import MAPLE, CASDialect, translate_string
-from .inert import (DIVIDE, EQUATION, FLOAT, FUNCTION, INTNEG, INTPOS, POWER,
-                    PROD, RANGE, RATIONAL, SUM, InertForm, int_value,
-                    nested_list_to_text, to_nested_list)
+from .inert import (DIVIDE, FLOAT, INTNEG, INTPOS, POWER, PROD,
+                    RATIONAL, SUM, InertForm, int_value)
 from .lexicon import Lexicon
 
 SEMANTIC_LATEX = "semantic-latex"
@@ -35,8 +36,19 @@ ANNULUS = (0.1, 2.0)
 
 # --- light symbolic simplifier ------------------------------------------------
 
-def _canonical_key(t: InertForm) -> str:
-    return nested_list_to_text(to_nested_list(t))
+# a folded power may have at most this many bits (about 315k digits)
+_MAX_FOLD_BITS = 2 ** 20
+
+
+def _canonical_key(t: InertForm) -> tuple:
+    """Hashable, totally ordered structural key: ``(tag, payload)`` for a
+    leaf, ``(tag, None, *child_keys)`` for an inner node.  A float key keeps
+    its sign of zero, so terms in -0.0 and 0.0 are never collected."""
+    if not t.children:
+        if t.tag == FLOAT:
+            return (FLOAT, (t.payload, math.copysign(1.0, t.payload)))
+        return (t.tag, t.payload)
+    return (t.tag, None, *map(_canonical_key, t.children))
 
 
 def _fraction_node(f: Fraction) -> InertForm:
@@ -79,7 +91,7 @@ def simplify_light(tree: InertForm) -> InertForm:
             return InertForm(INTPOS, 1)
         fb = _as_fraction(base)
         if fb is not None and fe is not None and fe.denominator == 1 \
-                and (fb != 0 or fe > 0):
+                and (fb != 0 or fe > 0) and _fold_bits(fb, fe) <= _MAX_FOLD_BITS:
             return _fraction_node(fb ** fe.numerator)
         return t
 
@@ -109,7 +121,7 @@ def simplify_light(tree: InertForm) -> InertForm:
         for c in t.children:
             terms.extend(c.children if c.tag == SUM else [c])
         constant = Fraction(0)
-        collected: Dict[str, Tuple[Fraction, InertForm]] = {}
+        collected: Dict[tuple, Tuple[Fraction, InertForm]] = {}
         for c in terms:
             f = _as_fraction(c)
             if f is not None:
@@ -137,6 +149,12 @@ def simplify_light(tree: InertForm) -> InertForm:
         return out[0] if len(out) == 1 else InertForm(SUM, children=out)
 
     return t
+
+
+def _fold_bits(base: Fraction, expo: Fraction) -> int:
+    """An upper bound on the bits of ``base ** expo`` (integer expo)."""
+    size = max(base.numerator.bit_length(), base.denominator.bit_length())
+    return abs(expo.numerator) * size
 
 
 def _split_term(t: InertForm) -> Tuple[Fraction, InertForm]:
@@ -203,10 +221,11 @@ def check_equivalence(lhs: InertForm, rhs: InertForm, vars: Sequence[str],
             assignments.append(point)
             assignments.append({v: z.conjugate() for v, z in point.items()})
 
+    value_at = compile_tree(diff)
     samples: List[Tuple[Dict[str, complex], float]] = []
     for env in assignments:
         try:
-            value = evaluate(diff, env)
+            value = value_at(env)
         except NoEvaluator as exc:
             return EquivalenceVerdict("inconclusive", reason=str(exc))
         except (ZeroDivisionError, OverflowError, ValueError):

@@ -16,7 +16,8 @@ import texcas
 from texcas.backward import backward_string
 from texcas.errors import PlaceholderOutOfRange, SchemaError, UnknownFunction
 from texcas.forward import translate_string
-from texcas.lexicon import CSV_COLUMNS, Lexicon, compile_lexicon, compile_macro_csv
+from texcas.lexicon import (CSV_COLUMNS, Lexicon, compile_lexicon,
+                            compile_macro_csv, load_default)
 from texcas.scanner import TermKind, scan
 
 PACKAGE = Path(texcas.__file__).parent
@@ -191,3 +192,26 @@ def test_lexicon_json_without_new_keys_loads(lex):
     assert old.lookup("\\root").reverse is None
     assert old.command_suggestions == {}
     assert translate_string("\\sin@{z}", old, "maple").output == "sin(z)"
+
+
+def test_each_lexicon_keeps_its_own_reverse_rules(extended, lex, tmp_path):
+    """Reverse rules are built once per Lexicon: interleaved use leaks none."""
+    doc = lex.to_json()
+    for table in (doc["entries"], doc["builtins"]):
+        for entry in table.values():
+            del entry["reverse"]
+    path = tmp_path / "compiled.json"
+    Lexicon.from_json(doc).save(path)
+    reloaded = Lexicon.load(path)
+    for _ in range(3):
+        assert backward_string("polylog(2, z)", extended).output == "\\dilog@{z}"
+        with pytest.raises(UnknownFunction):
+            backward_string("polylog(2, z)", load_default())
+        assert backward_string("root(x,5)", reloaded).output == "\\root{x}{5}"
+        assert backward_string("root(x,5)", load_default()).output == \
+            "\\sqrt[5]{x}"
+        with pytest.raises(UnknownFunction):
+            backward_string("EllipticF(z,k)", reloaded)
+        assert backward_string("digamma", extended).output == "\\digamma"
+        assert backward_string("digamma", load_default()).output == "digamma"
+    assert len({id(x.reverse_tables) for x in (extended, reloaded, lex)}) == 3
