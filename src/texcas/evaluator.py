@@ -84,16 +84,9 @@ def compile_tree(tree: InertForm) -> Callable[[Dict[str, complex]], complex]:
         return _literal(lambda: complex(Fraction(inert.int_value(p), q.payload)))
     if tag == inert.SUM:
         terms = [compile_tree(c) for c in tree.children]
-        # two operands are the common case: unrolled, a call builds no list
-        if len(terms) == 2:
-            a, b = terms
-            return lambda env: sum((a(env), b(env)), 0j)
         return lambda env: sum([f(env) for f in terms], 0j)
     if tag == inert.PROD:
         factors = [compile_tree(c) for c in tree.children]
-        if len(factors) == 2:
-            a, b = factors
-            return lambda env: (1 + 0j) * a(env) * b(env)
 
         def product(env):
             out = 1 + 0j
@@ -124,9 +117,6 @@ def compile_tree(tree: InertForm) -> Callable[[Dict[str, complex]], complex]:
                     f(env)
                 raise NoEvaluator(fname)
             return unknown
-        if len(args) == 1:
-            arg, = args
-            return lambda env: fn(arg(env))
         return lambda env: fn(*[f(env) for f in args])
 
     def unsupported(env):

@@ -120,11 +120,15 @@ def _maple_tokens(text: str):
 # --- recursive descent parser ------------------------------------------------
 # precedence: = < .. < +,- < *,/ < unary minus < ^ < atoms/calls
 
-# Sub-expressions (parentheses, quotes, call arguments, signs, exponents and
-# chained divisions) may nest this deep.  The parser and every later stage
-# recurse once or more per level, so the limit keeps them all within Python's
-# default recursion limit.
+# Sub-expressions (parentheses, quotes, call arguments, signs and exponents)
+# may nest this deep: the parser recurses up to eight frames per level.
 MAX_NESTING = 64
+# A parsed tree may be this tall.  Chained divisions grow a tree without
+# nesting the parser, and every later stage (preprocess, rendering, backward
+# translation, simplification, compiled evaluation) recurses about two frames
+# per level, so the bound keeps them all within Python's default recursion
+# limit.
+MAX_HEIGHT = 4 * MAX_NESTING
 
 
 class _Parser:
@@ -192,7 +196,6 @@ class _Parser:
 
     def product(self) -> InertForm:
         factors = [self.unary()]
-        divisions = 0
         while self.peek()[1] in ("*", "/"):
             op = self.next()[1]
             rhs = self.unary()
@@ -202,11 +205,6 @@ class _Parser:
                 lhs = factors[0] if len(factors) == 1 \
                     else InertForm(PROD, children=factors)
                 factors = [self._divide(lhs, rhs)]
-                # in a/b/c/... each DIVIDE nests the one before it
-                if factors[0].tag == DIVIDE:
-                    divisions += 1
-                    if self.depth + divisions > MAX_NESTING:
-                        raise MapleTooDeep(self.peek()[2], MAX_NESTING)
         if len(factors) == 1:
             return factors[0]
         return InertForm(PROD, children=factors)
@@ -304,7 +302,21 @@ def parse_maple(text: str, use_divide: bool = True) -> InertForm:
     tokens = _maple_tokens(text)
     if tokens[0][0] == "eof":
         raise MapleSyntaxError(0, "an expression")
-    return _Parser(tokens, use_divide=use_divide).parse()
+    tree = _Parser(tokens, use_divide=use_divide).parse()
+    if _height(tree) > MAX_HEIGHT:
+        raise MapleTooDeep(0, MAX_HEIGHT)
+    return tree
+
+
+def _height(tree: InertForm) -> int:
+    """Levels below the root, counted without recursion."""
+    height = 0
+    level = [tree]
+    while level:
+        level = [c for t in level for c in t.children]
+        if level:
+            height += 1
+    return height
 
 
 # --- preprocessing ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Deep nesting is refused with a TexcasError, never a RecursionError.
 
-The scanner and the Maple parser bound the nesting depth; every later stage
+The scanner and the Maple parser bound the nesting depth, and the parser
+bounds the height of the tree it builds; every later stage
 (forward and backward translation, preprocess, simplify_light, compiled
 evaluation) recurses over trees the parser built, so the bound covers them.
 """
@@ -9,7 +10,8 @@ import pytest
 
 from texcas import inert, scanner
 from texcas.backward import backward_string
-from texcas.cli import EXIT_PARSE, CorpusRecord, main, run_corpus
+from texcas.cli import (EXIT_PARSE, EXIT_TRANSLATION, CorpusRecord,
+                        main, run_corpus)
 from texcas.errors import (MapleSyntaxError, MapleTooDeep, ScanError,
                            ScanTooDeep)
 from texcas.forward import translate_string
@@ -22,13 +24,30 @@ DEPTHS = [300, 1000, 3000]
 
 
 def deep_maple(n):
+    """Maple inputs nested n levels deep."""
     return ["(" * n + "x" + ")" * n,
             "sin(" * n + "x" + ")" * n,
             "1/(x+" * n + "x" + ")" * n,
             "-" * n + "x",
             "x^" * n + "x",
-            "'" * n + "x" + "'" * n,
-            "x" + "/x" * n]
+            "'" * n + "x" + "'" * n]
+
+
+def nested_chain(levels, divisions):
+    """((x/x.../x)/x.../x)/x.../x: a DIVIDE spine levels * divisions tall."""
+    text = "x"
+    for _ in range(levels):
+        text = "(" + text + ")" + "/x" * divisions
+    return text
+
+
+def tall_maple(h):
+    """Maple inputs, nested at most a few levels, whose trees are h tall."""
+    assert h % 16 == 0
+    return ["x" + "/x" * h,
+            "x" + "/x*x" * (h // 2),  # two tree levels per division
+            nested_chain(16, h // 16),
+            nested_chain(h // 16, 16)]
 
 
 def deep_latex(n):
@@ -45,7 +64,7 @@ def test_error_classes():
 
 @pytest.mark.parametrize("n", DEPTHS)
 def test_deep_maple_is_refused(n, lex):
-    for text in deep_maple(n):
+    for text in deep_maple(n) + tall_maple(n // 16 * 16):
         with pytest.raises(MapleTooDeep):
             parse_maple(text)
         with pytest.raises(MapleTooDeep):
@@ -71,23 +90,44 @@ def test_deep_latex_is_refused(n, lex):
 def test_cli_maps_deep_nesting_to_the_parse_exit_code(n, capsys):
     for text in deep_latex(n):
         assert main(["translate", "--", text]) == EXIT_PARSE
-    for text in deep_maple(n):
+    for text in deep_maple(n) + tall_maple(n // 16 * 16):
         assert main(["translate", "--backward", "--", text]) == EXIT_PARSE
         assert main(["inert", "--", text]) == EXIT_PARSE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
+    for text in deep_maple(n) + tall_maple(n // 16 * 16):
+        assert main(["roundtrip", "--side", "maple", "--", text]) \
+            == EXIT_TRANSLATION
+        assert "Traceback" not in capsys.readouterr().err
 
 
-def test_maple_nesting_up_to_the_limit_runs_every_stage(lex):
+def run_every_stage(text, lex):
+    tree = parse_maple(text)
+    check_equivalence(tree, name("x"), ["x"])
+    backward_string(text, lex)
+    inert.render_maple(tree)
+    round_trip(text, MAPLE_SIDE, lex)
+    assert main(["inert", "--preprocess", "--", text]) == 0
+    assert main(["translate", "--backward", "--", text]) == 0
+
+
+def test_maple_nesting_up_to_the_limit_runs_every_stage(lex, capsys):
     n = inert.MAX_NESTING
     for text, deeper in zip(deep_maple(n), deep_maple(n + 1)):
-        tree = parse_maple(text)
-        check_equivalence(tree, name("x"), ["x"])
-        backward_string(text, lex)
-        inert.render_maple(tree)
+        run_every_stage(text, lex)
         with pytest.raises(MapleTooDeep):
             parse_maple(deeper)
+
+
+def test_maple_trees_up_to_the_height_limit_run_every_stage(lex, capsys):
+    h = inert.MAX_HEIGHT
+    for text, taller in zip(tall_maple(h), tall_maple(h + 16)):
+        run_every_stage(text, lex)
+        assert main(["inert", "--", taller]) == EXIT_PARSE
+    # exactly one level over the limit
+    with pytest.raises(MapleTooDeep):
+        parse_maple("x" + "/x" * (h + 1))
 
 
 def test_latex_nesting_up_to_the_limit_translates(lex):
