@@ -7,7 +7,8 @@ The pipeline:
 * :mod:`texcas.forward` — semantic LaTeX -> Maple / Mathematica strings,
 * :mod:`texcas.inert` — Maple 1D parser and inert expression trees,
 * :mod:`texcas.backward` — inert trees -> semantic LaTeX,
-* :mod:`texcas.verify` — round-trip fixed points and equivalence checking.
+* :mod:`texcas.verify` — round-trip fixed points and equivalence checking,
+* :mod:`texcas.corpus` — translating, checking and classifying a corpus.
 """
 
 from .backward import backward_string, translate_backward

@@ -10,13 +10,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from . import inert, verify
 from .backward import backward_string
-from .errors import (LexiconError, MapleSyntaxError, ScanError,
-                     TranslationError, UnsupportedConstruct)
+# run_corpus and CorpusRecord stay importable here: perfbench/worker.py
+# builds records and traces run_corpus through this module
+from .corpus import CorpusRecord, read_corpus, run_corpus  # noqa: F401
+from .errors import (CorpusFormatError, LexiconError, MapleSyntaxError,
+                     ScanError, TexcasError, UnsupportedConstruct)
 from .forward import InfoMessage, translate_string
 from .lexicon import (ADVISORY_KINDS, DIALECTS, Lexicon, compile_lexicon,
                       load_default, seed_path)
@@ -26,6 +28,14 @@ EXIT_TRANSLATION = 2
 EXIT_PARSE = 3
 EXIT_SCHEMA = 4
 
+# The exit code of an error that reaches main: the first matching row wins.
+EXIT_CODES = (
+    (LexiconError, EXIT_SCHEMA),
+    ((ScanError, MapleSyntaxError, UnsupportedConstruct, CorpusFormatError),
+     EXIT_PARSE),
+    (TexcasError, EXIT_TRANSLATION),
+)
+
 
 def _emit_infos(infos: List[InfoMessage]) -> None:
     for info in infos:
@@ -34,176 +44,28 @@ def _emit_infos(infos: List[InfoMessage]) -> None:
 
 
 def _load_lexicon(path: Optional[str]) -> Lexicon:
-    if path is None:
-        return load_default()
-    return Lexicon.load(path)
-
-
-# --- corpus -----------------------------------------------------------------
-
-@dataclass
-class CorpusRecord:
-    id: str
-    semantic_latex: str
-    constraint: Optional[str] = None
-    expected_relation: bool = True
-
-
-@dataclass
-class CorpusStats:
-    total: int = 0
-    translated: int = 0
-    verified: int = 0
-    translated_unverified: int = 0
-    untranslated_unknown_macro: int = 0
-    errored: int = 0
-    ignored: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "translated": self.translated,
-            "verified": self.verified,
-            "translated_unverified": self.translated_unverified,
-            "untranslated_unknown_macro": self.untranslated_unknown_macro,
-            "errored": self.errored,
-            "ignored": self.ignored,
-        }
-
-
-def read_corpus(path) -> List[CorpusRecord]:
-    records = []
-    seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: expected id<TAB>formula")
-            rid = parts[0]
-            if rid in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate id {rid}")
-            seen.add(rid)
-            records.append(CorpusRecord(rid, parts[1],
-                                        parts[2] if len(parts) > 2 else None))
-    return records
-
-
-def split_relation(maple_text: str) -> Optional[Tuple[str, str]]:
-    """Split at the single top-level '='; None if there is not exactly one."""
-    depth = 0
-    positions = []
-    for k, ch in enumerate(maple_text):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == "=" and depth == 0:
-            positions.append(k)
-    if len(positions) != 1:
-        return None
-    k = positions[0]
-    return maple_text[:k].strip(), maple_text[k + 1:].strip()
-
-
-def run_corpus(records: List[CorpusRecord], lex: Lexicon,
-               tolerance: float = verify.DEFAULT_TOLERANCE,
-               points: int = verify.DEFAULT_POINTS,
-               seed: int = verify.DEFAULT_SEED) -> Tuple[CorpusStats, List[dict]]:
-    """Translate and verify every record; classification mirrors the
-    categories of the evaluation harness (verified, translated-unverified,
-    unknown macro, errored, ignored/non-relation)."""
-    from .errors import UnknownMacro
-
-    stats = CorpusStats(total=len(records))
-    log: List[dict] = []
-    for record in sorted(records, key=lambda r: r.id):
-        entry = {"id": record.id, "semantic_latex": record.semantic_latex}
-        try:
-            result = translate_string(record.semantic_latex, lex, "maple")
-        except UnknownMacro as exc:
-            stats.untranslated_unknown_macro += 1
-            entry.update(classification="untranslated-unknown-macro",
-                         error=str(exc))
-            log.append(entry)
-            continue
-        except (ScanError, TranslationError) as exc:
-            stats.errored += 1
-            entry.update(classification="errored", error=str(exc))
-            log.append(entry)
-            continue
-        entry["maple"] = result.output
-        relation = split_relation(result.output)
-        if relation is None:
-            stats.ignored += 1
-            entry["classification"] = "ignored"
-            entry["reason"] = "not a relation"
-            log.append(entry)
-            continue
-        try:
-            lhs = inert.parse_maple(relation[0])
-            rhs = inert.parse_maple(relation[1])
-            names = sorted(verify.free_names(lhs) | verify.free_names(rhs))
-            verdict = verify.check_equivalence(lhs, rhs, names,
-                                               tolerance=tolerance,
-                                               points=points, seed=seed)
-        except (MapleSyntaxError, UnsupportedConstruct, verify.UnknownSymbol) as exc:
-            stats.errored += 1
-            entry.update(classification="errored", error=str(exc))
-            log.append(entry)
-            continue
-        entry["outcome"] = verdict.outcome
-        if verdict.max_abs_difference is not None:
-            entry["max_abs_difference"] = verdict.max_abs_difference
-        if verdict.outcome in ("symbolic-zero", "numeric-converged"):
-            stats.verified += 1
-            entry["classification"] = "verified"
-        else:
-            stats.translated_unverified += 1
-            entry["classification"] = "translated-unverified"
-            if verdict.reason:
-                entry["reason"] = verdict.reason
-        log.append(entry)
-    stats.translated = stats.verified + stats.translated_unverified + stats.ignored
-    return stats, log
+    return load_default() if path is None else Lexicon.load(path)
 
 
 # --- subcommands --------------------------------------------------------------
 
 def _cmd_translate(args) -> int:
-    try:
-        lex = _load_lexicon(args.lexicon)
-    except LexiconError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+    lex = _load_lexicon(args.lexicon)
     text = args.input
     if args.file:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read().strip()
-    try:
-        if args.backward:
-            result = backward_string(text, lex, use_divide=not args.no_divide)
-        else:
-            result = translate_string(text, lex, args.dialect)
-    except (ScanError, MapleSyntaxError, UnsupportedConstruct) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except TranslationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRANSLATION
+    if args.backward:
+        result = backward_string(text, lex, use_divide=not args.no_divide)
+    else:
+        result = translate_string(text, lex, args.dialect)
     print(result.output)
     _emit_infos(result.infos)
     return EXIT_OK
 
 
 def _cmd_compile_lexicon(args) -> int:
-    try:
-        lex = compile_lexicon(args.csv, args.constants, args.greek, args.builtins)
-    except LexiconError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+    lex = compile_lexicon(args.csv, args.constants, args.greek, args.builtins)
     lex.save(args.out)
     print(f"compiled {len(lex.entries)} macros, {len(lex.constants)} constants, "
           f"{len(lex.greek)} Greek letters, {len(lex.builtins)} builtins "
@@ -212,11 +74,7 @@ def _cmd_compile_lexicon(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    try:
-        lex = _load_lexicon(args.lexicon)
-    except LexiconError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+    lex = _load_lexicon(args.lexicon)
     records = read_corpus(args.corpus)
     stats, log = run_corpus(records, lex, tolerance=args.tolerance,
                             points=args.points, seed=args.seed)
@@ -235,11 +93,7 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
-    try:
-        lex = _load_lexicon(args.lexicon)
-    except LexiconError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+    lex = _load_lexicon(args.lexicon)
     report = verify.round_trip(args.input, args.side, lex,
                                max_steps=args.max_steps,
                                use_divide=not args.no_divide)
@@ -256,11 +110,7 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_inert(args) -> int:
-    try:
-        tree = inert.parse_maple(args.input, use_divide=not args.no_divide)
-    except (MapleSyntaxError, UnsupportedConstruct) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    tree = inert.parse_maple(args.input, use_divide=not args.no_divide)
     if args.preprocess:
         tree = inert.preprocess(tree, use_divide=not args.no_divide)
     print(inert.nested_list_to_text(inert.to_nested_list(tree),
@@ -325,7 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except TexcasError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

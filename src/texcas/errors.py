@@ -126,6 +126,12 @@ class UnsupportedTag(TranslationError):
         super().__init__(f"cannot render inert tag {tag} in semantic LaTeX")
 
 
+# --- corpus files ---------------------------------------------------------
+
+class CorpusFormatError(TexcasError, ValueError):
+    """A corpus line that is not ``id<TAB>formula``, or a repeated id."""
+
+
 # --- verification ---------------------------------------------------------
 
 class UnknownSymbol(TexcasError):

@@ -50,10 +50,20 @@ class InertForm:
     children: List["InertForm"] = field(default_factory=list)
 
     def __repr__(self):
-        if self.tag in _PAYLOAD_TAGS:
-            return f"{self.tag}({self.payload!r})"
-        inner = ", ".join(repr(c) for c in self.children)
-        return f"{self.tag}({inner})"
+        # without recursion, so that every tree the parser accepts has a repr
+        out, todo = [], [self]
+        while todo:
+            t = todo.pop()
+            if isinstance(t, str):
+                out.append(t)
+            elif t.tag in _PAYLOAD_TAGS:
+                out.append(f"{t.tag}({t.payload!r})")
+            else:
+                out.append(f"{t.tag}(")
+                todo.append(")")
+                for k, c in enumerate(reversed(t.children)):
+                    todo.extend([", ", c] if k else [c])
+        return "".join(out)
 
 
 def name(s: str) -> InertForm:
@@ -259,7 +269,10 @@ class _Parser:
             return inner
         if kind == "int":
             self.next()
-            return InertForm(INTPOS, int(lexeme))
+            try:
+                return InertForm(INTPOS, int(lexeme))
+            except ValueError:  # past Python's int-from-text digit limit
+                raise MapleSyntaxError(pos, "an integer literal with fewer digits")
         if kind == "float":
             self.next()
             return InertForm(FLOAT, float(lexeme))

@@ -139,7 +139,11 @@ class Lexicon:
     @staticmethod
     def load(path) -> "Lexicon":
         with open(path, encoding="utf-8") as fh:
-            return Lexicon.from_json(json.load(fh))
+            try:
+                return Lexicon.from_json(json.load(fh))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise SchemaError(path, 1, "not a compiled lexicon: "
+                                  f"{type(exc).__name__}: {exc}")
 
 
 def _constant_entry(c: ConstantRecord) -> LexiconEntry:
@@ -248,6 +252,9 @@ def compile_macro_csv(path) -> Dict[str, LexiconEntry]:
             raise SchemaError(path, 1,
                               f"header must be {','.join(CSV_COLUMNS)}")
         for lineno, row in enumerate(reader, start=2):
+            if None in (row[c] for c in CSV_COLUMNS[:-1]):
+                raise SchemaError(path, lineno, f"expected at least "
+                                  f"{len(CSV_COLUMNS) - 1} cells")
             name = row["macro"].strip()
             if not name.startswith("\\"):
                 raise SchemaError(path, lineno, f"macro {name!r} must start with a backslash")

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from texcas.cli import (EXIT_OK, EXIT_PARSE, EXIT_SCHEMA, EXIT_TRANSLATION,
-                        main, read_corpus, run_corpus, split_relation)
+                        main, read_corpus, run_corpus)
 from texcas.lexicon import seed_path
 
 HEADER = ("macro,num_params,num_vars,at_variants,dlmf_link,"
@@ -154,20 +154,6 @@ class TestCorpus:
         assert len(records) == 37
 
 
-class TestSplitRelation:
-    def test_single_top_level_equals(self):
-        assert split_relation("sin(z) = cos(z)") == ("sin(z)", "cos(z)")
-
-    def test_nested_equals_ignored(self):
-        assert split_relation("int(f, x=0..1)") is None
-
-    def test_no_equals(self):
-        assert split_relation("sin(z)") is None
-
-    def test_two_equals(self):
-        assert split_relation("a = b = c") is None
-
-
 class TestRoundTripCommand:
     def test_steps_printed(self, capsys, lex):
         assert main(["roundtrip", r"\frac{\cos@{a\Theta}}{2}"]) == EXIT_OK
@@ -192,3 +178,37 @@ class TestInertCommand:
 
     def test_parse_error_exit_code(self, capsys):
         assert main(["inert", "sin(("]) == EXIT_PARSE
+
+
+class TestMalformedInput:
+    """A malformed input file ends in an ``error:`` line and an exit code."""
+
+    def assert_error_exit(self, argv, code, capsys):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("line", ["no-tab-here", "a\tx\na\ty"],
+                             ids=["missing-tab", "duplicate-id"])
+    def test_corpus_file_exits_3(self, line, tmp_path, capsys):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text(line + "\n", encoding="utf-8")
+        self.assert_error_exit(["corpus", str(corpus)], EXIT_PARSE, capsys)
+
+    @pytest.mark.parametrize("text", ['{"entries": {}}', "not json", "[]",
+                                      '{"entries": []}'],
+                             ids=["missing-key", "not-json", "not-an-object",
+                                  "entries-not-an-object"])
+    def test_lexicon_json_exits_4(self, text, tmp_path, capsys):
+        bad = tmp_path / "lexicon.json"
+        bad.write_text(text, encoding="utf-8")
+        self.assert_error_exit(["translate", "--lexicon", str(bad),
+                                r"\sin@{z}"], EXIT_SCHEMA, capsys)
+
+    def test_csv_row_with_missing_cells_exits_4(self, tmp_path, capsys):
+        bad = tmp_path / "macros.csv"
+        bad.write_text(HEADER + "\\sin,0,1\n", encoding="utf-8")
+        self.assert_error_exit(["compile-lexicon", "--csv", str(bad),
+                                "--out", str(tmp_path / "out.json")],
+                               EXIT_SCHEMA, capsys)

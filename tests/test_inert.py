@@ -6,6 +6,8 @@ import random
 import pytest
 
 from texcas import inert
+from texcas.cli import EXIT_PARSE, main
+from texcas.corpus import CorpusRecord, run_corpus
 from texcas.errors import MalformedList, MapleSyntaxError, UnsupportedConstruct
 from texcas.evaluator import evaluate
 from texcas.inert import (DIVIDE, EQUATION, EXPSEQ, FUNCTION, INTNEG, INTPOS,
@@ -13,6 +15,7 @@ from texcas.inert import (DIVIDE, EQUATION, EXPSEQ, FUNCTION, INTNEG, INTPOS,
                           from_nested_list, intlit, name, nested_list_to_text,
                           parse_maple, preprocess, render_maple,
                           to_nested_list)
+from texcas.verify import MAPLE_SIDE, round_trip
 
 from treegen import random_evaluable, random_tree
 
@@ -231,3 +234,37 @@ class TestRendering:
     def test_render_reparses_to_same_tree(self, text):
         tree = parse_maple(text)
         assert parse_maple(render_maple(tree)) == tree
+
+
+class TestTotality:
+    """Every input ends in a tree or a MapleSyntaxError, and every tree the
+    parser accepts has a repr."""
+
+    def test_integer_literal_past_the_digit_limit(self, lex, capsys):
+        digits = "1" * 5000
+        with pytest.raises(MapleSyntaxError):
+            parse_maple(digits)
+        assert main(["translate", "--backward", "--", digits]) == EXIT_PARSE
+        assert main(["inert", "--", digits]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        report = round_trip(digits, MAPLE_SIDE, lex)
+        assert report.terminated_reason == "translation-error"
+        _, log = run_corpus([CorpusRecord("r", digits + " = x")], lex)
+        assert log[0]["classification"] == "errored"
+
+    def test_repr_text(self):
+        def recursive_repr(t):
+            if t.tag in inert._PAYLOAD_TAGS:
+                return f"{t.tag}({t.payload!r})"
+            return f"{t.tag}({', '.join(recursive_repr(c) for c in t.children)})"
+        rng = random.Random(7)
+        for _ in range(300):
+            tree = random_tree(rng)
+            assert repr(tree) == recursive_repr(tree)
+        assert repr(InertForm(EXPSEQ)) == "EXPSEQ()"
+
+    def test_repr_at_the_height_limit(self):
+        h = inert.MAX_HEIGHT
+        tree = parse_maple("x" + "/x" * h)
+        assert repr(tree) == "DIVIDE(" * h + "NAME('x')" + ", NAME('x'))" * h
