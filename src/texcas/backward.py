@@ -10,7 +10,7 @@ from . import inert
 from .errors import UnknownFunction, UnsupportedTag
 from .forward import InfoMessage, TranslationResult
 from .inert import InertForm
-from .lexicon import Lexicon, LexiconEntry, call_shape
+from .lexicon import Lexicon, LexiconEntry, call_shape, fill
 
 _CALL_TEMPLATE_RE = re.compile(r"^([A-Za-z_]\w*)\((\$\d+(?:,\$\d+)*)\)$")
 
@@ -186,8 +186,7 @@ class _Backward:
             raise UnknownFunction(fname)
         self.note(rule)
         rendered = [self.render(a) for a in args]
-        return re.sub(r"\$(\d+)", lambda m: rendered[int(m.group(1))],
-                      rule.latex_template)
+        return fill(rule.latex_template, rendered)
 
 
 def translate_backward(tree: InertForm, lex: Lexicon) -> TranslationResult:

@@ -1,8 +1,8 @@
 """Command-line surface: translate, compile-lexicon, corpus, roundtrip, inert.
 
-Exit codes: 0 success, 2 translation error, 3 parse/scan error, 4 lexicon
-schema error.  stdout carries only the translation payload; info and warning
-messages go to stderr.
+Exit codes: 0 success, 2 translation error, 3 parse/scan error or unreadable
+file, 4 lexicon schema error.  stdout carries only the translation payload;
+info and warning messages go to stderr.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ EXIT_CODES = (
     (LexiconError, EXIT_SCHEMA),
     ((ScanError, MapleSyntaxError, UnsupportedConstruct, CorpusFormatError),
      EXIT_PARSE),
+    (OSError, EXIT_PARSE),  # a file that cannot be opened, read or written
     (TexcasError, EXIT_TRANSLATION),
 )
 
@@ -177,7 +178,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TexcasError as exc:
+    except (TexcasError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 

@@ -23,6 +23,13 @@ class UnbalancedDelimiters(ScanError):
         super().__init__(f"unbalanced delimiters at position {position}: {detail}")
 
 
+class UnsupportedSymbol(ScanError):
+    def __init__(self, position, symbol):
+        self.position = position
+        self.symbol = symbol
+        super().__init__(f"unsupported symbol {symbol!r} at position {position}")
+
+
 class ScanTooDeep(ScanError):
     def __init__(self, position, limit):
         self.position = position

@@ -10,7 +10,7 @@ from .errors import (ArityMismatch, NoDirectTranslation, TranslationError,
                      UnknownMacro)
 # the dialect table lives in the lexicon; MAPLE and MATHEMATICA re-exported
 from .lexicon import (DIALECTS, MAPLE, MATHEMATICA, CASDialect, Lexicon,
-                      LexiconEntry)
+                      LexiconEntry, fill)
 from .scanner import DelimiterClass, PomTree, TermKind, scan
 
 
@@ -216,7 +216,7 @@ def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[tu
         compact = bool(_ATOMIC_RE.match(num) and _ATOMIC_RE.match(den))
         return ("val", _Unit("", "frac", frac=(num, den, compact))), j
 
-    return ("val", _Unit(_substitute(template, args), "call")), j
+    return ("val", _Unit(fill(template, args), "call")), j
 
 
 def _translate_sqrt(children, i, ctx, entry) -> Tuple[tuple, int]:
@@ -240,15 +240,11 @@ def _translate_sqrt(children, i, ctx, entry) -> Tuple[tuple, int]:
     if template is None:
         raise NoDirectTranslation("\\sqrt", ctx.dialect.name)
     ctx.note_entry(entry)
-    return ("val", _Unit(_substitute(template, args), "call")), j
+    return ("val", _Unit(fill(template, args), "call")), j
 
 
 def _is_curly(node: PomTree) -> bool:
     return node.is_group and node.delimiter_class is DelimiterClass.CURLY
-
-
-def _substitute(template: str, args: List[str]) -> str:
-    return re.sub(r"\$(\d+)", lambda m: args[int(m.group(1))], template)
 
 
 # --- caret / subscript resolution -------------------------------------------

@@ -1,8 +1,8 @@
 """Translation knowledge base: macro records, constants, Greek letters, builtins.
 
 The macro CSV and the three JSON side files compile into a single immutable
-Lexicon, validated up front (placeholder ranges, duplicate names).  A compiled
-lexicon round-trips through a single JSON document.
+Lexicon; one function builds and validates every record, whichever input it
+comes from.  A compiled lexicon round-trips through a single JSON document.
 """
 
 from __future__ import annotations
@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
@@ -35,6 +36,8 @@ CSV_COLUMNS = ["macro", "num_params", "num_vars", "at_variants",
 ADVISORY_KINDS = {"branch-cut", "domain", "definition-difference",
                   "no-direct-translation"}
 
+ROLES = ("function", "constant", "greek-letter", "operator")
+
 
 @dataclass
 class Advisory:
@@ -45,17 +48,17 @@ class Advisory:
 @dataclass
 class LexiconEntry:
     macro_name: str
-    num_params: int = 0
-    num_vars: int = 0
-    at_variants: frozenset = frozenset()
-    dlmf_link: Optional[str] = None
-    translations: Dict[str, str] = field(default_factory=dict)
-    advisories: List[Advisory] = field(default_factory=list)
-    role: str = "function"  # function | constant | greek-letter | operator
-    source: str = "lexicon"  # lexicon | builtin
+    num_params: int
+    num_vars: int
+    at_variants: frozenset
+    dlmf_link: Optional[str]
+    translations: Dict[str, str]
+    advisories: List[Advisory]
+    role: str  # one of ROLES
+    source: str  # lexicon | builtin
     # semantic-LaTeX template over the Maple call's arguments, for Maple
     # templates that are not a plain call with distinct placeholders
-    reverse: Optional[str] = None
+    reverse: Optional[str]
 
     @property
     def arity(self) -> int:
@@ -64,11 +67,18 @@ class LexiconEntry:
 
 @dataclass
 class ConstantRecord:
-    semantic_macro: str
-    translations: Dict[str, str]  # dialect -> CAS string (absent = no translation)
+    entry: LexiconEntry  # role constant: the name, translations and advisory
     plain_letter_alias: Optional[str] = None
     advisory: Optional[str] = None
     suggest_for: Optional[str] = None  # generic command that may denote it
+
+    @property
+    def semantic_macro(self) -> str:
+        return self.entry.macro_name
+
+    @property
+    def translations(self) -> Dict[str, str]:
+        return self.entry.translations  # dialect -> CAS string (absent = none)
 
 
 class Lexicon:
@@ -77,15 +87,14 @@ class Lexicon:
     def __init__(self, entries, constants, greek, builtins):
         self.entries: Dict[str, LexiconEntry] = entries
         self.constants: List[ConstantRecord] = constants
-        self.greek: Dict[str, Dict[str, str]] = greek
+        self.greek: Dict[str, Dict[str, str]] = {  # from greek-letter entries
+            cmd: e.translations for cmd, e in greek.items()}
         self.builtins: Dict[str, LexiconEntry] = builtins
-        self._constant_entries = {c.semantic_macro: _constant_entry(c)
-                                  for c in constants}
-        self._greek_entries = {
-            cmd: LexiconEntry(macro_name=cmd, translations=dict(renderings),
-                              role="greek-letter", source="builtin")
-            for cmd, renderings in greek.items()
-        }
+        # every name once: the CSV shadows builtins, builtins shadow Greek
+        # letters and Greek letters shadow constants
+        self._names: Dict[str, LexiconEntry] = {
+            **{c.semantic_macro: c.entry for c in constants},
+            **greek, **builtins, **entries}
         # plain letter -> macro suggestion (\iunit, \expe, \CatalansConstant)
         self.letter_suggestions = {c.plain_letter_alias: c.semantic_macro
                                    for c in constants if c.plain_letter_alias}
@@ -97,12 +106,7 @@ class Lexicon:
         self.reverse_tables = None
 
     def lookup(self, name: str) -> Optional[LexiconEntry]:
-        for table in (self.entries, self.builtins, self._greek_entries,
-                      self._constant_entries):
-            entry = table.get(name)
-            if entry is not None:
-                return entry
-        return None
+        return self._names.get(name)
 
     # --- persistence -------------------------------------------------------
 
@@ -121,16 +125,18 @@ class Lexicon:
         }
 
     @staticmethod
-    def from_json(doc: dict) -> "Lexicon":
-        entries = {n: _entry_from_json(n, d, "lexicon")
-                   for n, d in doc["entries"].items()}
-        builtins = {n: _entry_from_json(n, d, "builtin")
-                    for n, d in doc["builtins"].items()}
-        constants = [ConstantRecord(c["macro"], c["translations"],
-                                    c.get("alias"), c.get("advisory"),
-                                    c.get("suggest_for"))
-                     for c in doc["constants"]]
-        return Lexicon(entries, constants, doc["greek"], builtins)
+    def from_json(doc: dict, file="<compiled lexicon>") -> "Lexicon":
+        try:
+            entries = {n: _make_entry(n, d, "lexicon", file)
+                       for n, d in doc["entries"].items()}
+            builtins = {n: _make_entry(n, d, "builtin", file)
+                        for n, d in doc["builtins"].items()}
+            greek = _greek(doc["greek"], file)
+            constants = [_constant(c["macro"], c, file) for c in doc["constants"]]
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise SchemaError(file, 1, "not a compiled lexicon: "
+                              f"{type(exc).__name__}: {exc}")
+        return Lexicon(entries, constants, greek, builtins)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -138,51 +144,23 @@ class Lexicon:
 
     @staticmethod
     def load(path) -> "Lexicon":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                return Lexicon.from_json(json.load(fh))
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                raise SchemaError(path, 1, "not a compiled lexicon: "
-                                  f"{type(exc).__name__}: {exc}")
-
-
-def _constant_entry(c: ConstantRecord) -> LexiconEntry:
-    advisories = []
-    if c.advisory:
-        advisories.append(Advisory("no-direct-translation", c.advisory))
-    return LexiconEntry(macro_name=c.semantic_macro, translations=dict(c.translations),
-                        advisories=advisories, role="constant", source="lexicon")
+        return Lexicon.from_json(_load_json(path), path)
 
 
 def _entry_to_json(e: LexiconEntry) -> dict:
-    return {
-        "num_params": e.num_params,
-        "num_vars": e.num_vars,
-        "at_variants": sorted(e.at_variants),
-        "dlmf_link": e.dlmf_link,
-        "translations": e.translations,
-        "advisories": [{"kind": a.kind, "text": a.text} for a in e.advisories],
-        "role": e.role,
-        "reverse": e.reverse,
-    }
+    d = {k: v for k, v in asdict(e).items() if k not in ("macro_name", "source")}
+    return {**d, "at_variants": sorted(e.at_variants)}
 
 
-def _entry_from_json(name: str, d: dict, source: str) -> LexiconEntry:
-    return LexiconEntry(
-        macro_name=name,
-        num_params=d["num_params"],
-        num_vars=d["num_vars"],
-        at_variants=frozenset(d["at_variants"]),
-        dlmf_link=d.get("dlmf_link"),
-        translations=d["translations"],
-        advisories=[Advisory(a["kind"], a["text"]) for a in d.get("advisories", [])],
-        role=d.get("role", "function"),
-        source=source,
-        reverse=d.get("reverse"),
-    )
+# --- templates ------------------------------------------------------------
+
+PLACEHOLDER_RE = re.compile(r"\$(\d+)")
 
 
-# --- compilation ----------------------------------------------------------
+def fill(template: str, args: List[str]) -> str:
+    """The template with each placeholder ``$i`` replaced by ``args[i]``."""
+    return PLACEHOLDER_RE.sub(lambda m: args[int(m.group(1))], template)
+
 
 _CALL_RE = re.compile(r"([A-Za-z_]\w*)\((.*)\)")
 
@@ -211,37 +189,94 @@ def _check_placeholders(entry: LexiconEntry, file, line) -> None:
                               "template needs a Maple pattern that is one call")
         checks.append((entry.reverse, shape[1]))
     for template, arity in checks:
-        for m in re.finditer(r"\$(\d+)", template):
+        for m in PLACEHOLDER_RE.finditer(template):
             idx = int(m.group(1))
             if not 0 <= idx < arity:
                 raise PlaceholderOutOfRange(entry.macro_name, idx)
 
 
-def _parse_int(value, file, line, what) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        raise SchemaError(file, line, f"{what} must be an integer, got {value!r}")
-    if n < 0:
-        raise SchemaError(file, line, f"{what} must be nonnegative")
-    return n
+# --- validation -----------------------------------------------------------
+
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0  # a bool is no count
 
 
-def _parse_advisories(cell, file, line) -> List[Advisory]:
-    advisories = []
-    if not cell:
-        return advisories
-    for part in cell.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" not in part:
-            raise SchemaError(file, line, f"advisory {part!r} is not kind:text")
-        kind, text = part.split(":", 1)
-        if kind not in ADVISORY_KINDS:
-            raise SchemaError(file, line, f"unknown advisory kind {kind!r}")
-        advisories.append(Advisory(kind, text.strip()))
-    return advisories
+def _is_text(v) -> bool:
+    return v is None or isinstance(v, str)
+
+
+# (field, check, what the check wants) for every field of a record
+_FIELD_CHECKS = (
+    ("num_params", _is_count, "a non-negative integer"),
+    ("num_vars", _is_count, "a non-negative integer"),
+    ("at_variants", lambda v: isinstance(v, list) and all(
+        type(n) is int and 0 <= n <= 3 for n in v), "a list within 0, 1, 2, 3"),
+    ("dlmf_link", _is_text, "text or null"),
+    ("translations", lambda v: isinstance(v, dict) and all(
+        k in DIALECTS and isinstance(t, str) for k, t in v.items()),
+     f"an object from {', '.join(DIALECTS)} to text"),
+    ("advisories", lambda v: isinstance(v, list) and all(
+        isinstance(a, dict) and isinstance(a.get("kind"), str)
+        and a["kind"] in ADVISORY_KINDS and isinstance(a.get("text"), str)
+        for a in v), f"kind and text pairs, a kind one of "
+     f"{', '.join(sorted(ADVISORY_KINDS))}"),
+    ("role", lambda v: v in ROLES, f"one of {', '.join(ROLES)}"),
+    ("reverse", _is_text, "text or null"),
+)
+
+
+def _make_entry(name, d, source, file, line=1, role=None) -> LexiconEntry:
+    """Validate one JSON-shaped record and build its entry: the only place
+    a ``LexiconEntry`` is built.  Templates sit under ``translations`` in a
+    compiled lexicon and as top-level dialect keys (``null``: none) in the
+    source files.  ``role`` overrides the record's own."""
+    if not isinstance(d, dict):
+        raise SchemaError(file, line, f"{name}: a record must be a JSON object")
+    fields = {"num_params": 0, "num_vars": 0, "at_variants": [0],
+              "dlmf_link": None, "advisories": [], "role": "function",
+              "reverse": None, "translations": {
+                  k: v for k, v in d.items() if k in DIALECTS and v is not None}}
+    fields.update((k, d[k]) for k in list(fields) if k in d)
+    fields["role"] = role or fields["role"]
+    for key, check, wanted in _FIELD_CHECKS:
+        if not check(fields[key]):
+            raise SchemaError(file, line, f"{name}: {key} must be {wanted}, "
+                              f"got {fields[key]!r}")
+    fields["at_variants"] = frozenset(fields["at_variants"])
+    fields["advisories"] = [Advisory(a["kind"], a["text"])
+                            for a in fields["advisories"]]
+    entry = LexiconEntry(macro_name=name, source=source, **fields)
+    _check_placeholders(entry, file, line)
+    return entry
+
+
+def _greek(doc: dict, file) -> Dict[str, LexiconEntry]:
+    greek = {cmd: _make_entry(cmd, d, "builtin", file, role="greek-letter")
+             for cmd, d in doc.items()}
+    for cmd, entry in greek.items():
+        if len(entry.translations) < len(DIALECTS):
+            raise SchemaError(file, 1, f"{cmd}: a Greek letter needs every dialect")
+    return greek
+
+
+def _constant(name, d, file) -> ConstantRecord:
+    entry = _make_entry(name, d, "lexicon", file, role="constant")
+    alias, advisory, suggest_for = map(d.get, ("alias", "advisory", "suggest_for"))
+    if alias not in (None, "i", "e", "C"):
+        raise SchemaError(file, 1, f"{name}: alias must be one of i, e, C")
+    if not (isinstance(name, str) and _is_text(advisory) and _is_text(suggest_for)):
+        raise SchemaError(file, 1, f"{name}: the macro must be text, advisory "
+                          "and suggest_for text or null")
+    if advisory:
+        entry.advisories = [Advisory("no-direct-translation", advisory)]
+    return ConstantRecord(entry, alias, advisory, suggest_for)
+
+
+# --- compilation ----------------------------------------------------------
+
+def _cell_int(cell: str):
+    """The cell as an int, or as text, which _make_entry refuses."""
+    return int(cell) if cell.isdecimal() else cell
 
 
 def compile_macro_csv(path) -> Dict[str, LexiconEntry]:
@@ -255,44 +290,45 @@ def compile_macro_csv(path) -> Dict[str, LexiconEntry]:
             if None in (row[c] for c in CSV_COLUMNS[:-1]):
                 raise SchemaError(path, lineno, f"expected at least "
                                   f"{len(CSV_COLUMNS) - 1} cells")
-            name = row["macro"].strip()
+            # reverse is absent in 8-column sources and None in short rows
+            cells = {c: (row.get(c) or "").strip() for c in CSV_COLUMNS}
+            name = cells["macro"]
             if not name.startswith("\\"):
                 raise SchemaError(path, lineno, f"macro {name!r} must start with a backslash")
             if name in entries:
                 raise DuplicateMacro(name)
-            at_cell = row["at_variants"].strip()
-            try:
-                variants = frozenset(int(v) for v in at_cell.split("|") if v != "")
-            except ValueError:
-                raise SchemaError(path, lineno, f"bad at_variants {at_cell!r}")
-            if not variants <= {0, 1, 2, 3}:
-                raise SchemaError(path, lineno, "at_variants must be within {0,1,2,3}")
-            translations = {}
-            for dialect in DIALECTS:
-                cell = row[dialect].strip()
-                if cell:
-                    translations[dialect] = cell
-            entry = LexiconEntry(
-                macro_name=name,
-                num_params=_parse_int(row["num_params"], path, lineno, "num_params"),
-                num_vars=_parse_int(row["num_vars"], path, lineno, "num_vars"),
-                at_variants=variants,
-                dlmf_link=row["dlmf_link"].strip() or None,
-                translations=translations,
-                advisories=_parse_advisories(row["advisories"], path, lineno),
-                role="function",
-                source="lexicon",
-                # absent in 8-column sources and None in short rows
-                reverse=(row.get("reverse") or "").strip() or None,
-            )
-            _check_placeholders(entry, path, lineno)
-            entries[name] = entry
+            record = {
+                "num_params": _cell_int(cells["num_params"]),
+                "num_vars": _cell_int(cells["num_vars"]),
+                "at_variants": [_cell_int(v.strip())
+                                for v in cells["at_variants"].split("|") if v],
+                "dlmf_link": cells["dlmf_link"] or None,
+                "translations": {dl: cells[dl] for dl in DIALECTS if cells[dl]},
+                # an item without a colon has no text, which _make_entry refuses
+                "advisories": [{"kind": k, "text": t.strip() if colon else None}
+                               for k, colon, t in (p.strip().partition(":") for p in
+                                                   cells["advisories"].split(";"))
+                               if k or colon],
+                "reverse": cells["reverse"] or None,
+            }
+            entries[name] = _make_entry(name, record, "lexicon", path, lineno)
     return entries
 
 
+def _unique_keys(pairs) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        raise DuplicateMacro(Counter(k for k, _ in pairs).most_common(1)[0][0])
+    return doc
+
+
 def _load_json(path) -> dict:
+    """The JSON object in a file; a repeated key raises DuplicateMacro."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
+        except (ValueError, RecursionError) as exc:
+            raise SchemaError(path, getattr(exc, "lineno", 1), f"not JSON: {exc}")
     if not isinstance(doc, dict):
         raise SchemaError(path, 1, "top level must be a JSON object")
     return doc
@@ -300,47 +336,12 @@ def _load_json(path) -> dict:
 
 def compile_lexicon(macro_csv, constants_json, greek_json, builtins_json) -> Lexicon:
     """Compile the four source files into a validated Lexicon."""
-    entries = compile_macro_csv(macro_csv)
-
-    constants = []
-    for name, d in _load_json(constants_json).items():
-        alias = d.get("alias")
-        if alias is not None and alias not in ("i", "e", "C"):
-            raise SchemaError(constants_json, 1,
-                              f"{name}: alias must be one of i, e, C")
-        translations = {k: v for k, v in d.items()
-                        if k in DIALECTS and v is not None}
-        constants.append(ConstantRecord(name, translations, alias,
-                                        d.get("advisory"), d.get("suggest_for")))
-
-    greek = {}
-    for cmd, d in _load_json(greek_json).items():
-        missing = [dl for dl in DIALECTS if dl not in d]
-        if missing:
-            raise SchemaError(greek_json, 1, f"{cmd}: missing dialects {missing}")
-        greek[cmd] = {dl: d[dl] for dl in DIALECTS}
-
-    builtins = {}
-    for name, d in _load_json(builtins_json).items():
-        if name in builtins:
-            raise DuplicateMacro(name)
-        entry = LexiconEntry(
-            macro_name=name,
-            num_params=d.get("num_params", 0),
-            num_vars=d.get("num_vars", 0),
-            at_variants=frozenset(d.get("at_variants", [0])),
-            dlmf_link=d.get("dlmf_link"),
-            translations={k: v for k, v in d.items() if k in DIALECTS},
-            advisories=[Advisory(a["kind"], a["text"])
-                        for a in d.get("advisories", [])],
-            role=d.get("role", "function"),
-            source="builtin",
-            reverse=d.get("reverse"),
-        )
-        _check_placeholders(entry, builtins_json, 1)
-        builtins[name] = entry
-
-    return Lexicon(entries, constants, greek, builtins)
+    constants = [_constant(name, d, constants_json)
+                 for name, d in _load_json(constants_json).items()]
+    builtins = {name: _make_entry(name, d, "builtin", builtins_json)
+                for name, d in _load_json(builtins_json).items()}
+    return Lexicon(compile_macro_csv(macro_csv), constants,
+                   _greek(_load_json(greek_json), greek_json), builtins)
 
 
 _DEFAULT: Optional[Lexicon] = None
@@ -354,11 +355,6 @@ def load_default() -> Lexicon:
     """The seed lexicon shipped with the package (compiled once, cached)."""
     global _DEFAULT
     if _DEFAULT is None:
-        data = resources.files("texcas").joinpath("data")
-        _DEFAULT = compile_lexicon(
-            data / "macros.csv",
-            data / "constants.json",
-            data / "greek.json",
-            data / "builtins.json",
-        )
+        _DEFAULT = compile_lexicon(*map(seed_path, (
+            "macros.csv", "constants.json", "greek.json", "builtins.json")))
     return _DEFAULT

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, List, Optional, Set
 
-from .errors import EmptyInput, ScanTooDeep, UnbalancedDelimiters
+from .errors import EmptyInput, ScanTooDeep, UnbalancedDelimiters, UnsupportedSymbol
 from .lexicon import load_default
 
 _RELATION_CHARS = set("=<>")
@@ -130,7 +130,9 @@ def _tokenize(text: str) -> Iterator[tuple]:
     while pos < n:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise UnbalancedDelimiters(pos, f"unexpected character {text[pos]!r}")
+            # a control symbol such as \, is the backslash and one character
+            raise UnsupportedSymbol(pos, text[pos:pos + 2] if text[pos] == "\\"
+                                    else text[pos])
         kind = m.lastgroup
         lexeme = m.group()
         pos = m.end()
@@ -163,11 +165,10 @@ def _classify(lexeme: str, tag: str, kb) -> MathTerm:
         return MathTerm(lexeme, TermKind.CARET, definite_tags={"exponent"})
     if tag == "underscore":
         return MathTerm(lexeme, TermKind.UNDERSCORE, definite_tags={"subscript"})
-    if tag == "op":
-        if lexeme in _RELATION_CHARS:
-            return MathTerm(lexeme, TermKind.RELATION_SYMBOL, definite_tags={"relation"})
-        return MathTerm(lexeme, TermKind.OPERATOR_SYMBOL, definite_tags={"operation"})
-    raise UnbalancedDelimiters(0, f"unclassifiable token {lexeme!r}")
+    # the only tag left is "op"
+    if lexeme in _RELATION_CHARS:
+        return MathTerm(lexeme, TermKind.RELATION_SYMBOL, definite_tags={"relation"})
+    return MathTerm(lexeme, TermKind.OPERATOR_SYMBOL, definite_tags={"operation"})
 
 
 def scan(text: str, kb=None) -> PomTree:

@@ -6,7 +6,7 @@ import pytest
 
 from texcas.cli import (EXIT_OK, EXIT_PARSE, EXIT_SCHEMA, EXIT_TRANSLATION,
                         main, read_corpus, run_corpus)
-from texcas.lexicon import seed_path
+from texcas.lexicon import load_default, seed_path
 
 HEADER = ("macro,num_params,num_vars,at_variants,dlmf_link,"
           "maple,mathematica,advisories\n")
@@ -212,3 +212,51 @@ class TestMalformedInput:
         self.assert_error_exit(["compile-lexicon", "--csv", str(bad),
                                 "--out", str(tmp_path / "out.json")],
                                EXIT_SCHEMA, capsys)
+
+    def assert_clean_exit(self, argv, code, capsys):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("source, text", [
+        ("builtins", '{"\\\\frac": {"num_params": "a", "maple": "f($0)"}}'),
+        ("builtins", '{"\\\\frac": 7}'),
+        ("builtins", '{"\\\\frac": {"advisories": [{"kind": "bogus", "text": "t"}]}}'),
+        ("builtins", '{"\\\\frac": {}, "\\\\frac": {}}'),
+        ("constants", '{"\\\\cpi": "Pi"}'),
+        ("greek", "not json"),
+    ], ids=["string-count", "non-object", "bogus-advisory", "duplicate-key",
+            "constant-non-object", "greek-not-json"])
+    def test_lexicon_source_exits_4(self, source, text, tmp_path, capsys):
+        bad = tmp_path / f"{source}.json"
+        bad.write_text(text, encoding="utf-8")
+        self.assert_clean_exit(["compile-lexicon", f"--{source}", str(bad),
+                                "--out", str(tmp_path / "out.json")],
+                               EXIT_SCHEMA, capsys)
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_vars", "1"), ("advisories", [{"kind": "bogus", "text": "t"}])])
+    def test_compiled_record_exits_4(self, field, value, tmp_path, capsys):
+        doc = json.loads(json.dumps(load_default().to_json()))
+        doc["entries"]["\\sin"][field] = value
+        bad = tmp_path / "lexicon.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        self.assert_clean_exit(["translate", "--lexicon", str(bad), r"\sin@{z}"],
+                               EXIT_SCHEMA, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["corpus", "{missing}"],
+        ["translate", "--lexicon", "{missing}", "x"],
+        ["translate", "--file", "{missing}"],
+        ["corpus", str(seed_path("seed_corpus.tsv")), "--report", "{missing}/r.jsonl"],
+    ], ids=["corpus", "lexicon", "input-file", "report"])
+    def test_unreadable_file_exits_3(self, argv, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        self.assert_clean_exit([a.format(missing=missing) for a in argv],
+                               EXIT_PARSE, capsys)
+
+    def test_control_symbol_exits_3(self, capsys):
+        self.assert_clean_exit(["translate", r"a\,b"], EXIT_PARSE, capsys)

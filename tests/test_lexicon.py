@@ -1,12 +1,13 @@
 """Lexicon compilation, validation, and persistence tests."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from texcas.errors import DuplicateMacro, PlaceholderOutOfRange, SchemaError
-from texcas.lexicon import (CSV_COLUMNS, Lexicon, compile_lexicon,
-                            compile_macro_csv, seed_path)
+from texcas.lexicon import (CSV_COLUMNS, DIALECTS, Lexicon, compile_lexicon,
+                            compile_macro_csv, load_default, seed_path)
 
 HEADER = ",".join(CSV_COLUMNS)
 
@@ -14,6 +15,11 @@ HEADER = ",".join(CSV_COLUMNS)
 def write_csv(tmp_path, rows):
     path = tmp_path / "macros.csv"
     path.write_text("\n".join([HEADER] + rows) + "\n", encoding="utf-8")
+    return path
+
+
+def write_text(path, text):
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -152,3 +158,78 @@ class TestCompileBehaviour:
         assert reloaded.to_json() == lex.to_json()
         assert reloaded.lookup("\\JacobiP").translations == \
             lex.lookup("\\JacobiP").translations
+
+
+# --- one validating constructor for every input --------------------------------
+
+REFUSED = (SchemaError, DuplicateMacro)
+NOT_JSON = object()
+DUPLICATE_KEY = object()
+
+# (change to one record, CSV rows that express it or None); a dict updates
+# the record's fields, anything else replaces the record
+MALFORMED = {
+    "string-count": ({"num_params": "1"}, [r"\sin,a,1,1,,sin($0),Sin[$0],"]),
+    "bool-count": ({"num_vars": True}, [r"\sin,0,True,1,,sin($0),Sin[$0],"]),
+    "at-variants-7": ({"at_variants": [7]}, [r"\sin,0,1,7,,sin($0),Sin[$0],"]),
+    "bogus-advisory": ({"advisories": [{"kind": "bogus", "text": "t"}]},
+                       [r"\sin,0,1,1,,sin($0),Sin[$0],bogus:t"]),
+    "bogus-role": ({"role": "bogus"}, None),
+    "non-object": (["not", "an", "object"], None),
+    "non-text-translation": ({"maple": 5}, None),
+    "non-text-reverse": ({"reverse": 5}, None),
+    "duplicate-key": (DUPLICATE_KEY, [r"\sin,0,1,1,,sin($0),Sin[$0],"] * 2),
+    "not-json": (NOT_JSON, None),
+}
+
+
+def malformed_json(doc, table, name, change, nested):
+    """``doc`` as JSON text, ``change`` applied to its record ``table[name]``."""
+    if change is NOT_JSON:
+        return "{not json"
+    if change is DUPLICATE_KEY:
+        return '{"k": 1, "k": 2, ' + json.dumps(doc)[1:]
+    if isinstance(change, dict):
+        for key, value in change.items():
+            record = table[name]
+            (record["translations"] if nested and key in DIALECTS else record)[key] = value
+    else:
+        table[name] = change
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_record_is_refused_from_every_input(case, tmp_path):
+    change, rows = MALFORMED[case]
+    builtins = json.loads(seed_path("builtins.json").read_text(encoding="utf-8"))
+    path = write_text(tmp_path / "builtins.json",
+                      malformed_json(builtins, builtins, "\\frac", change, False))
+    with pytest.raises(REFUSED):
+        compile_lexicon(*map(seed_path, ("macros.csv", "constants.json",
+                                         "greek.json")), path)
+
+    compiled = json.loads(json.dumps(load_default().to_json()))
+    path = write_text(tmp_path / "compiled.json", malformed_json(
+        compiled, compiled["entries"], "\\sin", change, True))
+    with pytest.raises(REFUSED):
+        Lexicon.load(path)
+
+    if rows is not None:
+        with pytest.raises(REFUSED):
+            compile_macro_csv(write_csv(tmp_path, rows))
+
+
+def test_lookup_precedence(tmp_path):
+    lexicon = compile_with(
+        tmp_path, [r"\alpha,0,1,1,,alpha($0),Alpha[$0],"],
+        constants={"\\cpi": {"maple": "Pi", "mathematica": "Pi"}},
+        greek={"\\alpha": {"maple": "alpha", "mathematica": "\\[Alpha]"}},
+        builtins={"\\cpi": {"maple": "pi()", "mathematica": "Pi[]"}})
+    assert lexicon.lookup("\\alpha").role == "function"
+    assert lexicon.lookup("\\cpi").translations["maple"] == "pi()"
+    assert lexicon.greek["\\alpha"]["maple"] == "alpha"
+
+
+def test_seed_lexicon_matches_recorded_json():
+    recorded = Path(__file__).parent / "data" / "seed_lexicon.json"
+    assert load_default().to_json() == json.loads(recorded.read_text(encoding="utf-8"))

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from texcas.errors import EmptyInput, UnbalancedDelimiters
+from texcas.errors import (EmptyInput, ScanError, UnbalancedDelimiters,
+                           UnsupportedSymbol)
 from texcas.scanner import (DelimiterClass, TermKind, normalize_whitespace,
                             scan, serialize)
 
@@ -119,6 +120,15 @@ class TestErrors:
         with pytest.raises(UnbalancedDelimiters) as exc:
             scan("ab}")
         assert exc.value.position == 2
+
+    @pytest.mark.parametrize("text, symbol", [
+        (r"a\,b", r"\,"), (r"a\;b", r"\;"), (r"a\!b", r"\!"), (r"a\:b", r"\:"),
+        ("a#b", "#"), ("a\\", "\\")])
+    def test_control_symbol_is_unsupported(self, text, symbol):
+        with pytest.raises(UnsupportedSymbol) as exc:
+            scan(text)
+        assert (exc.value.position, exc.value.symbol) == (1, symbol)
+        assert isinstance(exc.value, ScanError)
 
 
 # --- property suite ----------------------------------------------------------
