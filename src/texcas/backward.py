@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from . import inert
 from .errors import UnknownFunction, UnsupportedTag
-from .forward import InfoMessage, TranslationResult
+from .forward import TranslationResult, unique_infos
 from .inert import InertForm
 from .lexicon import Lexicon, LexiconEntry, call_shape, fill
-
-_CALL_TEMPLATE_RE = re.compile(r"^([A-Za-z_]\w*)\((\$\d+(?:,\$\d+)*)\)$")
 
 
 @dataclass
@@ -54,16 +52,17 @@ def build_reverse_rules(lex: Lexicon) -> Dict[Tuple[str, int], ReverseRule]:
             template = entry.translations.get("maple")
             if template is None or entry.role != "function":
                 continue
+            shape = call_shape(template)
+            if shape is None:
+                continue
+            fname, args = shape
             if entry.reverse is not None:
-                fname, arity = call_shape(template)
-                rules[(fname, arity)] = ReverseRule(
-                    fname, arity, entry.reverse, advisories=entry.advisories)
+                rules[(fname, len(args))] = ReverseRule(
+                    fname, len(args), entry.reverse, advisories=entry.advisories)
                 continue
-            m = _CALL_TEMPLATE_RE.match(template)
-            if m is None:
+            if not all(re.fullmatch(r"\$\d+", a) for a in args):
                 continue
-            fname = m.group(1)
-            permutation = [int(p[1:]) for p in m.group(2).split(",")]
+            permutation = [int(a[1:]) for a in args]
             if sorted(permutation) != list(range(entry.arity)):
                 continue
             rules[(fname, entry.arity)] = ReverseRule(
@@ -91,15 +90,7 @@ class _Backward:
             lex.reverse_tables = (build_reverse_rules(lex), _name_map(lex))
         self.lex = lex
         self.rules, self.name_map = lex.reverse_tables
-        self.infos: List[InfoMessage] = []
-        self._seen = set()
-
-    def note(self, rule: ReverseRule) -> None:
-        for adv in rule.advisories:
-            key = (adv.kind, adv.text)
-            if key not in self._seen:
-                self._seen.add(key)
-                self.infos.append(InfoMessage(adv.kind, adv.text))
+        self.infos: List[Tuple[str, str]] = []  # (kind, text), repeats kept
 
     # --- node renderers ----------------------------------------------------
 
@@ -184,7 +175,7 @@ class _Backward:
         rule = self.rules.get((fname, len(args)))
         if rule is None:
             raise UnknownFunction(fname)
-        self.note(rule)
+        self.infos.extend((adv.kind, adv.text) for adv in rule.advisories)
         rendered = [self.render(a) for a in args]
         return fill(rule.latex_template, rendered)
 
@@ -193,7 +184,7 @@ def translate_backward(tree: InertForm, lex: Lexicon) -> TranslationResult:
     """Render a preprocessed inert tree as semantic LaTeX."""
     ctx = _Backward(lex)
     output = ctx.render(tree)
-    return TranslationResult(output=output, infos=ctx.infos)
+    return TranslationResult(output=output, infos=unique_infos(ctx.infos))
 
 
 def backward_string(text: str, lex: Lexicon, use_divide: bool = True) -> TranslationResult:

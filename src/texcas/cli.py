@@ -33,7 +33,7 @@ EXIT_CODES = (
     (LexiconError, EXIT_SCHEMA),
     ((ScanError, MapleSyntaxError, UnsupportedConstruct, CorpusFormatError),
      EXIT_PARSE),
-    (OSError, EXIT_PARSE),  # a file that cannot be opened, read or written
+    ((OSError, UnicodeDecodeError), EXIT_PARSE),  # unreadable or not UTF-8
     (TexcasError, EXIT_TRANSLATION),
 )
 
@@ -178,7 +178,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TexcasError, OSError) as exc:
+    except (TexcasError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 

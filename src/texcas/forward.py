@@ -36,17 +36,19 @@ class _Unit:
     frac: Optional[Tuple[str, str, bool]] = None  # (num, den, compact_ok)
 
 
+def unique_infos(pairs) -> List[InfoMessage]:
+    """One info per distinct (kind, text) pair, in the order first seen."""
+    return [InfoMessage(kind, text) for kind, text in dict.fromkeys(pairs)]
+
+
 class _Context:
     def __init__(self, lex: Lexicon, dialect: CASDialect):
         self.lex = lex
         self.dialect = dialect
-        self.infos: List[InfoMessage] = []
-        self._seen = set()
+        self.infos: List[Tuple[str, str]] = []  # (kind, text), repeats kept
 
     def add_info(self, kind: str, text: str) -> None:
-        if (kind, text) not in self._seen:
-            self._seen.add((kind, text))
-            self.infos.append(InfoMessage(kind, text))
+        self.infos.append((kind, text))
 
     def note_entry(self, entry: LexiconEntry) -> None:
         if entry.dlmf_link:
@@ -58,17 +60,20 @@ class _Context:
 def translate_forward(tree: PomTree, lex: Lexicon, dialect: CASDialect) -> TranslationResult:
     """Translate a first-scan tree into a CAS expression string.
 
-    Macros are rendered by placeholder substitution into their lexicon
-    patterns; the tree hierarchy is preserved.  Bare Latin letters and generic
-    Greek commands that could denote constants are passed through untouched
-    with a constant-suggestion info.
+    Each macro is rendered by placeholder substitution into the patterns of
+    the entry that ``scan`` attached to its term (no entry: ``UnknownMacro``).
+    ``lex``, which the tree should be scanned with, gives the constant
+    suggestions and the ``\\sqrt[n]`` template.  The tree hierarchy is
+    preserved.  Bare Latin letters and generic Greek commands that could
+    denote constants are passed through untouched with a constant-suggestion
+    info.
     """
     if isinstance(dialect, str):
         dialect = DIALECTS[dialect]
     ctx = _Context(lex, dialect)
     children = tree.children if tree.is_sequence else [tree]
     output = _translate_sequence(children, ctx)
-    return TranslationResult(output=output, infos=ctx.infos)
+    return TranslationResult(output=output, infos=unique_infos(ctx.infos))
 
 
 def translate_string(text: str, lex: Lexicon, dialect) -> TranslationResult:
@@ -83,10 +88,6 @@ def _translate_sequence(children: List[PomTree], ctx: _Context) -> str:
     return _assemble(items, ctx)
 
 
-def _translate_group(node: PomTree, ctx: _Context) -> str:
-    return _translate_sequence(node.children, ctx)
-
-
 def _build_items(children: List[PomTree], ctx: _Context) -> List[tuple]:
     items: List[tuple] = []
     i = 0
@@ -94,10 +95,9 @@ def _build_items(children: List[PomTree], ctx: _Context) -> List[tuple]:
     while i < n:
         node = children[i]
         if node.is_group:
-            inner = _translate_group(node, ctx)
-            if node.delimiter_class is DelimiterClass.PAREN:
-                items.append(("val", _Unit(f"({inner})", "group")))
-            elif _ATOMIC_RE.match(inner):
+            inner = _translate_sequence(node.children, ctx)
+            if node.delimiter_class is not DelimiterClass.PAREN \
+                    and _ATOMIC_RE.match(inner):
                 items.append(("val", _Unit(inner, "atom")))
             else:
                 items.append(("val", _Unit(f"({inner})", "group")))
@@ -157,9 +157,9 @@ def _build_items(children: List[PomTree], ctx: _Context) -> List[tuple]:
 def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[tuple, int]:
     term = children[i].term
     name = term.lexeme
-    entry = ctx.lex.lookup(name)
-    if entry is None:
+    if not term.tentative_features:
         raise UnknownMacro(name)
+    entry = term.tentative_features[0]
 
     if entry.role == "operator":
         # \idt: multiplication with no presentation appearance
@@ -191,7 +191,7 @@ def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[tu
     for _ in range(entry.num_params):
         if j >= len(children) or not _is_curly(children[j]):
             raise ArityMismatch(name, entry.num_params + entry.num_vars, len(args))
-        args.append(_translate_group(children[j], ctx))
+        args.append(_translate_sequence(children[j].children, ctx))
         j += 1
     if entry.num_vars > 0:
         has_at = (j < len(children) and children[j].is_leaf
@@ -203,7 +203,7 @@ def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[tu
         for _ in range(entry.num_vars):
             if j >= len(children) or not _is_curly(children[j]):
                 raise ArityMismatch(name, entry.arity, len(args))
-            args.append(_translate_group(children[j], ctx))
+            args.append(_translate_sequence(children[j].children, ctx))
             j += 1
 
     template = entry.translations.get(ctx.dialect.name)
@@ -224,11 +224,11 @@ def _translate_sqrt(children, i, ctx, entry) -> Tuple[tuple, int]:
     order = None
     if (j < len(children) and children[j].is_group
             and children[j].delimiter_class is DelimiterClass.BRACKET_OPTIONAL):
-        order = _translate_group(children[j], ctx)
+        order = _translate_sequence(children[j].children, ctx)
         j += 1
     if j >= len(children) or not _is_curly(children[j]):
         raise ArityMismatch("\\sqrt", 1, 0)
-    radicand = _translate_group(children[j], ctx)
+    radicand = _translate_sequence(children[j].children, ctx)
     j += 1
     if order is None:
         template = entry.translations.get(ctx.dialect.name)

@@ -27,7 +27,6 @@ INTPOS = "INTPOS"
 INTNEG = "INTNEG"
 RATIONAL = "RATIONAL"
 FLOAT = "FLOAT"
-COMPLEX = "COMPLEX"
 SUM = "SUM"
 PROD = "PROD"
 POWER = "POWER"
@@ -37,8 +36,8 @@ EQUATION = "EQUATION"
 RANGE = "RANGE"
 DIVIDE = "DIVIDE"
 
-TAGS = {NAME, STRING, INTPOS, INTNEG, RATIONAL, FLOAT, COMPLEX, SUM, PROD,
-        POWER, FUNCTION, EXPSEQ, EQUATION, RANGE, DIVIDE}
+TAGS = {NAME, STRING, INTPOS, INTNEG, RATIONAL, FLOAT, SUM, PROD, POWER,
+        FUNCTION, EXPSEQ, EQUATION, RANGE, DIVIDE}
 
 _PAYLOAD_TAGS = {NAME, STRING, INTPOS, INTNEG, FLOAT}
 
@@ -542,7 +541,4 @@ def _render(t: InertForm, parent_prec: int) -> str:
         return f"{_render(t.children[0], 2)} = {_render(t.children[1], 2)}"
     if tag == RANGE:
         return f"{_render(t.children[0], 3)}..{_render(t.children[1], 3)}"
-    if tag == COMPLEX:
-        parts = ", ".join(_render(c, 0) for c in t.children)
-        return f"Complex({parts})"
     raise MalformedList(f"cannot render tag {tag}")

@@ -8,9 +8,9 @@ comes from.  A compiled lexicon round-trips through a single JSON document.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
-from collections import Counter
 from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
@@ -55,7 +55,6 @@ class LexiconEntry:
     translations: Dict[str, str]
     advisories: List[Advisory]
     role: str  # one of ROLES
-    source: str  # lexicon | builtin
     # semantic-LaTeX template over the Maple call's arguments, for Maple
     # templates that are not a plain call with distinct placeholders
     reverse: Optional[str]
@@ -127,10 +126,8 @@ class Lexicon:
     @staticmethod
     def from_json(doc: dict, file="<compiled lexicon>") -> "Lexicon":
         try:
-            entries = {n: _make_entry(n, d, "lexicon", file)
-                       for n, d in doc["entries"].items()}
-            builtins = {n: _make_entry(n, d, "builtin", file)
-                        for n, d in doc["builtins"].items()}
+            entries = {n: _make_entry(n, d, file) for n, d in doc["entries"].items()}
+            builtins = {n: _make_entry(n, d, file) for n, d in doc["builtins"].items()}
             greek = _greek(doc["greek"], file)
             constants = [_constant(c["macro"], c, file) for c in doc["constants"]]
         except (KeyError, TypeError, AttributeError) as exc:
@@ -148,7 +145,7 @@ class Lexicon:
 
 
 def _entry_to_json(e: LexiconEntry) -> dict:
-    d = {k: v for k, v in asdict(e).items() if k not in ("macro_name", "source")}
+    d = {k: v for k, v in asdict(e).items() if k != "macro_name"}
     return {**d, "at_variants": sorted(e.at_variants)}
 
 
@@ -165,18 +162,21 @@ def fill(template: str, args: List[str]) -> str:
 _CALL_RE = re.compile(r"([A-Za-z_]\w*)\((.*)\)")
 
 
-def call_shape(template: str) -> Optional[Tuple[str, int]]:
-    """Function name and argument count of a Maple template that is one call."""
+def call_shape(template: str) -> Optional[Tuple[str, List[str]]]:
+    """Function name and argument texts of a Maple template that is one call."""
     m = _CALL_RE.fullmatch(template)
     if m is None:
         return None
-    depth, arity = 0, 1
+    depth, args = 0, [""]
     for ch in m.group(2):
         depth += (ch == "(") - (ch == ")")
         if depth < 0:
             return None
-        arity += ch == "," and depth == 0
-    return m.group(1), arity
+        if ch == "," and depth == 0:
+            args.append("")
+        else:
+            args[-1] += ch
+    return m.group(1), args
 
 
 def _check_placeholders(entry: LexiconEntry, file, line) -> None:
@@ -187,7 +187,7 @@ def _check_placeholders(entry: LexiconEntry, file, line) -> None:
         if shape is None:
             raise SchemaError(file, line, f"{entry.macro_name}: a reverse "
                               "template needs a Maple pattern that is one call")
-        checks.append((entry.reverse, shape[1]))
+        checks.append((entry.reverse, len(shape[1])))
     for template, arity in checks:
         for m in PLACEHOLDER_RE.finditer(template):
             idx = int(m.group(1))
@@ -225,7 +225,7 @@ _FIELD_CHECKS = (
 )
 
 
-def _make_entry(name, d, source, file, line=1, role=None) -> LexiconEntry:
+def _make_entry(name, d, file, line=1, role=None) -> LexiconEntry:
     """Validate one JSON-shaped record and build its entry: the only place
     a ``LexiconEntry`` is built.  Templates sit under ``translations`` in a
     compiled lexicon and as top-level dialect keys (``null``: none) in the
@@ -245,13 +245,13 @@ def _make_entry(name, d, source, file, line=1, role=None) -> LexiconEntry:
     fields["at_variants"] = frozenset(fields["at_variants"])
     fields["advisories"] = [Advisory(a["kind"], a["text"])
                             for a in fields["advisories"]]
-    entry = LexiconEntry(macro_name=name, source=source, **fields)
+    entry = LexiconEntry(macro_name=name, **fields)
     _check_placeholders(entry, file, line)
     return entry
 
 
 def _greek(doc: dict, file) -> Dict[str, LexiconEntry]:
-    greek = {cmd: _make_entry(cmd, d, "builtin", file, role="greek-letter")
+    greek = {cmd: _make_entry(cmd, d, file, role="greek-letter")
              for cmd, d in doc.items()}
     for cmd, entry in greek.items():
         if len(entry.translations) < len(DIALECTS):
@@ -260,7 +260,7 @@ def _greek(doc: dict, file) -> Dict[str, LexiconEntry]:
 
 
 def _constant(name, d, file) -> ConstantRecord:
-    entry = _make_entry(name, d, "lexicon", file, role="constant")
+    entry = _make_entry(name, d, file, role="constant")
     alias, advisory, suggest_for = map(d.get, ("alias", "advisory", "suggest_for"))
     if alias not in (None, "i", "e", "C"):
         raise SchemaError(file, 1, f"{name}: alias must be one of i, e, C")
@@ -281,7 +281,7 @@ def _cell_int(cell: str):
 
 def compile_macro_csv(path) -> Dict[str, LexiconEntry]:
     entries: Dict[str, LexiconEntry] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with io.StringIO(_read_text(path), newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames not in (CSV_COLUMNS, CSV_COLUMNS[:-1]):
             raise SchemaError(path, 1,
@@ -311,24 +311,35 @@ def compile_macro_csv(path) -> Dict[str, LexiconEntry]:
                                if k or colon],
                 "reverse": cells["reverse"] or None,
             }
-            entries[name] = _make_entry(name, record, "lexicon", path, lineno)
+            entries[name] = _make_entry(name, record, path, lineno)
     return entries
 
 
-def _unique_keys(pairs) -> dict:
-    doc = dict(pairs)
-    if len(doc) < len(pairs):
-        raise DuplicateMacro(Counter(k for k, _ in pairs).most_common(1)[0][0])
-    return doc
+def _read_text(path) -> str:
+    """A source file's text; a byte sequence that is not UTF-8 is a SchemaError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(path, data.count(b"\n", 0, exc.start) + 1,
+                          f"not UTF-8: {exc}")
 
 
 def _load_json(path) -> dict:
-    """The JSON object in a file; a repeated key raises DuplicateMacro."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, object_pairs_hook=_unique_keys)
-        except (ValueError, RecursionError) as exc:
-            raise SchemaError(path, getattr(exc, "lineno", 1), f"not JSON: {exc}")
+    """The JSON object in a file; a repeated key, at any depth, is refused."""
+    def unique_keys(pairs) -> dict:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise SchemaError(path, 1, f"repeated key {key!r}")
+            doc[key] = value
+        return doc
+
+    try:
+        doc = json.loads(_read_text(path), object_pairs_hook=unique_keys)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(path, getattr(exc, "lineno", 1), f"not JSON: {exc}")
     if not isinstance(doc, dict):
         raise SchemaError(path, 1, "top level must be a JSON object")
     return doc
@@ -338,7 +349,7 @@ def compile_lexicon(macro_csv, constants_json, greek_json, builtins_json) -> Lex
     """Compile the four source files into a validated Lexicon."""
     constants = [_constant(name, d, constants_json)
                  for name, d in _load_json(constants_json).items()]
-    builtins = {name: _make_entry(name, d, "builtin", builtins_json)
+    builtins = {name: _make_entry(name, d, builtins_json)
                 for name, d in _load_json(builtins_json).items()}
     return Lexicon(compile_macro_csv(macro_csv), constants,
                    _greek(_load_json(greek_json), greek_json), builtins)

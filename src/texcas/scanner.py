@@ -1,9 +1,9 @@
 """First-scan tokenizer and tree builder for math-mode LaTeX.
 
 The scan is deliberately shallow: it splits the input into terms, groups
-delimited balanced expressions, and attaches features found in the lexicon
-knowledge base.  It does not build operator hierarchy; ``x^3`` scans as three
-sibling leaves ``x``, ``^``, ``3``.
+delimited balanced expressions, and attaches to each known macro its entry in
+the lexicon knowledge base.  It does not build operator hierarchy; ``x^3``
+scans as three sibling leaves ``x``, ``^``, ``3``.
 """
 
 from __future__ import annotations
@@ -11,10 +11,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, List, Optional
 
 from .errors import EmptyInput, ScanTooDeep, UnbalancedDelimiters, UnsupportedSymbol
-from .lexicon import load_default
+from .lexicon import LexiconEntry, load_default
 
 _RELATION_CHARS = set("=<>")
 
@@ -37,18 +37,13 @@ class TermKind(Enum):
 
 
 @dataclass
-class FeatureRecord:
-    role: str
-    source: str  # "lexicon" | "builtin"
-
-
-@dataclass
 class MathTerm:
     lexeme: str
     kind: TermKind
     position: int = 0
-    definite_tags: Set[str] = field(default_factory=set)
-    tentative_features: List[FeatureRecord] = field(default_factory=list)
+    # the macro's lexicon entry: one, or none for an unknown macro or a
+    # term that is no macro
+    tentative_features: List[LexiconEntry] = field(default_factory=list)
 
     @property
     def at_count(self) -> int:
@@ -141,43 +136,35 @@ def _tokenize(text: str) -> Iterator[tuple]:
         yield lexeme, kind, m.start()
 
 
-def _classify(lexeme: str, tag: str, kb) -> MathTerm:
-    if tag == "linebreak" or tag == "amp":
-        return MathTerm(lexeme, TermKind.RESERVED, definite_tags={"reserved"})
+# token tag -> term kind; a macro's kind comes from its entry, and an "op"
+# token that spells a relation is a relation symbol
+_KINDS = {"linebreak": TermKind.RESERVED, "amp": TermKind.RESERVED,
+          "at": TermKind.AT_MARKER, "digits": TermKind.DIGIT_SEQUENCE,
+          "letter": TermKind.LATIN_LETTER, "caret": TermKind.CARET,
+          "underscore": TermKind.UNDERSCORE, "op": TermKind.OPERATOR_SYMBOL}
+
+
+def _classify(lexeme: str, tag: str, pos: int, kb) -> MathTerm:
     if tag == "macro":
         entry = kb.lookup(lexeme)
-        if entry is not None and entry.role == "greek-letter":
-            term = MathTerm(lexeme, TermKind.GREEK_LETTER_COMMAND,
-                            definite_tags={"letter", "greek"})
-        else:
-            term = MathTerm(lexeme, TermKind.MACRO_COMMAND, definite_tags={"command"})
-        if entry is not None:
-            term.tentative_features.append(
-                FeatureRecord(role=entry.role, source=entry.source))
-        return term
-    if tag == "at":
-        return MathTerm(lexeme, TermKind.AT_MARKER, definite_tags={"at"})
-    if tag == "digits":
-        return MathTerm(lexeme, TermKind.DIGIT_SEQUENCE, definite_tags={"number"})
-    if tag == "letter":
-        return MathTerm(lexeme, TermKind.LATIN_LETTER, definite_tags={"letter"})
-    if tag == "caret":
-        return MathTerm(lexeme, TermKind.CARET, definite_tags={"exponent"})
-    if tag == "underscore":
-        return MathTerm(lexeme, TermKind.UNDERSCORE, definite_tags={"subscript"})
-    # the only tag left is "op"
+        if entry is None:
+            return MathTerm(lexeme, TermKind.MACRO_COMMAND, pos)
+        kind = (TermKind.GREEK_LETTER_COMMAND if entry.role == "greek-letter"
+                else TermKind.MACRO_COMMAND)
+        return MathTerm(lexeme, kind, pos, [entry])
     if lexeme in _RELATION_CHARS:
-        return MathTerm(lexeme, TermKind.RELATION_SYMBOL, definite_tags={"relation"})
-    return MathTerm(lexeme, TermKind.OPERATOR_SYMBOL, definite_tags={"operation"})
+        return MathTerm(lexeme, TermKind.RELATION_SYMBOL, pos)
+    return MathTerm(lexeme, _KINDS[tag], pos)
 
 
 def scan(text: str, kb=None) -> PomTree:
     """Build the first-scan syntax tree for one math-mode LaTeX expression.
 
     ``kb`` is a Lexicon (or anything with a ``lookup`` method; default: the
-    seed lexicon); known macros get tentative features copied from their
-    records, and Greek-letter entries decide the Greek command kind.  Unknown
-    macros are still tokenized.
+    seed lexicon).  Each macro is looked up once: a known macro's term carries
+    its entry as its tentative feature, which forward translation reads, and
+    a Greek-letter entry decides the Greek command kind.  Unknown macros are
+    still tokenized.
     """
     tokens = list(_tokenize(text))
     if not tokens:
@@ -232,9 +219,7 @@ def scan(text: str, kb=None) -> PomTree:
             group = PomTree.group(_DELIM_CLASSES[open_lex], children, open_lex, lexeme)
             stack[-1][0].append(group)
         else:
-            term = _classify(lexeme, tag, kb)
-            term.position = pos
-            stack[-1][0].append(PomTree.leaf(term))
+            stack[-1][0].append(PomTree.leaf(_classify(lexeme, tag, pos, kb)))
         i += 1
 
     if len(stack) != 1:

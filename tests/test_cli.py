@@ -260,3 +260,31 @@ class TestMalformedInput:
 
     def test_control_symbol_exits_3(self, capsys):
         self.assert_clean_exit(["translate", r"a\,b"], EXIT_PARSE, capsys)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["corpus", "{bad}"], EXIT_PARSE),
+        (["translate", "--file", "{bad}"], EXIT_PARSE),
+        (["compile-lexicon", "--csv", "{bad}", "--out", "{out}"], EXIT_SCHEMA),
+        (["translate", "--lexicon", "{bad}", "x"], EXIT_SCHEMA),
+    ], ids=["corpus", "input-file", "csv", "lexicon"])
+    def test_file_that_is_not_utf8(self, argv, code, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"x\t\\sin@{z}\n\xff\n")
+        argv = [a.format(bad=bad, out=tmp_path / "out.json") for a in argv]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        if code == EXIT_SCHEMA:
+            assert f"{bad}:2: not UTF-8" in captured.err
+
+    def test_repeated_inner_key_names_file_and_key(self, tmp_path, capsys):
+        bad = tmp_path / "builtins.json"
+        bad.write_text('{"\\\\frac": {"maple": "f($0)", "maple": "g($0)"}}',
+                       encoding="utf-8")
+        assert main(["compile-lexicon", "--builtins", str(bad),
+                     "--out", str(tmp_path / "out.json")]) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}:1: repeated key 'maple'\n"
