@@ -15,8 +15,6 @@ from .lexicon import Lexicon, LexiconEntry, call_shape, fill
 
 @dataclass
 class ReverseRule:
-    function_name: str
-    arity: int
     latex_template: str
     advisories: list = field(default_factory=list)
 
@@ -58,7 +56,7 @@ def build_reverse_rules(lex: Lexicon) -> Dict[Tuple[str, int], ReverseRule]:
             fname, args = shape
             if entry.reverse is not None:
                 rules[(fname, len(args))] = ReverseRule(
-                    fname, len(args), entry.reverse, advisories=entry.advisories)
+                    entry.reverse, advisories=entry.advisories)
                 continue
             if not all(re.fullmatch(r"\$\d+", a) for a in args):
                 continue
@@ -66,8 +64,7 @@ def build_reverse_rules(lex: Lexicon) -> Dict[Tuple[str, int], ReverseRule]:
             if sorted(permutation) != list(range(entry.arity)):
                 continue
             rules[(fname, entry.arity)] = ReverseRule(
-                fname, entry.arity, _macro_template(entry, permutation),
-                advisories=entry.advisories)
+                _macro_template(entry, permutation), advisories=entry.advisories)
     return rules
 
 
@@ -121,13 +118,19 @@ class _Backward:
             return self.render_function(t)
         if tag == inert.EQUATION:
             lhs, rhs = t.children
-            return f"{self.render(lhs)} = {self.render(rhs)}"
+            return f"{self.render_operand(lhs)} = {self.render_operand(rhs)}"
         raise UnsupportedTag(tag)
+
+    def render_operand(self, t: InertForm) -> str:
+        """A nested equation keeps its parentheses: the first scan is flat,
+        so forward translation would otherwise bind ``=`` loosest."""
+        text = self.render(t)
+        return f"\\left({text}\\right)" if t.tag == inert.EQUATION else text
 
     def render_sum(self, t: InertForm) -> str:
         parts = []
         for k, c in enumerate(t.children):
-            piece = self.render(c)
+            piece = self.render_operand(c)
             if c.tag == inert.SUM:
                 piece = f"({piece})"
             if k > 0 and not piece.startswith("-"):
@@ -145,7 +148,7 @@ class _Backward:
                 parts.append(str(children[0].payload))
             children = children[1:]
         for c in children:
-            piece = self.render(c)
+            piece = self.render_operand(c)
             if c.tag == inert.SUM or piece.startswith("-"):
                 piece = f"({piece})"
             parts.append(piece)
@@ -163,7 +166,8 @@ class _Backward:
         base_text = self.render(base)
         if base.tag in (inert.SUM, inert.PROD):
             base_text = f"({base_text})"
-        elif base.tag in (inert.DIVIDE, inert.RATIONAL, inert.POWER):
+        elif base.tag in (inert.DIVIDE, inert.RATIONAL, inert.POWER,
+                          inert.EQUATION):
             base_text = f"\\left({base_text}\\right)"
         elif base.tag in (inert.INTNEG, inert.FLOAT) and base_text.startswith("-"):
             base_text = f"({base_text})"

@@ -23,7 +23,6 @@ class CorpusRecord:
     id: str
     semantic_latex: str
     constraint: Optional[str] = None
-    expected_relation: bool = True
 
 
 @dataclass

@@ -29,7 +29,7 @@ class TranslationResult:
 _ATOMIC_RE = re.compile(r"^(\d+(\.\d+)?|[A-Za-z][A-Za-z0-9_]*|\\\[[A-Za-z]+\])$")
 
 
-@dataclass
+@dataclass(slots=True)
 class _Unit:
     text: str
     kind: str  # atom | call | group | power | frac | other
@@ -83,18 +83,22 @@ def translate_string(text: str, lex: Lexicon, dialect) -> TranslationResult:
 # --- sequence translation ---------------------------------------------------
 
 def _translate_sequence(children: List[PomTree], ctx: _Context) -> str:
-    items = _build_items(children, ctx)
-    items = _resolve_scripts(items, ctx)
+    items, has_scripts = _build_items(children, ctx)
+    if has_scripts:
+        _resolve_scripts(items, ctx)
     return _assemble(items, ctx)
 
 
-def _build_items(children: List[PomTree], ctx: _Context) -> List[tuple]:
+def _build_items(children: List[PomTree], ctx: _Context) -> Tuple[List[tuple], bool]:
+    """The sequence's items, and whether any is a caret or underscore."""
     items: List[tuple] = []
+    has_scripts = False
     i = 0
     n = len(children)
     while i < n:
         node = children[i]
-        if node.is_group:
+        term = node.term
+        if term is None:  # a group
             inner = _translate_sequence(node.children, ctx)
             if node.delimiter_class is not DelimiterClass.PAREN \
                     and _ATOMIC_RE.match(inner):
@@ -103,13 +107,7 @@ def _build_items(children: List[PomTree], ctx: _Context) -> List[tuple]:
                 items.append(("val", _Unit(f"({inner})", "group")))
             i += 1
             continue
-
-        term = node.term
         kind = term.kind
-        if kind in (TermKind.MACRO_COMMAND, TermKind.GREEK_LETTER_COMMAND):
-            item, i = _translate_macro(children, i, ctx)
-            items.append(item)
-            continue
         if kind is TermKind.LATIN_LETTER:
             suggestion = ctx.lex.letter_suggestions.get(term.lexeme)
             if suggestion:
@@ -117,41 +115,38 @@ def _build_items(children: List[PomTree], ctx: _Context) -> List[tuple]:
                              f"letter '{term.lexeme}' may denote the constant "
                              f"{suggestion}; it is translated as a plain letter")
             items.append(("val", _Unit(term.lexeme, "atom")))
-            i += 1
-            continue
-        if kind is TermKind.DIGIT_SEQUENCE:
-            text = term.lexeme
-            # re-fuse decimal literals split by the shallow first scan
-            if (i + 2 < n and children[i + 1].is_leaf
-                    and children[i + 1].term.lexeme == "."
-                    and children[i + 2].is_leaf
-                    and children[i + 2].term.kind is TermKind.DIGIT_SEQUENCE):
-                text = f"{text}.{children[i + 2].term.lexeme}"
-                i += 2
-            items.append(("val", _Unit(text, "atom")))
-            i += 1
-            continue
-        if kind is TermKind.CARET:
-            items.append(("caret", None))
-            i += 1
-            continue
-        if kind is TermKind.UNDERSCORE:
-            items.append(("subscript", None))
-            i += 1
-            continue
-        if kind is TermKind.AT_MARKER:
-            raise TranslationError(f"stray at-marker at position {term.position}")
-        if kind is TermKind.RELATION_SYMBOL:
-            items.append(("op", " = " if term.lexeme == "=" else term.lexeme))
-            i += 1
-            continue
-        if kind is TermKind.OPERATOR_SYMBOL:
+        elif kind is TermKind.OPERATOR_SYMBOL:
             lex = term.lexeme
             items.append(("op", ctx.dialect.mult_token if lex == "*" else lex))
-            i += 1
+        elif kind is TermKind.MACRO_COMMAND or kind is TermKind.GREEK_LETTER_COMMAND:
+            item, i = _translate_macro(children, i, ctx)
+            items.append(item)
             continue
-        raise TranslationError(f"cannot translate reserved symbol {term.lexeme!r}")
-    return items
+        elif kind is TermKind.DIGIT_SEQUENCE:
+            text = term.lexeme
+            # re-fuse decimal literals split by the shallow first scan
+            if i + 2 < n:
+                point = children[i + 1].term
+                frac = children[i + 2].term
+                if point is not None and point.lexeme == "." and frac is not None \
+                        and frac.kind is TermKind.DIGIT_SEQUENCE:
+                    text = f"{text}.{frac.lexeme}"
+                    i += 2
+            items.append(("val", _Unit(text, "atom")))
+        elif kind is TermKind.CARET:
+            items.append(("caret", None))
+            has_scripts = True
+        elif kind is TermKind.UNDERSCORE:
+            items.append(("subscript", None))
+            has_scripts = True
+        elif kind is TermKind.RELATION_SYMBOL:
+            items.append(("op", " = " if term.lexeme == "=" else term.lexeme))
+        elif kind is TermKind.AT_MARKER:
+            raise TranslationError(f"stray at-marker at position {term.position}")
+        else:
+            raise TranslationError(f"cannot translate reserved symbol {term.lexeme!r}")
+        i += 1
+    return items, has_scripts
 
 
 def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[tuple, int]:
@@ -194,7 +189,7 @@ def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[tu
         args.append(_translate_sequence(children[j].children, ctx))
         j += 1
     if entry.num_vars > 0:
-        has_at = (j < len(children) and children[j].is_leaf
+        has_at = (j < len(children) and children[j].term is not None
                   and children[j].term.kind is TermKind.AT_MARKER)
         if has_at:
             j += 1  # all @-variants translate identically
@@ -222,7 +217,7 @@ def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[tu
 def _translate_sqrt(children, i, ctx, entry) -> Tuple[tuple, int]:
     j = i + 1
     order = None
-    if (j < len(children) and children[j].is_group
+    if (j < len(children)
             and children[j].delimiter_class is DelimiterClass.BRACKET_OPTIONAL):
         order = _translate_sequence(children[j].children, ctx)
         j += 1
@@ -244,30 +239,28 @@ def _translate_sqrt(children, i, ctx, entry) -> Tuple[tuple, int]:
 
 
 def _is_curly(node: PomTree) -> bool:
-    return node.is_group and node.delimiter_class is DelimiterClass.CURLY
+    return node.delimiter_class is DelimiterClass.CURLY
 
 
 # --- caret / subscript resolution -------------------------------------------
 
-def _resolve_scripts(items: List[tuple], ctx: _Context) -> List[tuple]:
-    while True:
-        idx = None
-        for k in range(len(items) - 1, -1, -1):
-            if items[k][0] in ("caret", "subscript"):
-                idx = k
-                break
-        if idx is None:
-            return items
-        if idx == 0 or idx == len(items) - 1 \
-                or items[idx - 1][0] != "val" or items[idx + 1][0] != "val":
+def _resolve_scripts(items: List[tuple], ctx: _Context) -> None:
+    """Splice each script with its base and argument, rightmost first, in
+    one right-to-left pass: a splice leaves the items left of it in place."""
+    for k in range(len(items) - 1, -1, -1):
+        tag = items[k][0]
+        if tag != "caret" and tag != "subscript":
+            continue
+        if k == 0 or k == len(items) - 1 \
+                or items[k - 1][0] != "val" or items[k + 1][0] != "val":
             raise TranslationError("script symbol without base or argument")
-        base = items[idx - 1][1]
-        arg = items[idx + 1][1]
-        if items[idx][0] == "caret":
+        base = items[k - 1][1]
+        arg = items[k + 1][1]
+        if tag == "caret":
             unit = _Unit(f"{_power_base(base)}^{_power_exponent(arg)}", "power")
         else:
             unit = _Unit(_subscripted(base, arg, ctx.dialect), "other")
-        items[idx - 1:idx + 2] = [("val", unit)]
+        items[k - 1:k + 2] = [("val", unit)]
 
 
 def _power_base(unit: _Unit) -> str:

@@ -538,7 +538,9 @@ def _render(t: InertForm, parent_prec: int) -> str:
         text = f"{base_text}^{expo_text}"
         return f"({text})" if parent_prec > _PREC[POWER] else text
     if tag == EQUATION:
-        return f"{_render(t.children[0], 2)} = {_render(t.children[1], 2)}"
+        text = f"{_render(t.children[0], 2)} = {_render(t.children[1], 2)}"
+        return f"({text})" if parent_prec > _PREC[EQUATION] else text
     if tag == RANGE:
-        return f"{_render(t.children[0], 3)}..{_render(t.children[1], 3)}"
+        text = f"{_render(t.children[0], 3)}..{_render(t.children[1], 3)}"
+        return f"({text})" if parent_prec > _PREC[RANGE] else text
     raise MalformedList(f"cannot render tag {tag}")

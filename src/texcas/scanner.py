@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from .errors import EmptyInput, ScanTooDeep, UnbalancedDelimiters, UnsupportedSymbol
 from .lexicon import LexiconEntry, load_default
@@ -36,7 +36,7 @@ class TermKind(Enum):
     RESERVED = "reserved"
 
 
-@dataclass
+@dataclass(slots=True)
 class MathTerm:
     lexeme: str
     kind: TermKind
@@ -56,7 +56,7 @@ class DelimiterClass(Enum):
     PAREN = "paren"
 
 
-@dataclass
+@dataclass(slots=True)
 class PomTree:
     """Either a leaf term, a delimited group, or a sequence of siblings."""
 
@@ -78,20 +78,8 @@ class PomTree:
     def is_sequence(self) -> bool:
         return self.term is None and self.delimiter_class is None
 
-    @staticmethod
-    def leaf(term: MathTerm) -> "PomTree":
-        return PomTree(term=term)
 
-    @staticmethod
-    def group(dclass: DelimiterClass, children, open_lexeme, close_lexeme) -> "PomTree":
-        return PomTree(delimiter_class=dclass, children=children,
-                       open_lexeme=open_lexeme, close_lexeme=close_lexeme)
-
-    @staticmethod
-    def sequence(children) -> "PomTree":
-        return PomTree(children=children)
-
-
+# the last group takes a character no token starts with
 _TOKEN_RE = re.compile(
     r"""(?P<comment>%[^\n]*\n?)
       | (?P<ws>\s+)
@@ -106,8 +94,9 @@ _TOKEN_RE = re.compile(
       | (?P<close>[}\])])
       | (?P<amp>&)
       | (?P<op>[+\-*/!|.,;:=<>])
+      | (?P<other>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 _DELIM_PAIRS = {"{": "}", "[": "]", "(": ")"}
@@ -117,25 +106,6 @@ _DELIM_CLASSES = {
     "(": DelimiterClass.PAREN,
 }
 
-
-def _tokenize(text: str) -> Iterator[tuple]:
-    """Yield (lexeme, tag, position) triples; whitespace and comments dropped."""
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            # a control symbol such as \, is the backslash and one character
-            raise UnsupportedSymbol(pos, text[pos:pos + 2] if text[pos] == "\\"
-                                    else text[pos])
-        kind = m.lastgroup
-        lexeme = m.group()
-        pos = m.end()
-        if kind in ("ws", "comment"):
-            continue
-        yield lexeme, kind, m.start()
-
-
 # token tag -> term kind; a macro's kind comes from its entry, and an "op"
 # token that spells a relation is a relation symbol
 _KINDS = {"linebreak": TermKind.RESERVED, "amp": TermKind.RESERVED,
@@ -144,90 +114,99 @@ _KINDS = {"linebreak": TermKind.RESERVED, "amp": TermKind.RESERVED,
           "underscore": TermKind.UNDERSCORE, "op": TermKind.OPERATOR_SYMBOL}
 
 
-def _classify(lexeme: str, tag: str, pos: int, kb) -> MathTerm:
-    if tag == "macro":
-        entry = kb.lookup(lexeme)
-        if entry is None:
-            return MathTerm(lexeme, TermKind.MACRO_COMMAND, pos)
-        kind = (TermKind.GREEK_LETTER_COMMAND if entry.role == "greek-letter"
-                else TermKind.MACRO_COMMAND)
-        return MathTerm(lexeme, kind, pos, [entry])
-    if lexeme in _RELATION_CHARS:
-        return MathTerm(lexeme, TermKind.RELATION_SYMBOL, pos)
-    return MathTerm(lexeme, _KINDS[tag], pos)
-
-
 def scan(text: str, kb=None) -> PomTree:
     """Build the first-scan syntax tree for one math-mode LaTeX expression.
 
     ``kb`` is a Lexicon (or anything with a ``lookup`` method; default: the
-    seed lexicon).  Each macro is looked up once: a known macro's term carries
+    seed lexicon).  One pass tokenizes, one classifies and builds the tree,
+    and each macro occurrence is looked up once: a known macro's term carries
     its entry as its tentative feature, which forward translation reads, and
     a Greek-letter entry decides the Greek command kind.  Unknown macros are
     still tokenized.
     """
-    tokens = list(_tokenize(text))
+    # first pass: every token, so a character with no token is reported
+    # before any delimiter error
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        tag = m.lastgroup
+        if tag == "ws" or tag == "comment":
+            continue
+        pos = m.start()
+        if tag == "other":
+            # a control symbol such as \, is the backslash and one character
+            raise UnsupportedSymbol(pos, text[pos:pos + 2] if text[pos] == "\\"
+                                    else text[pos])
+        tokens.append((m.group(), tag, pos))
     if not tokens:
         raise EmptyInput()
     if kb is None:
         kb = load_default()
 
-    # stack of (children-list, open-lexeme, open-position); index 0 is the root
-    root: List[PomTree] = []
-    stack = [(root, "", -1)]
-    i = 0
-    n = len(tokens)
-    while i < n:
-        lexeme, tag, pos = tokens[i]
-        if tag == "macro" and lexeme in ("\\left", "\\right"):
+    # second pass: classify each token and build the tree
+    siblings: List[PomTree] = []  # of the innermost open group, or the root
+    # (enclosing siblings, open lexeme, open position) per open group
+    stack = []
+    tokens_left = iter(tokens)
+    for lexeme, tag, pos in tokens_left:
+        kind = _KINDS.get(tag)
+        if kind is not None:
+            if kind is TermKind.OPERATOR_SYMBOL and lexeme in _RELATION_CHARS:
+                kind = TermKind.RELATION_SYMBOL
+            siblings.append(PomTree(MathTerm(lexeme, kind, pos)))
+        elif lexeme == "\\left" or lexeme == "\\right":
             # \left<delim> ... \right<delim> forms a paren-class group
-            if i + 1 >= n:
+            delim = next(tokens_left, None)
+            if delim is None:
                 raise UnbalancedDelimiters(pos, f"{lexeme} without a delimiter")
-            dlex, dtag, dpos = tokens[i + 1]
+            dlex, _, dpos = delim
             if lexeme == "\\left":
                 if dlex not in _DELIM_PAIRS:
                     raise UnbalancedDelimiters(dpos, f"cannot open group with {dlex!r}")
-                stack.append(([], "\\left" + dlex, pos))
-                if len(stack) > MAX_NESTING + 1:  # the root is no group
+                stack.append((siblings, "\\left" + dlex, pos))
+                if len(stack) > MAX_NESTING:
                     raise ScanTooDeep(pos, MAX_NESTING)
+                siblings = []
             else:
-                if len(stack) == 1:
+                if not stack:
                     raise UnbalancedDelimiters(pos, "\\right without matching \\left")
-                children, open_lex, open_pos = stack.pop()
+                parent, open_lex, _ = stack.pop()
                 if not open_lex.startswith("\\left"):
                     raise UnbalancedDelimiters(pos, "\\right closes a plain group")
                 expected = _DELIM_PAIRS[open_lex[-1]]
                 if dlex != expected:
                     raise UnbalancedDelimiters(dpos, f"expected \\right{expected}")
-                group = PomTree.group(DelimiterClass.PAREN, children,
-                                      open_lex, "\\right" + dlex)
-                stack[-1][0].append(group)
-            i += 2
-            continue
-        if tag == "open":
-            stack.append(([], lexeme, pos))
-            if len(stack) > MAX_NESTING + 1:  # the root is no group
+                parent.append(PomTree(None, DelimiterClass.PAREN, siblings,
+                                      open_lex, "\\right" + dlex))
+                siblings = parent
+        elif tag == "macro":
+            entry = kb.lookup(lexeme)
+            if entry is None:
+                siblings.append(PomTree(MathTerm(lexeme, TermKind.MACRO_COMMAND, pos)))
+            else:
+                kind = (TermKind.GREEK_LETTER_COMMAND if entry.role == "greek-letter"
+                        else TermKind.MACRO_COMMAND)
+                siblings.append(PomTree(MathTerm(lexeme, kind, pos, [entry])))
+        elif tag == "open":
+            stack.append((siblings, lexeme, pos))
+            if len(stack) > MAX_NESTING:
                 raise ScanTooDeep(pos, MAX_NESTING)
-        elif tag == "close":
-            if len(stack) == 1:
+            siblings = []
+        else:  # close
+            if not stack:
                 raise UnbalancedDelimiters(pos, f"unmatched {lexeme!r}")
-            children, open_lex, open_pos = stack.pop()
+            parent, open_lex, _ = stack.pop()
             if open_lex.startswith("\\left"):
                 raise UnbalancedDelimiters(pos, f"{lexeme!r} closes a \\left group")
             if _DELIM_PAIRS[open_lex] != lexeme:
                 raise UnbalancedDelimiters(pos, f"expected {_DELIM_PAIRS[open_lex]!r}")
-            group = PomTree.group(_DELIM_CLASSES[open_lex], children, open_lex, lexeme)
-            stack[-1][0].append(group)
-        else:
-            stack[-1][0].append(PomTree.leaf(_classify(lexeme, tag, pos, kb)))
-        i += 1
+            parent.append(PomTree(None, _DELIM_CLASSES[open_lex], siblings,
+                                  open_lex, lexeme))
+            siblings = parent
 
-    if len(stack) != 1:
+    if stack:
         _, open_lex, open_pos = stack[-1]
         raise UnbalancedDelimiters(open_pos, f"unclosed {open_lex!r}")
-    if not root:
-        raise EmptyInput()
-    return PomTree.sequence(root)
+    return PomTree(children=siblings)
 
 
 def serialize(tree: PomTree) -> str:

@@ -7,6 +7,7 @@ from texcas.errors import UnknownFunction, UnsupportedTag
 from texcas.forward import translate_string
 from texcas.inert import parse_maple, preprocess
 from texcas.scanner import scan
+from texcas.verify import MAPLE_SIDE, round_trip
 
 
 def back(text, lex, **kw):
@@ -71,6 +72,31 @@ class TestGoldenOutputs:
         # the \idt separator must not fuse with a following bare letter
         out = back("2*z", lex)
         assert out == r"2\idt z"
+
+
+class TestNestedEquations:
+    """An equation inside a sum, product, power or equation keeps its
+    parentheses, so forward translation reads back the same tree."""
+
+    @pytest.mark.parametrize("text, latex", [
+        ("(a=b)^2", r"\left(a = b\right)^{2}"),
+        ("sin(x)+(a=b)", r"\sin@{x}+\left(a = b\right)"),
+        ("2*(a=b)", r"2\idt\left(a = b\right)"),
+        ("-(a=b)", r"-\left(a = b\right)"),
+        ("(a=b)=c", r"\left(a = b\right) = c"),
+    ])
+    def test_output_and_cycle(self, lex, text, latex):
+        assert back(text, lex) == latex
+        for use_divide in (True, False):
+            cycled = translate_string(back(text, lex, use_divide=use_divide),
+                                      lex, "maple").output
+            assert preprocess(parse_maple(cycled), use_divide=use_divide) == \
+                preprocess(parse_maple(text), use_divide=use_divide)
+
+    def test_round_trip_keeps_the_meaning(self, lex):
+        report = round_trip("(a=b)^2", MAPLE_SIDE, lex)
+        assert report.terminated_reason == "fixed-point"
+        assert parse_maple(report.steps[-1].text) == parse_maple("(a=b)^2")
 
 
 class TestReverseRules:

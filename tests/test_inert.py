@@ -235,6 +235,22 @@ class TestRendering:
         tree = parse_maple(text)
         assert parse_maple(render_maple(tree)) == tree
 
+    @pytest.mark.parametrize("text, rendered", [
+        ("(a=b)^2", "(a = b)^2"),
+        ("(a..b)*c", "(a..b)*c"),
+        ("(1..2)..3", "(1..2)..3"),
+        ("(a=b)=c", "(a = b) = c"),
+        ("sin(x)+(a=b)", "sin(x)+(a = b)"),
+        ("-(a=b)", "-(a = b)"),
+        ("(a=b)..c", "(a = b)..c"),
+        ("a..b=c", "a..b = c"),
+        ("f(a=b)", "f(a = b)"),
+    ])
+    def test_nested_equation_and_range_keep_parentheses(self, text, rendered):
+        tree = parse_maple(text)
+        assert render_maple(tree) == rendered
+        assert parse_maple(rendered) == tree
+
 
 class TestTotality:
     """Every input ends in a tree or a MapleSyntaxError, and every tree the

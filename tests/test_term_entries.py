@@ -1,13 +1,20 @@
 """The scanned term carries its lexicon entry, and forward reads it there.
 
 Each macro is looked up once, by the scan; forward translation looks up only
-``\\root``, the template of ``\\sqrt[n]``.  Two goldens lock what this must
+``\\root``, the template of ``\\sqrt[n]``.  Three goldens lock what this must
 not change.  ``data/forward_golden.json`` holds the Maple and Mathematica
 output and infos of every seed-corpus formula, and
 ``data/reverse_rules_golden.json`` the full reverse-rule table of the seed
 lexicon and of the ``extended`` one.  Both were recorded while forward still
 looked every macro up a second time and backward parsed call templates with
-a regex of its own.
+a regex of its own.  ``data/translate_generated_golden.json`` holds the same
+for 2,000 generated texts, recorded before the first scan and the forward
+walk became single passes: 1,100 backward renderings of seeded
+``treegen.random_evaluable`` trees, then 900 seeded compositions of lexicon
+macros (every ``@`` variant, a few with too few arguments), Greek letters,
+constants, ``\\frac``, ``\\sqrt`` and ``\\sqrt[n]``, decimals, sub- and
+superscripts, groups and ``\\left(``/``\\right)``, some with a stray
+marker, an unknown macro or a relation.
 """
 
 import json
@@ -28,21 +35,24 @@ DATA = Path(__file__).parent / "data"
 CRITERION_1 = r"\JacobiP{\alpha}{\beta}{n}@{\cos@{a\Theta}}"
 
 
+def forward_row(text: str, lex) -> dict:
+    """Per dialect: the output and infos of ``text``, or the error."""
+    row = {}
+    for dialect in DIALECTS:
+        try:
+            result = translate_string(text, lex, dialect)
+        except TexcasError as exc:
+            row[dialect] = {"error": f"{type(exc).__name__}: {exc}"}
+            continue
+        row[dialect] = {"output": result.output,
+                        "infos": [[i.kind, i.text] for i in result.infos]}
+    return row
+
+
 def forward_table(lex) -> list:
     """Per seed-corpus formula and dialect: the output and infos, or the error."""
-    table = []
-    for record in read_corpus(seed_path("seed_corpus.tsv")):
-        row = {"id": record.id}
-        for dialect in DIALECTS:
-            try:
-                result = translate_string(record.semantic_latex, lex, dialect)
-            except TexcasError as exc:
-                row[dialect] = {"error": f"{type(exc).__name__}: {exc}"}
-                continue
-            row[dialect] = {"output": result.output,
-                            "infos": [[i.kind, i.text] for i in result.infos]}
-        table.append(row)
-    return table
+    return [{"id": record.id, **forward_row(record.semantic_latex, lex)}
+            for record in read_corpus(seed_path("seed_corpus.tsv"))]
 
 
 def reverse_table(lex) -> list:
@@ -99,6 +109,12 @@ def test_complex_is_no_inert_tag():
 
 def test_forward_output_matches_golden(lex):
     assert forward_table(lex) == read_golden("forward_golden.json")
+
+
+def test_forward_output_matches_generated_golden(lex):
+    golden = read_golden("translate_generated_golden.json")
+    assert [{"text": row["text"], **forward_row(row["text"], lex)}
+            for row in golden] == golden
 
 
 def test_reverse_rules_match_golden(lex, extended):  # noqa: F811
