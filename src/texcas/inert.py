@@ -13,12 +13,13 @@ divisions become explicit DIVIDE nodes.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 from .errors import (MalformedList, MapleSyntaxError, MapleTooDeep,
-                     UnsupportedConstruct)
+                     TexcasError, UnsupportedConstruct)
 
 # inert tags
 NAME = "NAME"
@@ -40,9 +41,10 @@ TAGS = {NAME, STRING, INTPOS, INTNEG, RATIONAL, FLOAT, SUM, PROD, POWER,
         FUNCTION, EXPSEQ, EQUATION, RANGE, DIVIDE}
 
 _PAYLOAD_TAGS = {NAME, STRING, INTPOS, INTNEG, FLOAT}
+_NUMERIC_TAGS = frozenset((INTPOS, INTNEG, RATIONAL, FLOAT))
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class InertForm:
     tag: str
     payload: Union[int, float, str, None] = None
@@ -88,49 +90,37 @@ def int_value(t: InertForm) -> int:
 
 
 def is_numeric_constant(t: InertForm) -> bool:
-    return t.tag in (INTPOS, INTNEG, RATIONAL, FLOAT)
+    return t.tag in _NUMERIC_TAGS
 
 
 # --- tokenizer ---------------------------------------------------------------
 
-_MAPLE_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<float>\d+\.\d+|\d+\.(?!\.)|\.\d+)
-      | (?P<int>\d+)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<string>"(?:[^"\\]|\\.)*")
-      | (?P<dotdot>\.\.)
-      | (?P<op>[-+*/^(),='])
-    """,
-    re.VERBOSE,
-)
+# Each match is one token after any whitespace; a character that starts no
+# token is a token of its own, so one findall pass covers any text.
+_TOKEN_RE = re.compile(
+    r"""\s*(
+        \d+\.\d+ | \d+\.(?!\.) | \.\d+     # float
+      | \d+                                # integer
+      | [A-Za-z_][A-Za-z0-9_]*             # name
+      | "(?:[^"\\]|\\.)*"                  # string
+      | \.\. | [-+*/^(),=']                # operators
+      | \S                                 # a character that starts no token
+    )""", re.VERBOSE)
+_EOF = ""
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# else a one-character token is a digit: any Unicode decimal digit, as ``\d``
+_ONE_CHAR_TOKENS = _NAME_START | frozenset("-+*/^(),='")
 
 _UNSUPPORTED_KEYWORDS = {"proc", "module", "table", "array", "Array", "Matrix",
                          "Vector", "set", "list"}
-
-
-def _maple_tokens(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _MAPLE_TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos] in "{}[]":
-                raise UnsupportedConstruct(text[pos])
-            raise MapleSyntaxError(pos, f"a token (got {text[pos]!r})")
-        pos = m.end()
-        if m.lastgroup == "ws":
-            continue
-        out.append((m.lastgroup, m.group(), m.start()))
-    out.append(("eof", "", len(text)))
-    return out
 
 
 # --- recursive descent parser ------------------------------------------------
 # precedence: = < .. < +,- < *,/ < unary minus < ^ < atoms/calls
 
 # Sub-expressions (parentheses, quotes, call arguments, signs and exponents)
-# may nest this deep: the parser recurses up to eight frames per level.
+# may nest this deep: the parser recurses five frames per parenthesis, quote
+# or call argument, and one per sign or exponent.
 MAX_NESTING = 64
 # A parsed tree may be this tall.  Chained divisions grow a tree without
 # nesting the parser, and every later stage (preprocess, rendering, backward
@@ -141,82 +131,82 @@ MAX_HEIGHT = 4 * MAX_NESTING
 
 
 class _Parser:
-    def __init__(self, tokens, use_divide: bool = True):
+    """Recursive descent over the token strings; ``i`` indexes the next one.
+    Token positions are found again only when the parse fails."""
+
+    def __init__(self, text: str, tokens: List[str], use_divide: bool):
+        self.text = text
         self.tokens = tokens
         self.i = 0
         self.use_divide = use_divide
-        self.depth = 0
+        self.depth = -1  # the outermost expression is level 0
 
-    def nested(self, parse) -> InertForm:
-        """Run ``parse`` one nesting level deeper."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise MapleTooDeep(self.peek()[2], MAX_NESTING)
-        node = parse()
-        self.depth -= 1
-        return node
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, text):
-        kind, lexeme, pos = self.peek()
-        if lexeme != text:
-            raise MapleSyntaxError(pos, repr(text))
-        return self.next()
+    def fail(self, i: int, detail, error=MapleSyntaxError) -> TexcasError:
+        """``error(position, detail)`` for a parse that stops at token ``i``;
+        but first the error for a character that starts no token, if any."""
+        starts = []
+        for m in _TOKEN_RE.finditer(self.text):
+            tok = m.group(1)
+            if len(tok) == 1 and tok not in _ONE_CHAR_TOKENS \
+                    and not tok.isdecimal():
+                return UnsupportedConstruct(tok) if tok in "{}[]" else \
+                    MapleSyntaxError(m.start(1), f"a token (got {tok!r})")
+            starts.append(m.start(1))
+        return error((starts + [len(self.text)])[i], detail)
 
     def parse(self) -> InertForm:
         node = self.equation()
-        kind, lexeme, pos = self.peek()
-        if kind != "eof":
-            raise MapleSyntaxError(pos, "end of input")
+        if self.tokens[self.i] != _EOF:
+            raise self.fail(self.i, "end of input")
         return node
 
     def equation(self) -> InertForm:
+        """``range ["=" range]``, one nesting level below the caller's."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.fail(self.i, MAX_NESTING, MapleTooDeep)
         left = self.range_()
-        if self.peek()[1] == "=":
-            self.next()
-            right = self.range_()
-            return InertForm(EQUATION, children=[left, right])
+        if self.tokens[self.i] == "=":
+            self.i += 1
+            left = InertForm(EQUATION, children=[left, self.range_()])
+        self.depth -= 1
         return left
 
     def range_(self) -> InertForm:
         left = self.sum_()
-        if self.peek()[0] == "dotdot":
-            self.next()
-            right = self.sum_()
-            return InertForm(RANGE, children=[left, right])
+        if self.tokens[self.i] == "..":
+            self.i += 1
+            return InertForm(RANGE, children=[left, self.sum_()])
         return left
 
     def sum_(self) -> InertForm:
-        terms = [self.product()]
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            term = self.product()
-            terms.append(term if op == "+" else _negate(term))
-        if len(terms) == 1:
-            return terms[0]
-        return InertForm(SUM, children=terms)
-
-    def product(self) -> InertForm:
-        factors = [self.unary()]
-        while self.peek()[1] in ("*", "/"):
-            op = self.next()[1]
-            rhs = self.unary()
-            if op == "*":
-                factors.append(rhs)
-            else:
-                lhs = factors[0] if len(factors) == 1 \
+        """Terms joined by ``+``/``-``, each of factors joined by ``*``/``/``."""
+        tokens = self.tokens
+        terms = []
+        op = "+"
+        while True:
+            term = self.unary()
+            tok = tokens[self.i]
+            if tok == "*" or tok == "/":
+                factors = [term]
+                while tok == "*" or tok == "/":
+                    self.i += 1
+                    rhs = self.unary()
+                    if tok == "*":
+                        factors.append(rhs)
+                    else:
+                        lhs = factors[0] if len(factors) == 1 \
+                            else InertForm(PROD, children=factors)
+                        factors = [self._divide(lhs, rhs)]
+                    tok = tokens[self.i]
+                term = factors[0] if len(factors) == 1 \
                     else InertForm(PROD, children=factors)
-                factors = [self._divide(lhs, rhs)]
-        if len(factors) == 1:
-            return factors[0]
-        return InertForm(PROD, children=factors)
+            terms.append(term if op == "+" else _negate(term))
+            if tok != "+" and tok != "-":
+                break
+            op = tok
+            self.i += 1
+        return terms[0] if len(terms) == 1 else InertForm(SUM, children=terms)
 
     def _divide(self, numerator: InertForm, denominator: InertForm) -> InertForm:
         # mirror Maple's internal form for power divisors; DIVIDE otherwise
@@ -235,66 +225,73 @@ class _Parser:
         return InertForm(PROD, children=[numerator, flipped])
 
     def unary(self) -> InertForm:
-        if self.peek()[1] == "-":
-            self.next()
-            return _negate(self.nested(self.unary))
-        if self.peek()[1] == "+":
-            self.next()
-            return self.nested(self.unary)
-        return self.power()
+        """A signed factor, or an atom with an optional right-associative
+        exponent, which may carry a minus sign but no plus sign."""
+        tokens = self.tokens
+        i = self.i
+        tok = tokens[i]
+        if tok == "-" or tok == "+":
+            self.i = i + 1
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise self.fail(i + 1, MAX_NESTING, MapleTooDeep)
+            node = self.unary()
+            self.depth -= 1
+            return _negate(node) if tok == "-" else node
+        base = self.atom(tokens, i, tok)
+        if tokens[self.i] != "^":
+            return base
+        self.i = i = self.i + 1
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.fail(i, MAX_NESTING, MapleTooDeep)
+        if tokens[i] == "+":
+            raise self.fail(i, "an expression")
+        exponent = self.unary()
+        self.depth -= 1
+        return InertForm(POWER, children=[base, exponent])
 
-    def power(self) -> InertForm:
-        base = self.atom()
-        if self.peek()[1] == "^":
-            self.next()
-            # right-associative; unary minus allowed in the exponent
-            exponent = self.nested(self.unary if self.peek()[1] == "-"
-                                   else self.power)
-            return InertForm(POWER, children=[base, exponent])
-        return base
-
-    def atom(self) -> InertForm:
-        kind, lexeme, pos = self.peek()
-        if lexeme == "'":
-            # unevaluation quotes: accepted and stripped
-            self.next()
-            inner = self.nested(self.equation)
-            self.expect("'")
-            return inner
-        if lexeme == "(":
-            self.next()
-            inner = self.nested(self.equation)
-            self.expect(")")
-            return inner
-        if kind == "int":
-            self.next()
+    def atom(self, tokens: List[str], i: int, tok: str) -> InertForm:
+        self.i = i + 1
+        lead = tok[:1]
+        if lead in _NAME_START:
+            if tok in _UNSUPPORTED_KEYWORDS:
+                raise self.fail(i, tok, lambda _, kw: UnsupportedConstruct(kw))
+            if tokens[i + 1] != "(":
+                return InertForm(NAME, tok)
+            self.i = i + 2
+            args = []
+            if tokens[i + 2] != ")":
+                args.append(self.equation())
+                while tokens[self.i] == ",":
+                    self.i += 1
+                    args.append(self.equation())
+            self.close(")")
+            return InertForm(FUNCTION, children=[
+                InertForm(NAME, tok), InertForm(EXPSEQ, children=args)])
+        if lead.isdecimal() or lead == "." and len(tok) > 1 and tok != "..":
+            if "." in tok:
+                value = float(tok)
+                if math.isinf(value):  # past the double range
+                    raise self.fail(i, "a float literal within the double range")
+                return InertForm(FLOAT, value)
             try:
-                return InertForm(INTPOS, int(lexeme))
+                return InertForm(INTPOS, int(tok))
             except ValueError:  # past Python's int-from-text digit limit
-                raise MapleSyntaxError(pos, "an integer literal with fewer digits")
-        if kind == "float":
-            self.next()
-            return InertForm(FLOAT, float(lexeme))
-        if kind == "string":
-            self.next()
-            return InertForm(STRING, lexeme[1:-1])
-        if kind == "name":
-            if lexeme in _UNSUPPORTED_KEYWORDS:
-                raise UnsupportedConstruct(lexeme)
-            self.next()
-            if self.peek()[1] == "(":
-                self.next()
-                args = []
-                if self.peek()[1] != ")":
-                    args.append(self.nested(self.equation))
-                    while self.peek()[1] == ",":
-                        self.next()
-                        args.append(self.nested(self.equation))
-                self.expect(")")
-                return InertForm(FUNCTION, children=[
-                    name(lexeme), InertForm(EXPSEQ, children=args)])
-            return name(lexeme)
-        raise MapleSyntaxError(pos, "an expression")
+                raise self.fail(i, "an integer literal with fewer digits") from None
+        if tok == "(" or tok == "'":
+            # a parenthesized expression, or unevaluation quotes, stripped
+            inner = self.equation()
+            self.close(")" if tok == "(" else "'")
+            return inner
+        if lead == '"' and len(tok) > 1:
+            return InertForm(STRING, tok[1:-1])
+        raise self.fail(i, "an expression")
+
+    def close(self, text: str) -> None:
+        if self.tokens[self.i] != text:
+            raise self.fail(self.i, repr(text))
+        self.i += 1
 
 
 def _negate(t: InertForm) -> InertForm:
@@ -311,10 +308,11 @@ def _negate(t: InertForm) -> InertForm:
 
 def parse_maple(text: str, use_divide: bool = True) -> InertForm:
     """Parse a Maple 1D expression into its inert form, unsimplified."""
-    tokens = _maple_tokens(text)
-    if tokens[0][0] == "eof":
+    tokens = _TOKEN_RE.findall(text)
+    if not tokens:
         raise MapleSyntaxError(0, "an expression")
-    tree = _Parser(tokens, use_divide=use_divide).parse()
+    tokens.append(_EOF)
+    tree = _Parser(text, tokens, use_divide).parse()
     if _height(tree) > MAX_HEIGHT:
         raise MapleTooDeep(0, MAX_HEIGHT)
     return tree
@@ -343,41 +341,52 @@ def _reciprocal(t: InertForm) -> Optional[InertForm]:
 
 
 def preprocess(tree: InertForm, use_divide: bool = True) -> InertForm:
-    """Normalize a parsed tree for rendering (idempotent, value-preserving)."""
-    children = [preprocess(c, use_divide) for c in tree.children]
-    t = InertForm(tree.tag, tree.payload, children)
+    """Normalize a parsed tree for rendering (value-preserving).  Leaves are
+    returned as they are: no stage changes a tree in place."""
+    children = tree.children
+    if not children:
+        return tree
+    return _normalize(tree.tag, tree.payload,
+                      [preprocess(c, use_divide) for c in children], use_divide)
 
-    if t.tag in (SUM, PROD):
-        constants = [c for c in t.children if is_numeric_constant(c)]
-        rest = [c for c in t.children if not is_numeric_constant(c)]
-        t = InertForm(t.tag, children=constants + rest)
 
-    if use_divide and t.tag == PROD:
-        numerator, denominator = [], []
-        for c in t.children:
-            den = _reciprocal(c)
-            if den is not None:
-                denominator.append(den)
-            elif c.tag == DIVIDE and c.children[0] == InertForm(INTPOS, 1):
-                # a reciprocal factor produced by the child-level POWER rule
-                denominator.append(c.children[1])
-            else:
-                numerator.append(c)
-        if denominator:
-            num = (InertForm(INTPOS, 1) if not numerator
-                   else numerator[0] if len(numerator) == 1
-                   else InertForm(PROD, children=numerator))
-            den = denominator[0] if len(denominator) == 1 \
-                else InertForm(PROD, children=denominator)
-            return preprocess(InertForm(DIVIDE, children=[num, den]), use_divide)
+def _normalize(tag: str, payload, children: List[InertForm],
+               use_divide: bool) -> InertForm:
+    """Normalize one node whose children are already normalized."""
+    if tag == SUM or tag == PROD:
+        # numeric constants first, the rest in order
+        constants = [c for c in children if c.tag in _NUMERIC_TAGS]
+        if constants and len(constants) < len(children):
+            children = constants + [c for c in children if c.tag not in _NUMERIC_TAGS]
+        if use_divide and tag == PROD:
+            numerator, denominator = [], []
+            for c in children:
+                den = _reciprocal(c)
+                if den is not None:
+                    denominator.append(den)
+                elif c.tag == DIVIDE and c.children[0].tag == INTPOS \
+                        and c.children[0].payload == 1:
+                    # a reciprocal factor produced by the child-level POWER rule
+                    denominator.append(c.children[1])
+                else:
+                    numerator.append(c)
+            if denominator:
+                num = (InertForm(INTPOS, 1) if not numerator
+                       else numerator[0] if len(numerator) == 1
+                       else InertForm(PROD, children=numerator))
+                den = denominator[0] if len(denominator) == 1 \
+                    else InertForm(PROD, children=denominator)
+                return _quotient(num, den)
+        return InertForm(tag, None, children)
 
-    den = _reciprocal(t) if use_divide else None
+    node = InertForm(tag, payload, children)
+    if not use_divide:
+        return node
+    den = _reciprocal(node)
     if den is not None:
-        return preprocess(InertForm(DIVIDE, children=[InertForm(INTPOS, 1), den]),
-                          use_divide)
-
-    if use_divide and t.tag == DIVIDE:
-        num, den = t.children
+        return _quotient(InertForm(INTPOS, 1), den)
+    if tag == DIVIDE:
+        num, den = children
         if den.tag == INTPOS and den.payload != 0:
             # pull the numeric content of the numerator into a leading rational
             if is_int_literal(num):
@@ -387,11 +396,16 @@ def preprocess(tree: InertForm, use_divide: bool = True) -> InertForm:
                                 num.children[1].payload * den.payload)
             if num.tag == PROD and is_int_literal(num.children[0]):
                 coeff = rational(int_value(num.children[0]), den.payload)
-                rest = num.children[1:]
-                return InertForm(PROD, children=[coeff] + rest)
+                return InertForm(PROD, children=[coeff] + num.children[1:])
             return InertForm(PROD, children=[rational(1, den.payload), num])
+    return node
 
-    return t
+
+def _quotient(num: InertForm, den: InertForm) -> InertForm:
+    """The quotient a PROD or POWER rule rewrites into.  Its operands are
+    walked again, as they always were: ``preprocess`` is not idempotent
+    (``1/b/3`` gives ``PROD(1/3, DIVIDE(1, b))``, a second walk ``1/3 / b``)."""
+    return _normalize(DIVIDE, None, [preprocess(num), preprocess(den)], True)
 
 
 # --- nested list bijection ----------------------------------------------------

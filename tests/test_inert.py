@@ -269,6 +269,22 @@ class TestTotality:
         _, log = run_corpus([CorpusRecord("r", digits + " = x")], lex)
         assert log[0]["classification"] == "errored"
 
+    def test_float_literal_past_the_double_range(self, lex, capsys):
+        # its double is inf, which used to render as the unparsable "inf.0"
+        digits = "9" * 400 + ".5"
+        with pytest.raises(MapleSyntaxError) as info:
+            parse_maple("x + " + digits)
+        assert info.value.position == 4
+        assert main(["translate", "--backward", "--", digits]) == EXIT_PARSE
+        assert main(["inert", "--", digits]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        report = round_trip(digits + " + x", MAPLE_SIDE, lex)
+        assert report.terminated_reason == "translation-error"
+        assert [step.text for step in report.steps] == [digits + " + x"]
+        _, log = run_corpus([CorpusRecord("r", "1" + "0" * 400 + ".5 = x")], lex)
+        assert log[0]["classification"] == "errored"
+
     def test_repr_text(self):
         def recursive_repr(t):
             if t.tag in inert._PAYLOAD_TAGS:
