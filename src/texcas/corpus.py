@@ -14,6 +14,7 @@ from typing import List, Optional, Tuple
 
 from . import inert, verify
 from .errors import CorpusFormatError, TexcasError, UnknownMacro
+from .evaluator import free_names
 from .forward import translate_string
 from .lexicon import Lexicon
 
@@ -77,7 +78,7 @@ def run_corpus(records: List[CorpusRecord], lex: Lexicon,
                 entry.update(classification="ignored", reason="not a relation")
                 continue
             verdict = verify.check_equivalence(
-                *tree.children, sorted(verify.free_names(tree)),
+                *tree.children, sorted(free_names(tree)),
                 tolerance=tolerance, points=points, seed=seed)
         except UnknownMacro as exc:
             entry.update(classification="untranslated-unknown-macro",

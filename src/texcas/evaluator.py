@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import cmath
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Callable, Dict
+from typing import Callable, Dict, Iterator, Optional, Set
 
 from . import inert
 from .errors import NoEvaluator, UnknownSymbol
@@ -61,14 +62,18 @@ def _call(fname: str, args) -> complex:
     return fn(*args)
 
 
-def compile_tree(tree: InertForm) -> Callable[[Dict[str, complex]], complex]:
-    """Walk the tree once and return ``env -> complex`` doing only arithmetic.
+def compile_tree(tree: InertForm) -> Callable:
+    """Walk the tree once and return a closure doing only arithmetic.
 
-    The closure performs the operations of a recursive walk in the same order,
-    so a compiled tree gives bit-identical values.  Unknown names and
-    functions raise UnknownSymbol / NoEvaluator when the closure runs (a
-    function's arguments first), never at compile time; arithmetic
-    exceptions (division by zero, overflow) propagate to the caller.
+    ``f(env)`` is the tree's value at one point assignment.  ``f(columns, n)``
+    evaluates n points at once: ``columns`` maps each name to a sequence of n
+    complex values, and the result is a list of n values.  Each point gets
+    the operations of a recursive walk in the same order, so the values are
+    bit-identical to evaluating the points one by one; ``f(env)`` is the
+    n = 1 case.  Unknown names and functions raise UnknownSymbol /
+    NoEvaluator when the closure runs (a function's arguments first), never
+    at compile time; arithmetic exceptions (division by zero, overflow)
+    propagate to the caller.
     """
     tag = tree.tag
     if tag == inert.NAME:
@@ -84,71 +89,121 @@ def compile_tree(tree: InertForm) -> Callable[[Dict[str, complex]], complex]:
         return _literal(lambda: complex(Fraction(inert.int_value(p), q.payload)))
     if tag == inert.SUM:
         terms = [compile_tree(c) for c in tree.children]
-        return lambda env: sum([f(env) for f in terms], 0j)
+        if not terms:
+            return _literal(lambda: 0j)
+
+        def add(env, n=None):
+            columns, m = (env, n) if n else (_OnePoint(env), 1)
+            out = [sum(values, 0j)
+                   for values in zip(*[f(columns, m) for f in terms])]
+            return out if n else out[0]
+        return add
     if tag == inert.PROD:
         factors = [compile_tree(c) for c in tree.children]
 
-        def product(env):
-            out = 1 + 0j
+        def product(env, n=None):
+            columns, m = (env, n) if n else (_OnePoint(env), 1)
+            out = [1 + 0j] * m
             for f in factors:
-                out *= f(env)
-            return out
+                out = [a * b for a, b in zip(out, f(columns, m))]
+            return out if n else out[0]
         return product
     if tag == inert.DIVIDE:
         num, den = (compile_tree(c) for c in tree.children)
-        return lambda env: num(env) / den(env)
+
+        def quotient(env, n=None):
+            columns, m = (env, n) if n else (_OnePoint(env), 1)
+            out = [a / b for a, b in zip(num(columns, m), den(columns, m))]
+            return out if n else out[0]
+        return quotient
     if tag == inert.POWER:
         base_of, expo_of = (compile_tree(c) for c in tree.children)
 
-        def power(env):
-            base = base_of(env)
-            expo = expo_of(env)
-            if base == 0 and expo.real > 0 and abs(expo.imag) < 1e-300:
-                return 0j
-            return base ** expo
+        def power(env, n=None):
+            columns, m = (env, n) if n else (_OnePoint(env), 1)
+            out = [0j if base == 0 and expo.real > 0 and abs(expo.imag) < 1e-300
+                   else base ** expo
+                   for base, expo in zip(base_of(columns, m), expo_of(columns, m))]
+            return out if n else out[0]
         return power
     if tag == inert.FUNCTION:
         fname = tree.children[0].payload
         args = [compile_tree(c) for c in tree.children[1].children]
         fn = _FUNCTIONS.get((fname, len(args)))
-        if fn is None:
-            def unknown(env):
-                for f in args:
-                    f(env)
-                raise NoEvaluator(fname)
-            return unknown
-        return lambda env: fn(*[f(env) for f in args])
 
-    def unsupported(env):
+        def call(env, n=None):
+            columns, m = (env, n) if n else (_OnePoint(env), 1)
+            values = zip(*[f(columns, m) for f in args])
+            if fn is None:
+                raise NoEvaluator(fname)
+            out = [fn(*v) for v in values]
+            return out if n else out[0]
+        return call
+
+    if _noted is not None:  # its children are never compiled
+        _noted.update(free_names(tree))
+
+    def unsupported(env, n=None):
         raise NoEvaluator(tag)
     return unsupported
 
 
-def _compile_name(name: str) -> Callable[[Dict[str, complex]], complex]:
+# A closure called with one env (``n`` None) reads it as columns of one value
+# each, so the arithmetic is the column arithmetic; no closure refers to
+# itself, so a compiled tree is freed without the cycle collector.
+class _OnePoint(dict):
+    """One point assignment read as columns of one value each."""
+    __slots__ = ()
+
+    def __getitem__(self, name):
+        return (complex(dict.__getitem__(self, name)),)
+
+
+# free names met by the compile walks inside ``noting_free_names``
+_noted: Optional[Set[str]] = None
+
+
+@contextmanager
+def noting_free_names() -> Iterator[Set[str]]:
+    """Yield a set that collects the free names (see ``free_names``) of
+    every tree compiled inside the block."""
+    global _noted
+    outer, _noted = _noted, set()
+    try:
+        yield _noted
+    finally:
+        _noted = outer
+
+
+def _compile_name(name: str) -> Callable:
     # an env binding shadows a constant of the same name
     fallback = CONSTANTS.get(name)
     if fallback is None and name == "infinity":
         fallback = complex("inf")
+    if fallback is None and _noted is not None:
+        _noted.add(name)
 
-    def lookup(env):
+    def lookup(env, n=None):
         if name in env:
-            return complex(env[name])
+            return env[name] if n else complex(env[name])
         if fallback is None:
             raise UnknownSymbol(name)
-        return fallback
+        return [fallback] * n if n else fallback
     return lookup
 
 
-def _literal(value_of: Callable[[], complex]
-             ) -> Callable[[Dict[str, complex]], complex]:
+def _literal(value_of: Callable[[], complex]) -> Callable:
     """A constant closure.  A literal with no double value (an integer too
     large) raises on every call instead, so a caller skips each point;
     compiling never raises."""
     try:
         value = value_of()
     except ArithmeticError:
-        return lambda env: value_of()
-    return lambda env: value
+        return lambda env, n=None: value_of()
+
+    def literal(env, n=None):
+        return value if n is None else [value] * n
+    return literal
 
 
 def evaluate(tree: InertForm, env: Dict[str, complex]) -> complex:

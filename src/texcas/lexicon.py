@@ -329,20 +329,42 @@ def _read_text(path) -> str:
 def _load_json(path) -> dict:
     """The JSON object in a file; a repeated key, at any depth, is refused."""
     def unique_keys(pairs) -> dict:
-        doc = {}
-        for key, value in pairs:
-            if key in doc:
-                raise SchemaError(path, 1, f"repeated key {key!r}")
-            doc[key] = value
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            pos, key = _repeated_key(text)
+            raise SchemaError(path, text.count("\n", 0, pos) + 1,
+                              f"repeated key {key!r}")
         return doc
 
+    text = _read_text(path)
     try:
-        doc = json.loads(_read_text(path), object_pairs_hook=unique_keys)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:
         raise SchemaError(path, getattr(exc, "lineno", 1), f"not JSON: {exc}")
     if not isinstance(doc, dict):
         raise SchemaError(path, 1, "top level must be a JSON object")
     return doc
+
+
+def _repeated_key(text: str) -> Tuple[int, str]:
+    """The offset and name of the first repeated key in the first object to
+    close that repeats one: the key ``json.loads``'s pairs hook refuses.
+    Called only then, so the text is JSON up to the end of that object."""
+    objects = []  # per open object: the keys seen and the repeats met
+    for m in re.finditer(r'("(?:[^"\\]|\\.)*")(\s*:)?|[{}]', text):
+        if m.group() == "{":
+            objects.append((set(), []))
+        elif m.group() == "}":
+            repeats = objects.pop()[1]
+            if repeats:
+                return repeats[0]
+        elif m.group(2):  # a string followed by a colon is a key
+            seen, repeats = objects[-1]
+            key = json.loads(m.group(1))
+            if key in seen:
+                repeats.append((m.start(), key))
+            seen.add(key)
+    raise AssertionError("no repeated key")
 
 
 def compile_lexicon(macro_csv, constants_json, greek_json, builtins_json) -> Lexicon:

@@ -3,7 +3,11 @@
 Equivalence of a relation is decided by simplifying the formula difference
 with a light confluent rewrite set, falling back to seeded complex sampling
 at fixed machine precision (tolerance 1e-10 by default, annulus
-0.1 <= |z| <= 2, conjugate pairs included).
+0.1 <= |z| <= 2, conjugate pairs included).  The sample points are drawn
+once per variable count, point count and seed, and all of them are
+evaluated column-wise in one pass of the compiled difference; on the first
+exception the points are evaluated one by one instead, so each point is
+skipped or ends the check exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -13,13 +17,15 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import inert
 from .backward import backward_string
 from .errors import NoEvaluator, TexcasError, UnknownSymbol
 # evaluate stays importable here: perfbench/worker.py wraps verify.evaluate
-from .evaluator import compile_tree, evaluate, free_names  # noqa: F401
+from .evaluator import compile_tree, evaluate, noting_free_names  # noqa: F401
 from .forward import MAPLE, CASDialect, translate_string
 from .inert import (DIVIDE, FLOAT, INTNEG, INTPOS, POWER, PROD,
                     RATIONAL, SUM, InertForm, int_value)
@@ -40,26 +46,39 @@ ANNULUS = (0.1, 2.0)
 _MAX_FOLD_BITS = 2 ** 20
 
 
-def _canonical_key(t: InertForm) -> tuple:
-    """Hashable, totally ordered structural key: ``(tag, payload)`` for a
-    leaf, ``(tag, None, *child_keys)`` for an inner node.  A float key keeps
-    its sign of zero, so terms in -0.0 and 0.0 are never collected."""
-    if not t.children:
-        if t.tag == FLOAT:
-            return (FLOAT, (t.payload, math.copysign(1.0, t.payload)))
-        return (t.tag, t.payload)
-    return (t.tag, None, *map(_canonical_key, t.children))
+# Each simplified node travels with its structural key, hashable and totally
+# ordered: ``(tag, payload)`` for a leaf, ``(tag, None, *child_keys)`` for an
+# inner node.  So every key is built once, from its children's keys.  A float
+# key keeps its sign of zero, so terms in -0.0 and 0.0 are never collected.
+Keyed = Tuple[InertForm, tuple]
+# an exact rational: int for an integer literal, Fraction otherwise
+Number = Union[int, Fraction]
 
 
-def _fraction_node(f: Fraction) -> InertForm:
+def _leaf(tag: str, payload) -> Keyed:
+    if tag == FLOAT:
+        return InertForm(tag, payload, []), \
+            (FLOAT, (payload, math.copysign(1.0, payload)))
+    return InertForm(tag, payload, []), (tag, payload)
+
+
+def _node(tag: str, pairs: List[Keyed], payload=None) -> Keyed:
+    nodes, keys = zip(*pairs)
+    return InertForm(tag, payload, list(nodes)), (tag, None, *keys)
+
+
+def _number(f: Number) -> Keyed:
     if f.denominator == 1:
-        return inert.intlit(f.numerator)
-    return inert.rational(f.numerator, f.denominator)
+        n = f.numerator
+        return _leaf(INTPOS, n) if n >= 0 else _leaf(INTNEG, -n)
+    return _node(RATIONAL, [_number(f.numerator), _leaf(INTPOS, f.denominator)])
 
 
-def _as_fraction(t: InertForm) -> Optional[Fraction]:
-    if t.tag in (INTPOS, INTNEG):
-        return Fraction(int_value(t))
+def _as_number(t: InertForm) -> Optional[Number]:
+    if t.tag == INTPOS:
+        return t.payload
+    if t.tag == INTNEG:
+        return -t.payload
     if t.tag == RATIONAL:
         return Fraction(int_value(t.children[0]), t.children[1].payload)
     return None
@@ -70,101 +89,114 @@ def simplify_light(tree: InertForm) -> InertForm:
     additive 0 / multiplicative 1, x^1 -> x, x^0 -> 1, sort commutative
     operands, combine DIVIDE of rationals.  Deliberately far weaker than a
     CAS simplify."""
-    children = [simplify_light(c) for c in tree.children]
-    t = InertForm(tree.tag, tree.payload, children)
+    return _simplify(tree)[0]
 
-    if t.tag == DIVIDE:
-        num, den = t.children
-        fn, fd = _as_fraction(num), _as_fraction(den)
+
+def _simplify(tree: InertForm) -> Keyed:
+    tag = tree.tag
+    # a SUM or PROD without operands still folds (to 0 or 1)
+    if not tree.children and tag not in (DIVIDE, POWER, PROD, SUM):
+        return _leaf(tag, tree.payload)
+    pairs = [_simplify(c) for c in tree.children]
+
+    if tag == DIVIDE:
+        (num, num_key), (den, _) = pairs
+        fn, fd = _as_number(num), _as_number(den)
         if fn is not None and fd is not None and fd != 0:
-            return _fraction_node(fn / fd)
-        if fd == Fraction(1):
-            return num
-        return t
+            return _number(Fraction(fn, fd))
+        if fd == 1:
+            return num, num_key
+        return _node(tag, pairs, tree.payload)
 
-    if t.tag == POWER:
-        base, expo = t.children
-        fe = _as_fraction(expo)
+    if tag == POWER:
+        (base, base_key), (expo, _) = pairs
+        fe = _as_number(expo)
         if fe == 1:
-            return base
-        if fe == 0 and _as_fraction(base) != 0:
-            return InertForm(INTPOS, 1)
-        fb = _as_fraction(base)
+            return base, base_key
+        fb = _as_number(base)
+        if fe == 0 and fb != 0:
+            return _number(1)
         if fb is not None and fe is not None and fe.denominator == 1 \
                 and (fb != 0 or fe > 0) and _fold_bits(fb, fe) <= _MAX_FOLD_BITS:
-            return _fraction_node(fb ** fe.numerator)
-        return t
+            k = fe.numerator
+            return _number(fb ** k if k >= 0 else Fraction(fb) ** k)
+        return _node(tag, pairs, tree.payload)
 
-    if t.tag == PROD:
-        factors: List[InertForm] = []
-        for c in t.children:
-            factors.extend(c.children if c.tag == PROD else [c])
-        coeff = Fraction(1)
-        rest = []
-        for c in factors:
-            f = _as_fraction(c)
+    if tag == PROD:
+        coeff, rest = 1, []
+        for c, key in _flatten(PROD, pairs):
+            f = _as_number(c)
             if f is not None:
                 coeff *= f
             else:
-                rest.append(c)
+                rest.append((c, key))
         if coeff == 0:
-            return InertForm(INTPOS, 0)
-        rest.sort(key=_canonical_key)
+            return _number(0)
+        rest.sort(key=itemgetter(1))
         if not rest:
-            return _fraction_node(coeff)
+            return _number(coeff)
         if coeff != 1:
-            rest = [_fraction_node(coeff)] + rest
-        return rest[0] if len(rest) == 1 else InertForm(PROD, children=rest)
+            rest.insert(0, _number(coeff))
+        return rest[0] if len(rest) == 1 else _node(PROD, rest)
 
-    if t.tag == SUM:
-        terms: List[InertForm] = []
-        for c in t.children:
-            terms.extend(c.children if c.tag == SUM else [c])
-        constant = Fraction(0)
-        collected: Dict[tuple, Tuple[Fraction, InertForm]] = {}
-        for c in terms:
-            f = _as_fraction(c)
+    if tag == SUM:
+        constant, collected = 0, {}
+        for c, key in _flatten(SUM, pairs):
+            f = _as_number(c)
             if f is not None:
                 constant += f
                 continue
-            coeff, core = _split_term(c)
-            key = _canonical_key(core)
+            coeff, core, key = _split_term(c, key)
             if key in collected:
                 collected[key] = (collected[key][0] + coeff, core)
             else:
                 collected[key] = (coeff, core)
-        out: List[InertForm] = []
+        out = []
         if constant != 0:
-            out.append(_fraction_node(constant))
+            out.append(_number(constant))
         for key in sorted(collected):
             coeff, core = collected[key]
             if coeff == 0:
                 continue
             if coeff == 1:
-                out.append(core)
+                out.append((core, key))
             else:
-                out.append(InertForm(PROD, children=[_fraction_node(coeff), core]))
+                out.append(_node(PROD, [_number(coeff), (core, key)]))
         if not out:
-            return InertForm(INTPOS, 0)
-        return out[0] if len(out) == 1 else InertForm(SUM, children=out)
+            return _number(0)
+        return out[0] if len(out) == 1 else _node(SUM, out)
 
-    return t
+    return _node(tag, pairs, tree.payload)
 
 
-def _fold_bits(base: Fraction, expo: Fraction) -> int:
+def _flatten(tag: str, pairs: List[Keyed]) -> List[Keyed]:
+    """The operands, with each child of the same tag spliced in: a node's
+    key holds its children's keys from index 2 on."""
+    out = []
+    for c, key in pairs:
+        if c.tag == tag:
+            out.extend(zip(c.children, key[2:]))
+        else:
+            out.append((c, key))
+    return out
+
+
+def _fold_bits(base: Number, expo: Number) -> int:
     """An upper bound on the bits of ``base ** expo`` (integer expo)."""
     size = max(base.numerator.bit_length(), base.denominator.bit_length())
     return abs(expo.numerator) * size
 
 
-def _split_term(t: InertForm) -> Tuple[Fraction, InertForm]:
+def _split_term(t: InertForm, key: tuple) -> Tuple[Number, InertForm, tuple]:
+    """A term as (rational coefficient, core, key of the core)."""
     if t.tag == PROD:
-        f = _as_fraction(t.children[0])
+        f = _as_number(t.children[0])
         if f is not None:
             rest = t.children[1:]
-            core = rest[0] if len(rest) == 1 else InertForm(PROD, children=rest)
-            return f, core
-    return Fraction(1), t
+            if len(rest) == 1:
+                return f, rest[0], key[3]
+            return f, InertForm(PROD, children=rest), (PROD, None, *key[3:])
+    return 1, t, key
 
 
 def is_zero(t: InertForm) -> bool:
@@ -194,45 +226,64 @@ def _annulus_point(rng: random.Random) -> complex:
     return r * cmath.exp(1j * theta)
 
 
+# distinct (variable count, points, seed) keys whose points are kept
+_POINT_SETS = 16
+
+
+@lru_cache(maxsize=_POINT_SETS)
+def _sample_points(nvars: int, points: int, seed: int) -> tuple:
+    """The seeded sample points for ``nvars`` variables, as rows (one tuple
+    of values per point, in variable order) and as columns (one tuple per
+    variable).  Each point is followed by its conjugate; with no variables
+    there is one empty point."""
+    rng = random.Random(seed)
+    rows = []
+    if not nvars:
+        rows.append(())
+    else:
+        for _ in range(max(1, points // 2)):
+            point = tuple(_annulus_point(rng) for _ in range(nvars))
+            rows.append(point)
+            rows.append(tuple(z.conjugate() for z in point))
+    return tuple(rows), tuple(zip(*rows))
+
+
 def check_equivalence(lhs: InertForm, rhs: InertForm, vars: Sequence[str],
                       tolerance: float = DEFAULT_TOLERANCE,
                       points: int = DEFAULT_POINTS,
                       seed: int = DEFAULT_SEED) -> EquivalenceVerdict:
     """Decide whether lhs == rhs: first by simplifying the formula difference
-    to literal zero, else by seeded complex sampling of the difference."""
+    to literal zero, else by seeded complex sampling of the difference.
+
+    All points are evaluated in one pass of the compiled difference; if that
+    pass raises, the points are evaluated one by one, so a point that raises
+    is skipped (or, for NoEvaluator, ends the check) exactly as it would be
+    alone."""
     diff = _difference(lhs, rhs)
     simplified = simplify_light(inert.preprocess(diff))
     if is_zero(simplified):
         return EquivalenceVerdict("symbolic-zero")
 
-    declared = set(vars)
-    for name in sorted(free_names(diff)):
-        if name not in declared:
-            raise UnknownSymbol(name)
+    with noting_free_names() as names:
+        value_at = compile_tree(diff)
+    undeclared = names.difference(vars)
+    if undeclared:
+        raise UnknownSymbol(min(undeclared))
 
-    rng = random.Random(seed)
-    assignments: List[Dict[str, complex]] = []
-    if not vars:
-        assignments.append({})
-    else:
-        base = max(1, points // 2)
-        for _ in range(base):
-            point = {v: _annulus_point(rng) for v in vars}
-            assignments.append(point)
-            assignments.append({v: z.conjugate() for v, z in point.items()})
-
-    value_at = compile_tree(diff)
-    samples: List[Tuple[Dict[str, complex], float]] = []
-    for env in assignments:
-        try:
-            value = value_at(env)
-        except NoEvaluator as exc:
-            return EquivalenceVerdict("inconclusive", reason=str(exc))
-        except (ZeroDivisionError, OverflowError, ValueError):
-            continue
-        if not (cmath.isfinite(value.real) and cmath.isfinite(value.imag)):
-            continue
-        samples.append((env, abs(value)))
+    rows, columns = _sample_points(len(vars), points, seed)
+    try:
+        values = value_at(dict(zip(vars, columns)), len(rows))
+    except Exception:  # the points one by one tell which point raised what
+        values = []
+        for row in rows:
+            try:
+                values.append(value_at(dict(zip(vars, row))))
+            except NoEvaluator as exc:
+                return EquivalenceVerdict("inconclusive", reason=str(exc))
+            except (ZeroDivisionError, OverflowError, ValueError):
+                values.append(math.nan)  # skipped, as a value not finite
+    samples = [(dict(zip(vars, row)), abs(value))
+               for row, value in zip(rows, values) if cmath.isfinite(value)]
 
     if not samples:
         return EquivalenceVerdict("inconclusive", samples=[],

@@ -288,3 +288,21 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {bad}:1: repeated key 'maple'\n"
+
+    @pytest.mark.parametrize("text,line,key", [
+        ('{"a": 1,\n "a": 2}', 2, "a"),
+        # a string value that looks like a key, then the repeat
+        ('{"s": "\\"s\\": {", \n"t": [1, {"u": 2}],\n\n"s": 3}', 4, "s"),
+        # the key spelled with an escape is the same key
+        ('{"k\\u0061": 1,\n "ka": 2}', 2, "ka"),
+        # an inner object closes first, so its repeat is the one reported
+        ('{"a": 1,\n "a": 2,\n "b": {"c": 1,\n "c": 2}}', 4, "c"),
+    ])
+    def test_repeated_key_names_its_line(self, tmp_path, capsys, text, line, key):
+        bad = tmp_path / "builtins.json"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["compile-lexicon", "--builtins", str(bad),
+                     "--out", str(tmp_path / "out.json")]) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}:{line}: repeated key {key!r}\n"
