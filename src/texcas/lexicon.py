@@ -12,6 +12,7 @@ import io
 import json
 import re
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
@@ -154,9 +155,21 @@ def _entry_to_json(e: LexiconEntry) -> dict:
 PLACEHOLDER_RE = re.compile(r"\$(\d+)")
 
 
+@lru_cache(maxsize=1024)
+def _pieces(template: str) -> Tuple[str, Tuple[Tuple[int, str], ...]]:
+    """The text before the first placeholder, and (index, text after) of each."""
+    parts = PLACEHOLDER_RE.split(template)
+    return parts[0], tuple(zip(map(int, parts[1::2]), parts[2::2]))
+
+
 def fill(template: str, args: List[str]) -> str:
-    """The template with each placeholder ``$i`` replaced by ``args[i]``."""
-    return PLACEHOLDER_RE.sub(lambda m: args[int(m.group(1))], template)
+    """The template with each placeholder ``$i`` replaced by ``args[i]``; it
+    is split at its placeholders once (the splits are cached)."""
+    head, rest = _pieces(template)
+    out = [head]
+    for i, text in rest:
+        out += (args[i], text)
+    return "".join(out)
 
 
 _CALL_RE = re.compile(r"([A-Za-z_]\w*)\((.*)\)")

@@ -11,12 +11,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import List, Optional
 
 from .errors import EmptyInput, ScanTooDeep, UnbalancedDelimiters, UnsupportedSymbol
 from .lexicon import LexiconEntry, load_default
-
-_RELATION_CHARS = set("=<>")
 
 # Groups may nest this deep; forward translation recurses a few frames per
 # group, so the limit keeps it within Python's default recursion limit.
@@ -79,25 +78,11 @@ class PomTree:
         return self.term is None and self.delimiter_class is None
 
 
-# the last group takes a character no token starts with
+# no group and no catch-all: findall returns the token strings, and a
+# character with no token leaves a gap between them
 _TOKEN_RE = re.compile(
-    r"""(?P<comment>%[^\n]*\n?)
-      | (?P<ws>\s+)
-      | (?P<linebreak>\\\\)
-      | (?P<macro>\\[a-zA-Z]+)
-      | (?P<at>@{1,3})
-      | (?P<digits>[0-9]+)
-      | (?P<letter>[a-zA-Z])
-      | (?P<caret>\^)
-      | (?P<underscore>_)
-      | (?P<open>[{\[(])
-      | (?P<close>[}\])])
-      | (?P<amp>&)
-      | (?P<op>[+\-*/!|.,;:=<>])
-      | (?P<other>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+    r"%[^\n]*\n?|\s+|\\\\|\\[a-zA-Z]+|@{1,3}|[0-9]+"
+    r"|[a-zA-Z^_{\[(}\])&+\-*/!|.,;:=<>]")
 
 _DELIM_PAIRS = {"{": "}", "[": "]", "(": ")"}
 _DELIM_CLASSES = {
@@ -106,92 +91,99 @@ _DELIM_CLASSES = {
     "(": DelimiterClass.PAREN,
 }
 
-# token tag -> term kind; a macro's kind comes from its entry, and an "op"
-# token that spells a relation is a relation symbol
-_KINDS = {"linebreak": TermKind.RESERVED, "amp": TermKind.RESERVED,
-          "at": TermKind.AT_MARKER, "digits": TermKind.DIGIT_SEQUENCE,
-          "letter": TermKind.LATIN_LETTER, "caret": TermKind.CARET,
-          "underscore": TermKind.UNDERSCORE, "op": TermKind.OPERATOR_SYMBOL}
+# a token's first character -> its term kind, or what the scan does with it;
+# whitespace and comments are absent, so the scan skips them
+_BACKSLASH, _OPEN, _CLOSE = "backslash", "open", "close"
+_LEADS = {
+    **dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ",
+                    TermKind.LATIN_LETTER),
+    **dict.fromkeys("0123456789", TermKind.DIGIT_SEQUENCE),
+    **dict.fromkeys("+-*/!|.,;:", TermKind.OPERATOR_SYMBOL),
+    **dict.fromkeys("=<>", TermKind.RELATION_SYMBOL),
+    "@": TermKind.AT_MARKER, "^": TermKind.CARET, "_": TermKind.UNDERSCORE,
+    "&": TermKind.RESERVED, "\\": _BACKSLASH,
+    **dict.fromkeys("{[(", _OPEN), **dict.fromkeys("}])", _CLOSE),
+}
 
 
 def scan(text: str, kb=None) -> PomTree:
     """Build the first-scan syntax tree for one math-mode LaTeX expression.
 
     ``kb`` is a Lexicon (or anything with a ``lookup`` method; default: the
-    seed lexicon).  One pass tokenizes, one classifies and builds the tree,
-    and each macro occurrence is looked up once: a known macro's term carries
-    its entry as its tentative feature, which forward translation reads, and
-    a Greek-letter entry decides the Greek command kind.  Unknown macros are
-    still tokenized.
+    seed lexicon).  One ``findall`` tokenizes; a character with no token is
+    found by a rescan and reported before any delimiter error.  One loop
+    classifies each token by its first character and builds the tree, looking
+    each macro occurrence up once: a known macro's term carries its entry as
+    its tentative feature, which forward reads, and a Greek-letter entry
+    decides the Greek command kind.  Unknown macros are still tokenized.
     """
-    # first pass: every token, so a character with no token is reported
-    # before any delimiter error
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        tag = m.lastgroup
-        if tag == "ws" or tag == "comment":
-            continue
-        pos = m.start()
-        if tag == "other":
-            # a control symbol such as \, is the backslash and one character
-            raise UnsupportedSymbol(pos, text[pos:pos + 2] if text[pos] == "\\"
-                                    else text[pos])
-        tokens.append((m.group(), tag, pos))
-    if not tokens:
-        raise EmptyInput()
+    tokens = _TOKEN_RE.findall(text)
+    # each token's position, and the end of the last
+    starts = list(accumulate(map(len, tokens), initial=0))
+    if starts[-1] != len(text):
+        pos = 0
+        for m in _TOKEN_RE.finditer(text):
+            if m.start() != pos:
+                break
+            pos = m.end()
+        # a control symbol such as \, is the backslash and one character
+        raise UnsupportedSymbol(pos, text[pos:pos + 2] if text[pos] == "\\"
+                                else text[pos])
     if kb is None:
         kb = load_default()
 
-    # second pass: classify each token and build the tree
+    lead = _LEADS.get
     siblings: List[PomTree] = []  # of the innermost open group, or the root
     # (enclosing siblings, open lexeme, open position) per open group
     stack = []
-    tokens_left = iter(tokens)
-    for lexeme, tag, pos in tokens_left:
-        kind = _KINDS.get(tag)
-        if kind is not None:
-            if kind is TermKind.OPERATOR_SYMBOL and lexeme in _RELATION_CHARS:
-                kind = TermKind.RELATION_SYMBOL
-            siblings.append(PomTree(MathTerm(lexeme, kind, pos)))
-        elif lexeme == "\\left" or lexeme == "\\right":
-            # \left<delim> ... \right<delim> forms a paren-class group
-            delim = next(tokens_left, None)
-            if delim is None:
-                raise UnbalancedDelimiters(pos, f"{lexeme} without a delimiter")
-            dlex, _, dpos = delim
-            if lexeme == "\\left":
-                if dlex not in _DELIM_PAIRS:
-                    raise UnbalancedDelimiters(dpos, f"cannot open group with {dlex!r}")
-                stack.append((siblings, "\\left" + dlex, pos))
-                if len(stack) > MAX_NESTING:
-                    raise ScanTooDeep(pos, MAX_NESTING)
-                siblings = []
+    tokens_left = zip(tokens, starts)
+    for lexeme, pos in tokens_left:
+        kind = lead(lexeme[0])
+        if kind is None:  # whitespace or a comment
+            continue
+        if kind is _BACKSLASH:
+            if lexeme == "\\\\":
+                siblings.append(PomTree(MathTerm(lexeme, TermKind.RESERVED, pos)))
+            elif lexeme == "\\left" or lexeme == "\\right":
+                # \left<delim> ... \right<delim> forms a paren-class group
+                for dlex, dpos in tokens_left:
+                    if dlex[0] in _LEADS:
+                        break
+                else:
+                    raise UnbalancedDelimiters(pos, f"{lexeme} without a delimiter")
+                if lexeme == "\\left":
+                    if dlex not in _DELIM_PAIRS:
+                        raise UnbalancedDelimiters(dpos, f"cannot open group with {dlex!r}")
+                    stack.append((siblings, "\\left" + dlex, pos))
+                    if len(stack) > MAX_NESTING:
+                        raise ScanTooDeep(pos, MAX_NESTING)
+                    siblings = []
+                else:
+                    if not stack:
+                        raise UnbalancedDelimiters(pos, "\\right without matching \\left")
+                    parent, open_lex, _ = stack.pop()
+                    if not open_lex.startswith("\\left"):
+                        raise UnbalancedDelimiters(pos, "\\right closes a plain group")
+                    expected = _DELIM_PAIRS[open_lex[-1]]
+                    if dlex != expected:
+                        raise UnbalancedDelimiters(dpos, f"expected \\right{expected}")
+                    parent.append(PomTree(None, DelimiterClass.PAREN, siblings,
+                                          open_lex, "\\right" + dlex))
+                    siblings = parent
             else:
-                if not stack:
-                    raise UnbalancedDelimiters(pos, "\\right without matching \\left")
-                parent, open_lex, _ = stack.pop()
-                if not open_lex.startswith("\\left"):
-                    raise UnbalancedDelimiters(pos, "\\right closes a plain group")
-                expected = _DELIM_PAIRS[open_lex[-1]]
-                if dlex != expected:
-                    raise UnbalancedDelimiters(dpos, f"expected \\right{expected}")
-                parent.append(PomTree(None, DelimiterClass.PAREN, siblings,
-                                      open_lex, "\\right" + dlex))
-                siblings = parent
-        elif tag == "macro":
-            entry = kb.lookup(lexeme)
-            if entry is None:
-                siblings.append(PomTree(MathTerm(lexeme, TermKind.MACRO_COMMAND, pos)))
-            else:
-                kind = (TermKind.GREEK_LETTER_COMMAND if entry.role == "greek-letter"
-                        else TermKind.MACRO_COMMAND)
-                siblings.append(PomTree(MathTerm(lexeme, kind, pos, [entry])))
-        elif tag == "open":
+                entry = kb.lookup(lexeme)
+                if entry is None:
+                    siblings.append(PomTree(MathTerm(lexeme, TermKind.MACRO_COMMAND, pos)))
+                else:
+                    kind = (TermKind.GREEK_LETTER_COMMAND if entry.role == "greek-letter"
+                            else TermKind.MACRO_COMMAND)
+                    siblings.append(PomTree(MathTerm(lexeme, kind, pos, [entry])))
+        elif kind is _OPEN:
             stack.append((siblings, lexeme, pos))
             if len(stack) > MAX_NESTING:
                 raise ScanTooDeep(pos, MAX_NESTING)
             siblings = []
-        else:  # close
+        elif kind is _CLOSE:
             if not stack:
                 raise UnbalancedDelimiters(pos, f"unmatched {lexeme!r}")
             parent, open_lex, _ = stack.pop()
@@ -202,10 +194,14 @@ def scan(text: str, kb=None) -> PomTree:
             parent.append(PomTree(None, _DELIM_CLASSES[open_lex], siblings,
                                   open_lex, lexeme))
             siblings = parent
+        else:
+            siblings.append(PomTree(MathTerm(lexeme, kind, pos)))
 
     if stack:
         _, open_lex, open_pos = stack[-1]
         raise UnbalancedDelimiters(open_pos, f"unclosed {open_lex!r}")
+    if not siblings:  # every token was whitespace or a comment
+        raise EmptyInput()
     return PomTree(children=siblings)
 
 
@@ -220,4 +216,5 @@ def serialize(tree: PomTree) -> str:
 
 
 def normalize_whitespace(text: str) -> str:
-    return re.sub(r"%[^\n]*\n?", "", text).translate(str.maketrans("", "", " \t\n\r"))
+    """The text without what the scan skips: comments and all whitespace."""
+    return re.sub(r"%[^\n]*\n?|\s+", "", text)

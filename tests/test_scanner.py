@@ -181,3 +181,11 @@ class TestProperties:
                 assert term.lexeme.startswith("\\")
             if term.kind is TermKind.AT_MARKER:
                 assert 1 <= term.at_count <= 3
+
+
+@pytest.mark.parametrize("text", [
+    "x\x0b+y", "x\x0c+y", "x\u3000+y", "x\u00a0% c\u00a0\n\u00a0+y",
+    "\u00a0%\u00a0\n\u00a0x", "x%\u00a0c", "\\sin\u2003@@{z}\u2028",
+])
+def test_normalize_whitespace_drops_what_the_scan_skips(text):
+    assert serialize(scan(text)) == normalize_whitespace(text)
