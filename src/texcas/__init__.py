@@ -9,33 +9,51 @@ The pipeline:
 * :mod:`texcas.backward` — inert trees -> semantic LaTeX,
 * :mod:`texcas.verify` — round-trip fixed points and equivalence checking,
 * :mod:`texcas.corpus` — translating, checking and classifying a corpus.
+
+``import texcas`` loads only the lexicon, which every stage needs.  Every
+other public name is imported from its submodule when it is first read
+(PEP 562), so a process pays only for the stages it runs: a forward
+translation never loads the Maple parser, the reverse rules, the simplifier
+or the numeric evaluator.
 """
 
-from .backward import backward_string, translate_backward
-from .forward import MAPLE, MATHEMATICA, translate_forward, translate_string
-from .inert import parse_maple, preprocess
+from importlib import import_module
+
 from .lexicon import Lexicon, compile_lexicon, load_default
-from .scanner import scan, serialize
-from .verify import check_equivalence, round_trip, simplify_light
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MAPLE",
-    "MATHEMATICA",
-    "Lexicon",
-    "backward_string",
-    "check_equivalence",
-    "compile_lexicon",
-    "load_default",
-    "parse_maple",
-    "preprocess",
-    "round_trip",
-    "scan",
-    "serialize",
-    "simplify_light",
-    "translate_backward",
-    "translate_forward",
-    "translate_string",
-    "__version__",
-]
+# Each public name and the submodule it lives in.
+_EXPORTS = {
+    "MAPLE": "forward",
+    "MATHEMATICA": "forward",
+    "Lexicon": "lexicon",
+    "backward_string": "backward",
+    "check_equivalence": "verify",
+    "compile_lexicon": "lexicon",
+    "load_default": "lexicon",
+    "parse_maple": "inert",
+    "preprocess": "inert",
+    "round_trip": "verify",
+    "scan": "scanner",
+    "serialize": "scanner",
+    "simplify_light": "verify",
+    "translate_backward": "backward",
+    "translate_forward": "forward",
+    "translate_string": "forward",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:  # so ``from texcas import cli`` imports the submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -12,16 +12,13 @@ import json
 import sys
 from typing import List, Optional
 
-from . import inert, verify
-from .backward import backward_string
-# run_corpus and CorpusRecord stay importable here: perfbench/worker.py
-# builds records and traces run_corpus through this module
-from .corpus import CorpusRecord, read_corpus, run_corpus  # noqa: F401
+# Only what ``translate`` needs is imported here; every other subcommand
+# imports its stages when it runs, so a forward translation never loads them.
 from .errors import (CorpusFormatError, LexiconError, MapleSyntaxError,
                      ScanError, TexcasError, UnsupportedConstruct)
 from .forward import InfoMessage, translate_string
-from .lexicon import (ADVISORY_KINDS, DIALECTS, Lexicon, compile_lexicon,
-                      load_default, seed_path)
+from .lexicon import (ADVISORY_KINDS, DIALECTS, MAPLE_SIDE, SEMANTIC_LATEX,
+                      Lexicon, compile_lexicon, load_default, seed_path)
 
 EXIT_OK = 0
 EXIT_TRANSLATION = 2
@@ -36,6 +33,17 @@ EXIT_CODES = (
     ((OSError, UnicodeDecodeError), EXIT_PARSE),  # unreadable or not UTF-8
     (TexcasError, EXIT_TRANSLATION),
 )
+
+
+# CorpusRecord, read_corpus and run_corpus stay readable here, imported on
+# first access: perfbench/worker.py builds records and traces run_corpus
+# through this module
+def __getattr__(name):
+    if name not in ("CorpusRecord", "read_corpus", "run_corpus"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import corpus
+    value = globals()[name] = getattr(corpus, name)
+    return value
 
 
 def _emit_infos(infos: List[InfoMessage]) -> None:
@@ -57,6 +65,7 @@ def _cmd_translate(args) -> int:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read().strip()
     if args.backward:
+        from .backward import backward_string
         result = backward_string(text, lex, use_divide=not args.no_divide)
     else:
         result = translate_string(text, lex, args.dialect)
@@ -75,10 +84,13 @@ def _cmd_compile_lexicon(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    from .corpus import read_corpus, run_corpus
     lex = _load_lexicon(args.lexicon)
     records = read_corpus(args.corpus)
-    stats, log = run_corpus(records, lex, tolerance=args.tolerance,
-                            points=args.points, seed=args.seed)
+    # an option not given keeps run_corpus's default
+    given = {k: getattr(args, k) for k in ("tolerance", "points", "seed")
+             if getattr(args, k) is not None}
+    stats, log = run_corpus(records, lex, **given)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             # pre-conversion (exponential/hypergeometric form) needs a full
@@ -94,10 +106,10 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
+    from .verify import round_trip
     lex = _load_lexicon(args.lexicon)
-    report = verify.round_trip(args.input, args.side, lex,
-                               max_steps=args.max_steps,
-                               use_divide=not args.no_divide)
+    report = round_trip(args.input, args.side, lex, max_steps=args.max_steps,
+                        use_divide=not args.no_divide)
     for step in report.steps:
         print(f"{step.index}\t{step.side}\t{step.text}")
     if report.fixed_point_reached:
@@ -111,6 +123,7 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_inert(args) -> int:
+    from . import inert
     tree = inert.parse_maple(args.input, use_divide=not args.no_divide)
     if args.preprocess:
         tree = inert.preprocess(tree, use_divide=not args.no_divide)
@@ -149,15 +162,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("--lexicon")
     p.add_argument("--report", help="line-delimited JSON report path")
-    p.add_argument("--tolerance", type=float, default=verify.DEFAULT_TOLERANCE)
-    p.add_argument("--points", type=int, default=verify.DEFAULT_POINTS)
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p.add_argument("--tolerance", type=float)
+    p.add_argument("--points", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_corpus)
 
     p = sub.add_parser("roundtrip", help="run a round-trip fixed-point test")
     p.add_argument("input")
-    p.add_argument("--side", choices=[verify.SEMANTIC_LATEX, verify.MAPLE_SIDE],
-                   default=verify.SEMANTIC_LATEX)
+    p.add_argument("--side", choices=[SEMANTIC_LATEX, MAPLE_SIDE],
+                   default=SEMANTIC_LATEX)
     p.add_argument("--max-steps", type=int, default=12)
     p.add_argument("--lexicon")
     p.add_argument("--no-divide", action="store_true")

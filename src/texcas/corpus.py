@@ -66,6 +66,7 @@ def run_corpus(records: List[CorpusRecord], lex: Lexicon,
                seed: int = verify.DEFAULT_SEED) -> Tuple[CorpusStats, List[dict]]:
     """Translate and verify every record, in id order; returns the stats and
     one log entry per record."""
+    verify.check_options(tolerance, points)
     log: List[dict] = []
     for record in sorted(records, key=lambda r: r.id):
         entry = {"id": record.id, "semantic_latex": record.semantic_latex}

@@ -151,3 +151,8 @@ class NoEvaluator(TexcasError):
     def __init__(self, function):
         self.function = function
         super().__init__(f"no numeric evaluator for {function}")
+
+
+class CheckOptionError(TexcasError, ValueError):
+    """A tolerance that is not finite and positive, or fewer than one sample
+    point: with either, the numeric check decides nothing."""

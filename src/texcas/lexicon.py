@@ -30,6 +30,10 @@ MATHEMATICA = CASDialect("mathematica", " ")
 
 DIALECTS = {"maple": MAPLE, "mathematica": MATHEMATICA}
 
+# the two sides a round trip alternates between
+SEMANTIC_LATEX = "semantic-latex"
+MAPLE_SIDE = "maple"
+
 # the trailing ``reverse`` column is optional, so 8-column sources still compile
 CSV_COLUMNS = ["macro", "num_params", "num_vars", "at_variants",
                "dlmf_link", "maple", "mathematica", "advisories", "reverse"]

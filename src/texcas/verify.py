@@ -23,16 +23,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import inert
 from .backward import backward_string
-from .errors import NoEvaluator, TexcasError, UnknownSymbol
+from .errors import CheckOptionError, NoEvaluator, TexcasError, UnknownSymbol
 # evaluate stays importable here: perfbench/worker.py wraps verify.evaluate
 from .evaluator import compile_tree, evaluate, noting_free_names  # noqa: F401
 from .forward import MAPLE, CASDialect, translate_string
 from .inert import (DIVIDE, FLOAT, INTNEG, INTPOS, POWER, PROD,
                     RATIONAL, SUM, InertForm, int_value)
-from .lexicon import Lexicon
-
-SEMANTIC_LATEX = "semantic-latex"
-MAPLE_SIDE = "maple"
+from .lexicon import MAPLE_SIDE, SEMANTIC_LATEX, Lexicon
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_POINTS = 20
@@ -248,6 +245,15 @@ def _sample_points(nvars: int, points: int, seed: int) -> tuple:
     return tuple(rows), tuple(zip(*rows))
 
 
+def check_options(tolerance: float, points: int) -> None:
+    """Refuse a tolerance that is not finite and > 0 (a nan or inf one passes
+    every difference) and fewer than one sample point."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise CheckOptionError(f"tolerance must be finite and > 0, not {tolerance}")
+    if points < 1:
+        raise CheckOptionError(f"points must be at least 1, not {points}")
+
+
 def check_equivalence(lhs: InertForm, rhs: InertForm, vars: Sequence[str],
                       tolerance: float = DEFAULT_TOLERANCE,
                       points: int = DEFAULT_POINTS,
@@ -259,6 +265,7 @@ def check_equivalence(lhs: InertForm, rhs: InertForm, vars: Sequence[str],
     pass raises, the points are evaluated one by one, so a point that raises
     is skipped (or, for NoEvaluator, ends the check) exactly as it would be
     alone."""
+    check_options(tolerance, points)
     diff = _difference(lhs, rhs)
     simplified = simplify_light(inert.preprocess(diff))
     if is_zero(simplified):

@@ -1,0 +1,137 @@
+"""Start-up: ``import texcas`` loads only the lexicon, every other public name
+is imported on first access, and each subcommand loads only its stages.
+
+The import sets are read from ``sys.modules`` in fresh interpreters, since
+this process has long since imported every module."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import texcas
+from texcas import backward, cli, corpus, evaluator, forward, inert, lexicon, scanner, verify
+
+SRC = str(Path(texcas.__file__).resolve().parent.parent)
+
+# each public name and the module it comes from
+HOME = {
+    "MAPLE": forward, "MATHEMATICA": forward, "Lexicon": lexicon,
+    "backward_string": backward, "check_equivalence": verify,
+    "compile_lexicon": lexicon, "load_default": lexicon,
+    "parse_maple": inert, "preprocess": inert, "round_trip": verify,
+    "scan": scanner, "serialize": scanner, "simplify_light": verify,
+    "translate_backward": backward, "translate_forward": forward,
+    "translate_string": forward,
+}
+
+
+def run_fresh(code, *args):
+    """Run ``code`` in a fresh interpreter that imports texcas from this
+    checkout; return its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# The CLI run as ``python -m texcas.cli`` would, then the texcas modules
+# loaded, as the last line of stdout.
+CLI_PROBE = """
+import json, runpy, sys
+sys.argv = ["texcas", *json.loads(sys.argv[1])]
+code = 0
+try:
+    runpy.run_module("texcas.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("texcas"))]))
+"""
+
+
+def cli_modules(*argv):
+    code, modules = json.loads(run_fresh(CLI_PROBE, json.dumps(argv)).splitlines()[-1])
+    assert code == 0
+    return set(modules)
+
+
+# --- the lazy package API -----------------------------------------------------
+
+def test_all_is_the_public_names():
+    assert sorted(texcas.__all__) == sorted([*HOME, "__version__"])
+
+
+@pytest.mark.parametrize("name", sorted(HOME))
+def test_each_name_is_its_home_modules_object(name):
+    assert getattr(texcas, name) is getattr(HOME[name], name)
+
+
+def test_dir_lists_every_public_name():
+    assert set(texcas.__all__) <= set(dir(texcas))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        texcas.no_such_name  # noqa: B018
+    assert not hasattr(texcas, "no_such_name")
+
+
+def test_star_import_in_a_fresh_interpreter():
+    out = run_fresh("from texcas import *\n"
+                    "print(round_trip.__module__, translate_string.__module__, __version__)")
+    assert out.split() == ["texcas.verify", "texcas.forward", texcas.__version__]
+
+
+def test_submodule_import_in_a_fresh_interpreter():
+    out = run_fresh("from texcas import cli, forward, verify\n"
+                    "print(cli.__name__, forward.__name__, verify.__name__)")
+    assert out.split() == ["texcas.cli", "texcas.forward", "texcas.verify"]
+
+
+def test_bindings_read_through_cli_and_verify_resolve():
+    assert cli.CorpusRecord is corpus.CorpusRecord
+    assert cli.read_corpus is corpus.read_corpus
+    assert cli.run_corpus is corpus.run_corpus
+    assert cli.translate_string is forward.translate_string
+    assert verify.evaluate is evaluator.evaluate
+    assert verify.translate_string is forward.translate_string
+    assert verify.backward_string is backward.backward_string
+    with pytest.raises(AttributeError):
+        cli.no_such_name  # noqa: B018
+
+
+# --- the import set of each entry point ----------------------------------------
+
+def test_import_texcas_loads_only_the_lexicon():
+    out = run_fresh("import sys, texcas\n"
+                    "texcas.load_default()\n"
+                    "print(*sorted(m for m in sys.modules if m.startswith('texcas')))")
+    assert out.split() == ["texcas", "texcas.errors", "texcas.lexicon"]
+
+
+NOT_FORWARD = {"texcas.inert", "texcas.backward", "texcas.verify",
+               "texcas.evaluator", "texcas.corpus"}
+NOT_MAPLE_SIDE = {"texcas.verify", "texcas.evaluator", "texcas.corpus"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["translate", "--", r"\sin@{z}"],
+    ["translate", "--dialect", "mathematica", "--", r"\sin@@{z}"],
+])
+def test_translate_loads_no_later_stage(argv):
+    assert not cli_modules(*argv) & NOT_FORWARD
+
+
+@pytest.mark.parametrize("argv", [
+    ["translate", "--backward", "--", "sin(x)^2/3"],
+    ["inert", "--preprocess", "--", "sin(x)^2/3"],
+])
+def test_the_maple_side_loads_no_checker(argv):
+    modules = cli_modules(*argv)
+    assert "texcas.inert" in modules
+    assert not modules & NOT_MAPLE_SIDE
