@@ -193,6 +193,5 @@ def translate_backward(tree: InertForm, lex: Lexicon) -> TranslationResult:
 
 def backward_string(text: str, lex: Lexicon, use_divide: bool = True) -> TranslationResult:
     """Parse Maple 1D input, preprocess, and translate to semantic LaTeX."""
-    tree = inert.preprocess(inert.parse_maple(text, use_divide=use_divide),
-                            use_divide=use_divide)
+    tree = inert.preprocess(inert.parse_maple(text), use_divide=use_divide)
     return translate_backward(tree, lex)

@@ -124,7 +124,7 @@ def _cmd_roundtrip(args) -> int:
 
 def _cmd_inert(args) -> int:
     from . import inert
-    tree = inert.parse_maple(args.input, use_divide=not args.no_divide)
+    tree = inert.parse_maple(args.input)
     if args.preprocess:
         tree = inert.preprocess(tree, use_divide=not args.no_divide)
     print(inert.nested_list_to_text(inert.to_nested_list(tree),

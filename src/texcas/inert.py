@@ -1,14 +1,13 @@
 """Maple 1D parser and the inert-form expression tree.
 
-The parser performs no simplification of any kind: constants are never
-folded, ``sqrt``/``root`` calls are never rewritten as fractional powers, and
-operand order is preserved.  Unevaluation quotes ``'...'`` are accepted and
-stripped (every parse here is unevaluated anyway).
+The parser builds Maple's own ``ToInert`` form, ``a/b`` as ``a*b^(-1)``, and
+performs no simplification: constants are never folded, ``sqrt``/``root``
+calls are never rewritten as fractional powers, and operand order is kept.
+Unevaluation quotes ``'...'`` are accepted and stripped.
 
-``preprocess`` applies the renderer-facing normalizations: numeric constants
-move to the front of products and sums, products led by -1 are kept in that
-canonical negation shape, and negative integer exponents / source-level
-divisions become explicit DIVIDE nodes.
+``preprocess`` applies the renderer-facing normalizations in one idempotent
+walk: numeric constants move to the front of products and sums, and negative
+integer powers become DIVIDE nodes, which no other stage builds.
 """
 
 from __future__ import annotations
@@ -89,8 +88,8 @@ def int_value(t: InertForm) -> int:
     return t.payload if t.tag == INTPOS else -t.payload
 
 
-def is_numeric_constant(t: InertForm) -> bool:
-    return t.tag in _NUMERIC_TAGS
+_ONE = InertForm(INTPOS, 1)
+_MINUS_ONE = InertForm(INTNEG, 1)
 
 
 # --- tokenizer ---------------------------------------------------------------
@@ -122,11 +121,11 @@ _UNSUPPORTED_KEYWORDS = {"proc", "module", "table", "array", "Array", "Matrix",
 # may nest this deep: the parser recurses five frames per parenthesis, quote
 # or call argument, and one per sign or exponent.
 MAX_NESTING = 64
-# A parsed tree may be this tall.  Chained divisions grow a tree without
-# nesting the parser, and every later stage (preprocess, rendering, backward
-# translation, simplification, compiled evaluation) recurses about two frames
-# per level, so the bound keeps them all within Python's default recursion
-# limit.
+# A parsed tree may be this tall.  Divisions and products in turn (x/x*x/x)
+# grow a tree without nesting the parser, and every later stage (preprocess,
+# rendering, backward translation, simplification, compiled evaluation)
+# recurses about two frames per level, so the bound keeps them all within
+# Python's default recursion limit.
 MAX_HEIGHT = 4 * MAX_NESTING
 
 
@@ -134,11 +133,10 @@ class _Parser:
     """Recursive descent over the token strings; ``i`` indexes the next one.
     Token positions are found again only when the parse fails."""
 
-    def __init__(self, text: str, tokens: List[str], use_divide: bool):
+    def __init__(self, text: str, tokens: List[str]):
         self.text = text
         self.tokens = tokens
         self.i = 0
-        self.use_divide = use_divide
         self.depth = -1  # the outermost expression is level 0
 
     def fail(self, i: int, detail, error=MapleSyntaxError) -> TexcasError:
@@ -195,9 +193,7 @@ class _Parser:
                     if tok == "*":
                         factors.append(rhs)
                     else:
-                        lhs = factors[0] if len(factors) == 1 \
-                            else InertForm(PROD, children=factors)
-                        factors = [self._divide(lhs, rhs)]
+                        factors = [_divide(factors, rhs)]
                     tok = tokens[self.i]
                 term = factors[0] if len(factors) == 1 \
                     else InertForm(PROD, children=factors)
@@ -207,22 +203,6 @@ class _Parser:
             op = tok
             self.i += 1
         return terms[0] if len(terms) == 1 else InertForm(SUM, children=terms)
-
-    def _divide(self, numerator: InertForm, denominator: InertForm) -> InertForm:
-        # mirror Maple's internal form for power divisors; DIVIDE otherwise
-        if denominator.tag == POWER and is_int_literal(denominator.children[1]):
-            flipped = InertForm(POWER, children=[
-                denominator.children[0],
-                intlit(-int_value(denominator.children[1]))])
-        elif not self.use_divide:
-            flipped = InertForm(POWER, children=[denominator, InertForm(INTNEG, 1)])
-        else:
-            return InertForm(DIVIDE, children=[numerator, denominator])
-        if numerator.tag == INTPOS and numerator.payload == 1:
-            return flipped
-        if numerator.tag == PROD:
-            return InertForm(PROD, children=numerator.children + [flipped])
-        return InertForm(PROD, children=[numerator, flipped])
 
     def unary(self) -> InertForm:
         """A signed factor, or an atom with an optional right-associative
@@ -294,6 +274,25 @@ class _Parser:
         self.i += 1
 
 
+def _divide(factors: List[InertForm], denominator: InertForm) -> InertForm:
+    """Maple's internal form of the product of ``factors`` over a denominator:
+    the factors times the denominator to the power -1, or ``x^(-k)`` for a
+    denominator ``x^k``."""
+    if denominator.tag == POWER and is_int_literal(denominator.children[1]):
+        flipped = InertForm(POWER, children=[
+            denominator.children[0],
+            intlit(-int_value(denominator.children[1]))])
+    else:
+        flipped = InertForm(POWER, children=[denominator, _MINUS_ONE])
+    factors = (_factors(factors[0]) if len(factors) == 1 else factors) + [flipped]
+    return factors[0] if len(factors) == 1 else InertForm(PROD, children=factors)
+
+
+def _factors(t: InertForm) -> List[InertForm]:
+    """The factors of a product, none of 1, else the node itself."""
+    return t.children if t.tag == PROD else [] if t == _ONE else [t]
+
+
 def _negate(t: InertForm) -> InertForm:
     if t.tag == INTPOS:
         return InertForm(INTNEG, t.payload)
@@ -306,13 +305,13 @@ def _negate(t: InertForm) -> InertForm:
     return InertForm(PROD, children=[InertForm(INTNEG, 1), t])
 
 
-def parse_maple(text: str, use_divide: bool = True) -> InertForm:
+def parse_maple(text: str) -> InertForm:
     """Parse a Maple 1D expression into its inert form, unsimplified."""
     tokens = _TOKEN_RE.findall(text)
     if not tokens:
         raise MapleSyntaxError(0, "an expression")
     tokens.append(_EOF)
-    tree = _Parser(text, tokens, use_divide).parse()
+    tree = _Parser(text, tokens).parse()
     if _height(tree) > MAX_HEIGHT:
         raise MapleTooDeep(0, MAX_HEIGHT)
     return tree
@@ -331,81 +330,78 @@ def _height(tree: InertForm) -> int:
 
 # --- preprocessing ------------------------------------------------------------
 
-def _reciprocal(t: InertForm) -> Optional[InertForm]:
-    """The denominator ``x^(-n)`` stands for (``x``, or ``x^n``); else None."""
-    if t.tag != POWER or t.children[1].tag != INTNEG:
-        return None
-    base, expo = t.children
-    return base if expo.payload == 1 else \
-        InertForm(POWER, children=[base, InertForm(INTPOS, expo.payload)])
-
-
 def preprocess(tree: InertForm, use_divide: bool = True) -> InertForm:
-    """Normalize a parsed tree for rendering (value-preserving).  Leaves are
-    returned as they are: no stage changes a tree in place."""
-    children = tree.children
-    if not children:
+    """Normalize a parsed tree for rendering in one walk, value-preserving
+    and idempotent.  Numeric constants move to the front of sums and
+    products.  With ``use_divide``, each product, negative integer power and
+    DIVIDE node (read as the parser stores a division) becomes one quotient,
+    into which the quotients among its factors merge.  Leaves are returned
+    as they are: no stage changes a tree in place."""
+    if not tree.children:
         return tree
-    return _normalize(tree.tag, tree.payload,
-                      [preprocess(c, use_divide) for c in children], use_divide)
+    parts = _parts(tree) if use_divide else None
+    if parts is not None:
+        return _quotient(*parts)
+    return _node(tree.tag, tree.payload,
+                 [preprocess(c, use_divide) for c in tree.children])
 
 
-def _normalize(tag: str, payload, children: List[InertForm],
-               use_divide: bool) -> InertForm:
-    """Normalize one node whose children are already normalized."""
+def _node(tag: str, payload, children: List[InertForm]) -> InertForm:
+    """A node, with the numeric constants of a sum or product moved first."""
     if tag == SUM or tag == PROD:
-        # numeric constants first, the rest in order
         constants = [c for c in children if c.tag in _NUMERIC_TAGS]
         if constants and len(constants) < len(children):
             children = constants + [c for c in children if c.tag not in _NUMERIC_TAGS]
-        if use_divide and tag == PROD:
-            numerator, denominator = [], []
-            for c in children:
-                den = _reciprocal(c)
-                if den is not None:
-                    denominator.append(den)
-                elif c.tag == DIVIDE and c.children[0].tag == INTPOS \
-                        and c.children[0].payload == 1:
-                    # a reciprocal factor produced by the child-level POWER rule
-                    denominator.append(c.children[1])
-                else:
-                    numerator.append(c)
-            if denominator:
-                num = (InertForm(INTPOS, 1) if not numerator
-                       else numerator[0] if len(numerator) == 1
-                       else InertForm(PROD, children=numerator))
-                den = denominator[0] if len(denominator) == 1 \
-                    else InertForm(PROD, children=denominator)
-                return _quotient(num, den)
-        return InertForm(tag, None, children)
-
-    node = InertForm(tag, payload, children)
-    if not use_divide:
-        return node
-    den = _reciprocal(node)
-    if den is not None:
-        return _quotient(InertForm(INTPOS, 1), den)
-    if tag == DIVIDE:
-        num, den = children
-        if den.tag == INTPOS and den.payload != 0:
-            # pull the numeric content of the numerator into a leading rational
-            if is_int_literal(num):
-                return rational(int_value(num), den.payload)
-            if num.tag == RATIONAL:
-                return rational(int_value(num.children[0]),
-                                num.children[1].payload * den.payload)
-            if num.tag == PROD and is_int_literal(num.children[0]):
-                coeff = rational(int_value(num.children[0]), den.payload)
-                return InertForm(PROD, children=[coeff] + num.children[1:])
-            return InertForm(PROD, children=[rational(1, den.payload), num])
-    return node
+    return InertForm(tag, payload, children)
 
 
-def _quotient(num: InertForm, den: InertForm) -> InertForm:
-    """The quotient a PROD or POWER rule rewrites into.  Its operands are
-    walked again, as they always were: ``preprocess`` is not idempotent
-    (``1/b/3`` gives ``PROD(1/3, DIVIDE(1, b))``, a second walk ``1/3 / b``)."""
-    return _normalize(DIVIDE, None, [preprocess(num), preprocess(den)], True)
+def _parts(t: InertForm) -> Optional[tuple]:
+    """The normalized factors a product, negative integer power or DIVIDE
+    node multiplies and divides by; None for any other node."""
+    if t.tag == POWER and t.children[1].tag == INTNEG:
+        base, expo = preprocess(t.children[0]), t.children[1]
+        return [], [base if expo == _MINUS_ONE
+                    else InertForm(POWER, children=[base, _negate(expo)])]
+    if t.tag == DIVIDE:  # the numerator's factors times 1/den, as parsed
+        num, den = t.children
+        over, under = _parts(num) or (_factors(preprocess(num)), [])
+        return over, under + [preprocess(den)]
+    if t.tag != PROD:
+        return None
+    over, under = [], []
+    for c in t.children:
+        parts = _parts(c) if c.children else None
+        if not parts or not parts[1]:  # a factor that is no quotient
+            over.append(_quotient(*parts) if parts else preprocess(c))
+            continue
+        more, less = parts
+        if over == [_MINUS_ONE] and more and is_int_literal(more[0]):
+            over, more = [], [_negate(more[0])] + more[1:]  # as the parser negates
+        over += more
+        under += less
+    return over, under
+
+
+def _quotient(over: List[InertForm], under: List[InertForm]) -> InertForm:
+    """The product of ``over`` divided by the product of ``under``, both
+    lists of normalized factors, normalized without walking them again."""
+    # a quotient among the factors merges into both
+    factors = [g for f in over for g in (_factors(f.children[0]) if f.tag == DIVIDE else (f,))]
+    under = under + [f.children[1] for f in over if f.tag == DIVIDE]
+    num = _ONE if not factors else factors[0] if len(factors) == 1 \
+        else _node(PROD, None, factors)
+    if not under:
+        return num
+    den = under[0] if len(under) == 1 else _quotient(under, [])
+    if den.tag != INTPOS or den.payload == 0:
+        return InertForm(DIVIDE, children=[num, den])
+    # the numeric content of the numerator becomes a leading rational
+    lead, rest = (num.children[0], num.children[1:]) if num.tag == PROD else (num, [])
+    if not is_int_literal(lead) and (lead.tag != RATIONAL or rest):
+        lead, rest = _ONE, [num]
+    p, q = (lead, _ONE) if is_int_literal(lead) else lead.children
+    coeff = rational(int_value(p), q.payload * den.payload)
+    return InertForm(PROD, children=[coeff] + rest) if rest else coeff
 
 
 # --- nested list bijection ----------------------------------------------------
@@ -531,9 +527,10 @@ def _render(t: InertForm, parent_prec: int) -> str:
                         else [InertForm(INTPOS, children[0].payload)]) + children[1:]
         num_parts, den_parts = [], []
         for c in children:
-            den = _reciprocal(c)
-            if den is not None:
-                den_parts.append(_render(den, _PREC[POWER]))
+            if c.tag == POWER and c.children[1].tag == INTNEG:  # x^(-n) as /x^n
+                base, expo = c.children
+                den_parts.append(_render(base if expo == _MINUS_ONE else InertForm(
+                    POWER, children=[base, _negate(expo)]), _PREC[POWER]))
             else:
                 num_parts.append(_render(c, _PREC[PROD]))
         text = sign + ("*".join(num_parts) or "1")

@@ -328,7 +328,10 @@ def round_trip(start_text: str, start_side: str, lex: Lexicon,
                use_divide: bool = True) -> RoundTripReport:
     """Alternately translate between the two representations until each side's
     string equals its value one cycle earlier, or max_steps is exhausted.
-    No simplification is applied during cycling."""
+    No simplification is applied during cycling.  A fixed point needs two
+    texts before the repeated one, so max_steps must be at least 3."""
+    if max_steps < 3:
+        raise CheckOptionError(f"max_steps must be at least 3, not {max_steps}")
     texts = [start_text]
     side = start_side
 

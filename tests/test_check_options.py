@@ -1,5 +1,6 @@
 """A tolerance or point count with which the numeric check decides nothing is
-refused, by the library and by ``texcas corpus``, before any record runs."""
+refused, by the library and by ``texcas corpus``, before any record runs; so
+is a round trip too short to reach a fixed point."""
 
 import json
 import math
@@ -10,7 +11,7 @@ from texcas import cli
 from texcas.corpus import CorpusRecord, run_corpus
 from texcas.errors import CheckOptionError
 from texcas.inert import parse_maple
-from texcas.verify import check_equivalence
+from texcas.verify import SEMANTIC_LATEX, check_equivalence, round_trip
 
 BAD_TOLERANCES = [math.nan, math.inf, -math.inf, 0.0, -1.0]
 BAD_POINTS = [0, -5]
@@ -81,3 +82,21 @@ def test_cli_options_left_out_are_run_corpus_defaults(false_corpus, capsys):
     argv = ["--tolerance", "1e-10", "--points", "20", "--seed", "0"]
     assert cli.main(["corpus", false_corpus, *argv]) == cli.EXIT_OK
     assert capsys.readouterr().out == default
+
+
+@pytest.mark.parametrize("max_steps", [0, 2, 3])
+def test_round_trip_needs_three_steps(lex, capsys, max_steps):
+    # a fixed point repeats the text two steps back, so it takes three texts
+    argv = ["roundtrip", "--max-steps", str(max_steps), "1+x"]
+    if max_steps < 3:
+        with pytest.raises(CheckOptionError, match="max_steps must be at least 3"):
+            round_trip("1+x", SEMANTIC_LATEX, lex, max_steps=max_steps)
+        assert cli.main(argv) == next(c for kinds, c in cli.EXIT_CODES
+                                      if issubclass(CheckOptionError, kinds))
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        return
+    report = round_trip("1+x", SEMANTIC_LATEX, lex, max_steps=max_steps)
+    assert report.fixed_point_reached
+    assert cli.main(argv) == cli.EXIT_OK

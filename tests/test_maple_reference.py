@@ -7,18 +7,27 @@ normalizer as they stood before tokenizing became one regex pass, the parser
 read a flat list of token strings and ``preprocess`` returned leaves as they
 are: a ``match`` call and a ``(kind, lexeme, pos)`` tuple per token,
 ``peek``/``next`` calls per token and seven frames per atom.  On any text the
-new code must build the same tree, with payloads of the same types, or raise
-the same exception type with the same message and position.  The one
-intended difference is a float literal whose double is not finite, which the
-reference reads as ``inf`` and the parser now refuses.
+parser must build the tree the reference builds with ``use_divide=False``
+(Maple's own form, the only one the parser builds now), with payloads of the
+same types, or raise the same exception type with the same message and
+position.  The one intended difference is a float literal whose double is
+not finite, which the reference reads as ``inf`` and the parser refuses.
 
-``data/maple_generated_golden.json`` was recorded with the reference code in
-place.  Its 2,027 texts are the 1,801 distinct Maple outputs of
+The reference's other form, with ``use_divide=True``, holds a DIVIDE node
+for each division that is not by an integer power.  ``preprocess`` must give
+one tree for both forms of a text (confluence), and a second ``preprocess``
+must change nothing (idempotence).  Without DIVIDE nodes, ``preprocess``
+must still match ``reference_preprocess`` exactly.
+
+``data/maple_generated_golden.json`` was first recorded with the reference
+code in place.  Its 2,027 texts are the 1,801 distinct Maple outputs of
 ``data/translate_generated_golden.json``, then the 226 distinct new texts
 among ``render_maple`` of 150 ``treegen.random_tree`` and then 150
-``treegen.random_evaluable`` trees drawn from ``random.Random(2026)``.  Each row holds, for both ``use_divide``
-values, the nested list of the parsed and of the preprocessed tree and the
-``backward_string`` output and infos, or the error.
+``treegen.random_evaluable`` trees drawn from ``random.Random(2026)``.  Each
+row holds, for both ``use_divide`` values, the nested list of the parsed and
+of the preprocessed tree and the ``backward_string`` output and infos, or the
+error.  Its ``divide`` half was recorded again when the parser stopped
+building DIVIDE nodes and ``preprocess`` became one idempotent walk.
 """
 
 import contextlib
@@ -41,7 +50,7 @@ from texcas.errors import (MapleSyntaxError, MapleTooDeep, TexcasError,
 from texcas.inert import (DIVIDE, EQUATION, EXPSEQ, FLOAT, FUNCTION, INTNEG,
                           INTPOS, NAME, POWER, PROD, RANGE, RATIONAL, STRING,
                           SUM, InertForm, int_value, intlit, is_int_literal,
-                          is_numeric_constant, name, parse_maple, preprocess,
+                          name, parse_maple, preprocess,
                           rational, render_maple, to_nested_list)
 from texcas.verify import MAPLE_SIDE, check_equivalence, round_trip
 
@@ -300,14 +309,17 @@ def _reciprocal(t: InertForm) -> Optional[InertForm]:
         InertForm(POWER, children=[base, InertForm(INTPOS, expo.payload)])
 
 
+_NUMERIC = (INTPOS, INTNEG, RATIONAL, FLOAT)
+
+
 def reference_preprocess(tree: InertForm, use_divide: bool = True) -> InertForm:
     """Normalize a parsed tree for rendering (idempotent, value-preserving)."""
     children = [reference_preprocess(c, use_divide) for c in tree.children]
     t = InertForm(tree.tag, tree.payload, children)
 
     if t.tag in (SUM, PROD):
-        constants = [c for c in t.children if is_numeric_constant(c)]
-        rest = [c for c in t.children if not is_numeric_constant(c)]
+        constants = [c for c in t.children if c.tag in _NUMERIC]
+        rest = [c for c in t.children if c.tag not in _NUMERIC]
         t = InertForm(t.tag, children=constants + rest)
 
     if use_divide and t.tag == PROD:
@@ -370,15 +382,34 @@ def _outcome(fn, *args):
 
 
 def _assert_matches(text):
-    for use_divide in (True, False):
-        assert _outcome(parse_maple, text, use_divide) == \
-            _outcome(reference_parse_maple, text, use_divide)
-        try:
-            tree = reference_parse_maple(text, use_divide)
-        except TexcasError:
-            continue
-        assert _typed(preprocess(tree, use_divide)) == \
-            _typed(reference_preprocess(tree, use_divide))
+    assert _outcome(parse_maple, text) == \
+        _outcome(reference_parse_maple, text, False)
+    try:
+        tree = parse_maple(text)
+    except TexcasError:
+        return
+    assert _typed(preprocess(tree, False)) == \
+        _typed(reference_preprocess(tree, False))
+    once = preprocess(tree)
+    assert _typed(preprocess(once)) == _typed(once)
+    with contextlib.suppress(TexcasError):  # the reference's taller form
+        divided = reference_parse_maple(text, True)
+        if not _divides_by_a_reciprocal(divided):
+            assert _typed(preprocess(divided)) == _typed(once)
+
+
+def _divides_by_a_reciprocal(tree: InertForm) -> bool:
+    """Whether a tree of DIVIDE form divides by ``1/q``.  The parser reads
+    ``p/(1/q)`` as Maple divides by ``q^(-1)``, as ``p*q^1``; ``preprocess``
+    turns no quotient into a power, so it keeps the DIVIDE form's quotient."""
+    todo = [tree]
+    while todo:
+        t = todo.pop()
+        if t.tag == DIVIDE and t.children[1].tag == DIVIDE \
+                and t.children[1].children[0] == InertForm(INTPOS, 1):
+            return True
+        todo.extend(t.children)
+    return False
 
 
 def _infinite_floats(text) -> list:
@@ -413,6 +444,7 @@ _PIECES = [
     "(" * MAX_NESTING, "(" * (MAX_NESTING + 1), ")" * MAX_NESTING,
     "-" * MAX_NESTING, "-" * (MAX_NESTING + 1), "'" * (MAX_NESTING + 1),
     "f(" * (MAX_NESTING + 1), "x^" * MAX_NESTING, "x^-" * 33, "/x" * 130,
+    "/x*x" * 130,
 ]
 _maple_texts = st.lists(st.one_of(st.sampled_from(_PIECES), st.text(max_size=3)),
                         max_size=24).map("".join)
@@ -435,35 +467,58 @@ def test_parse_matches_the_reference(text):
     "2^3^4", "x^-y^z", "-" * MAX_NESTING + "x", "-" * (MAX_NESTING + 1) + "x",
     "(" * MAX_NESTING + "x" + ")" * MAX_NESTING,
     "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
-    "x" + "/x" * 256, "x" + "/x" * 257, "x" + "/x^2" * 300, "f()", "f(,)",
+    # a chain of divisions is one product; a product per division and
+    # multiplication is a tree as tall as the limit, and one level taller
+    "x" + "/x" * 256, "x" + "/x" * 257, "x" + "/x^2" * 300,
+    "x" + "/x*x" * (MAX_HEIGHT - 2), "x" + "/x*x" * (MAX_HEIGHT - 1), "f()", "f(,)",
     "f(x,)", "f(x,y", "3..4", "3...4", ".5.5", "1.e", "1/2/3", "a*b/c^2*d",
     "1/x^(-2)", "(a*b)/c", "2*x/y^3", "x/2/y", "-3*x", "-(2*x)", "-2.5",
-    # preprocess walks a rebuilt quotient again, and that changes these
-    "(1/b/3)*y^(-1)", "(x^(-1)/2)^(-1)", "sin(1/b/3)*y^(-1)",
+    # chained quotients, negated quotients and divisions by reciprocals
+    "(1/b/3)*y^(-1)", "(x^(-1)/2)^(-1)", "sin(1/b/3)*y^(-1)", "-(4/3)",
+    "-(-(1/3))", "(-1/3)*4", "a/b/c^(-2)", "a/b*c^2", "p/(1/q)", "1/(1/4)",
+    "(x^(-1))^(-1)", "a/(1/x/y)", "(y/(-1))/((-1)/(x+y))",
 ])
 def test_edge_cases_match_the_reference(text):
     _assert_matches(text)
 
 
-def test_a_second_walk_of_a_quotient_is_not_a_no_op():
-    # preprocess is not idempotent, so a rebuilt quotient's operands must be
-    # walked again for the output to stay what it was
-    once = preprocess(parse_maple("1/b/3"))
-    assert to_nested_list(once) == [
-        "PROD", ["RATIONAL", ["INTPOS", 1], ["INTPOS", 3]],
-        ["DIVIDE", ["INTPOS", 1], ["NAME", "b"]]]
-    assert to_nested_list(preprocess(once)) == [
-        "DIVIDE", ["RATIONAL", ["INTPOS", 1], ["INTPOS", 3]], ["NAME", "b"]]
+@pytest.mark.parametrize("text, expected", [
+    ("1/b/3", ["DIVIDE", ["INTPOS", 1], ["PROD", ["INTPOS", 3], ["NAME", "b"]]]),
+    ("(1/b/3)*y^(-1)", ["DIVIDE", ["INTPOS", 1],
+                        ["PROD", ["INTPOS", 3], ["NAME", "b"], ["NAME", "y"]]]),
+])
+def test_a_second_walk_of_a_quotient_is_a_no_op(text, expected):
+    # a chained quotient is one quotient after one walk, with either parse
+    once = preprocess(parse_maple(text))
+    assert to_nested_list(once) == expected
+    assert preprocess(once) == once
+    assert preprocess(reference_parse_maple(text, True)) == once
 
 
 @pytest.mark.parametrize("make", [random_tree, random_evaluable])
 def test_preprocess_matches_the_reference_on_generated_trees(make):
+    # without DIVIDE nodes only constants move, exactly as they did
     rng = random.Random(10)
     for _ in range(3000):
         tree = make(rng)
-        for use_divide in (True, False):
-            assert _typed(preprocess(tree, use_divide)) == \
-                _typed(reference_preprocess(tree, use_divide))
+        assert _typed(preprocess(tree, False)) == \
+            _typed(reference_preprocess(tree, False))
+
+
+@_fuzz
+@given(st.integers(0, 2 ** 32), st.sampled_from([random_tree, random_evaluable]))
+def test_preprocess_is_idempotent_and_confluent_on_generated_trees(seed, make):
+    tree = make(random.Random(seed))
+    once = preprocess(tree)
+    assert _typed(preprocess(once)) == _typed(once)
+    _assert_matches(render_maple(tree))
+
+
+def test_preprocess_is_idempotent_and_confluent_on_the_golden_texts():
+    golden = json.loads((DATA / "maple_generated_golden.json").read_text(
+        encoding="utf-8"))
+    for row in golden:
+        _assert_matches(row["text"])
 
 
 # --- a float literal past the double range ----------------------------------
@@ -472,9 +527,9 @@ _OVER_RANGE = "9" * 400 + ".5"
 _FINITE = "a float literal within the double range"
 
 
-def _reads_past(text, use_divide, k) -> bool:
+def _reads_past(text, k) -> bool:
     """Whether the reference parser consumed token ``k`` of ``text``."""
-    parser = _Parser(_maple_tokens(text), use_divide=use_divide)
+    parser = _Parser(_maple_tokens(text), use_divide=False)
     with contextlib.suppress(TexcasError):
         parser.parse()
     return parser.i > k
@@ -490,14 +545,12 @@ def test_an_over_range_float_is_refused_where_the_reference_reads_it(prefix,
     at = len(prefix) + 1
     huge = _infinite_floats(text)
     assume(huge in ([], [at]))
-    for use_divide in (True, False):
-        expected = _outcome(reference_parse_maple, text, use_divide)
-        if huge:
-            k = [pos for _, _, pos in _maple_tokens(text)].index(at)
-            if _reads_past(text, use_divide, k):
-                expected = (MapleSyntaxError,
-                            str(MapleSyntaxError(at, _FINITE)), at)
-        assert _outcome(parse_maple, text, use_divide) == expected
+    expected = _outcome(reference_parse_maple, text, False)
+    if huge:
+        k = [pos for _, _, pos in _maple_tokens(text)].index(at)
+        if _reads_past(text, k):
+            expected = (MapleSyntaxError, str(MapleSyntaxError(at, _FINITE)), at)
+    assert _outcome(parse_maple, text) == expected
 
 
 @pytest.mark.parametrize("text, at", [
@@ -516,11 +569,9 @@ def test_an_over_range_float_is_refused_where_the_reference_reads_it(prefix,
     pytest.param(_OVER_RANGE + " {", None, id="before a brace"),
 ])
 def test_over_range_floats(text, at):
-    for use_divide in (True, False):
-        expected = _outcome(reference_parse_maple, text, use_divide) \
-            if at is None else \
-            (MapleSyntaxError, str(MapleSyntaxError(at, _FINITE)), at)
-        assert _outcome(parse_maple, text, use_divide) == expected
+    expected = _outcome(reference_parse_maple, text, False) if at is None else \
+        (MapleSyntaxError, str(MapleSyntaxError(at, _FINITE)), at)
+    assert _outcome(parse_maple, text) == expected
 
 
 # --- the Maple-side golden --------------------------------------------------
@@ -535,7 +586,7 @@ def maple_row(text: str, lex) -> dict:
     row = {"text": text}
     for key, use_divide in (("divide", True), ("no_divide", False)):
         try:
-            tree = parse_maple(text, use_divide)
+            tree = parse_maple(text)
         except TexcasError as exc:
             row[key] = _error(exc)
             continue

@@ -33,21 +33,24 @@ def deep_maple(n):
             "'" * n + "x" + "'" * n]
 
 
-def nested_chain(levels, divisions):
-    """((x/x.../x)/x.../x)/x.../x: a DIVIDE spine levels * divisions tall."""
+def nested_chain(levels, units):
+    """((x*x/x...)*x/x...)*x/x...: ``units`` times ``*x/x`` over ``levels``
+    parentheses, each adding a PROD level; a tree units + 1 tall."""
+    each, extra = divmod(units, levels)
     text = "x"
-    for _ in range(levels):
-        text = "(" + text + ")" + "/x" * divisions
+    for k in range(levels):
+        text = "(" + text + ")" + "*x/x" * (each + (extra if k == 0 else 0))
     return text
 
 
 def tall_maple(h):
-    """Maple inputs, nested at most a few levels, whose trees are h tall."""
-    assert h % 16 == 0
-    return ["x" + "/x" * h,
-            "x" + "/x*x" * (h // 2),  # two tree levels per division
-            nested_chain(16, h // 16),
-            nested_chain(h // 16, 16)]
+    """Maple inputs, nested at most a few levels, whose trees are h tall.
+    A chain of divisions is one product; a division after a product, or a
+    product after a division, nests the product."""
+    return ["x" + "/x*x" * (h - 2),
+            "x" + "*x/x" * (h - 1),
+            nested_chain(16, h - 1),
+            nested_chain(max(1, (h - 1) // 16), h - 1)]
 
 
 def deep_latex(n):
@@ -64,7 +67,7 @@ def test_error_classes():
 
 @pytest.mark.parametrize("n", DEPTHS)
 def test_deep_maple_is_refused(n, lex):
-    for text in deep_maple(n) + tall_maple(n // 16 * 16):
+    for text in deep_maple(n) + tall_maple(n):
         with pytest.raises(MapleTooDeep):
             parse_maple(text)
         with pytest.raises(MapleTooDeep):
@@ -90,13 +93,13 @@ def test_deep_latex_is_refused(n, lex):
 def test_cli_maps_deep_nesting_to_the_parse_exit_code(n, capsys):
     for text in deep_latex(n):
         assert main(["translate", "--", text]) == EXIT_PARSE
-    for text in deep_maple(n) + tall_maple(n // 16 * 16):
+    for text in deep_maple(n) + tall_maple(n):
         assert main(["translate", "--backward", "--", text]) == EXIT_PARSE
         assert main(["inert", "--", text]) == EXIT_PARSE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
-    for text in deep_maple(n) + tall_maple(n // 16 * 16):
+    for text in deep_maple(n) + tall_maple(n):
         assert main(["roundtrip", "--side", "maple", "--", text]) \
             == EXIT_TRANSLATION
         assert "Traceback" not in capsys.readouterr().err
@@ -122,12 +125,13 @@ def test_maple_nesting_up_to_the_limit_runs_every_stage(lex, capsys):
 
 def test_maple_trees_up_to_the_height_limit_run_every_stage(lex, capsys):
     h = inert.MAX_HEIGHT
-    for text, taller in zip(tall_maple(h), tall_maple(h + 16)):
+    for text, taller in zip(tall_maple(h), tall_maple(h + 1)):
+        assert inert._height(parse_maple(text)) == h
         run_every_stage(text, lex)
         assert main(["inert", "--", taller]) == EXIT_PARSE
     # exactly one level over the limit
     with pytest.raises(MapleTooDeep):
-        parse_maple("x" + "/x" * (h + 1))
+        parse_maple("x" + "/x*x" * (h - 1))
 
 
 def test_latex_nesting_up_to_the_limit_translates(lex):
