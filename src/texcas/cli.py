@@ -187,8 +187,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the option without which --no-divide, an option of preprocess, does nothing
+_DIVIDE_STAGE = {"translate": "backward", "inert": "preprocess"}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    stage = _DIVIDE_STAGE.get(args.command)
+    if stage and args.no_divide and not getattr(args, stage):
+        parser.error(f"{args.command}: --no-divide applies only with --{stage}")
     try:
         return args.func(args)
     except (TexcasError, OSError, UnicodeDecodeError) as exc:

@@ -1,11 +1,14 @@
-"""Complex numeric evaluation of inert trees (principal branches throughout)."""
+"""Complex numeric evaluation of inert trees (principal branches throughout).
+
+``compile_tree`` turns a tree into closures over columns of point values;
+``free_names`` lists the names a caller must bind, by the same constant rule.
+"""
 
 from __future__ import annotations
 
 import cmath
-from contextlib import contextmanager
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, Optional, Set
+from typing import Callable, Dict, Optional
 
 from . import inert
 from .errors import NoEvaluator, UnknownSymbol
@@ -65,92 +68,77 @@ def _call(fname: str, args) -> complex:
 def compile_tree(tree: InertForm) -> Callable:
     """Walk the tree once and return a closure doing only arithmetic.
 
-    ``f(env)`` is the tree's value at one point assignment.  ``f(columns, n)``
-    evaluates n points at once: ``columns`` maps each name to a sequence of n
-    complex values, and the result is a list of n values.  Each point gets
-    the operations of a recursive walk in the same order, so the values are
-    bit-identical to evaluating the points one by one; ``f(env)`` is the
-    n = 1 case.  Unknown names and functions raise UnknownSymbol /
-    NoEvaluator when the closure runs (a function's arguments first), never
-    at compile time; arithmetic exceptions (division by zero, overflow)
-    propagate to the caller.
+    ``f(columns, n)`` evaluates n points at once (``columns`` maps each name
+    to n complex values) and returns a list of n values; ``f(env)`` is the
+    value at one point assignment.  Each point gets a recursive walk's
+    operations in the same order, so the values are bit-identical to
+    evaluating the points one by one.  Unknown names and functions raise
+    UnknownSymbol / NoEvaluator when the closure runs (a function's arguments
+    first), never at compile time; arithmetic errors propagate to the caller.
     """
+    column = _compile(tree)
+
+    def value_at(env, n=None):
+        return column(env, n) if n else column(_OnePoint(env), 1)[0]
+    return value_at
+
+
+# Each closure takes ``(columns, n)`` and returns n values; only compile_tree's
+# root reads a bare env.  No closure refers to itself, so a compiled tree is
+# freed without the cycle collector.
+def _compile(tree: InertForm) -> Callable:
     tag = tree.tag
     if tag == inert.NAME:
         return _compile_name(tree.payload)
-    if tag == inert.INTPOS:
-        return _literal(lambda: complex(tree.payload))
-    if tag == inert.INTNEG:
-        return _literal(lambda: complex(-tree.payload))
+    if tag in (inert.INTPOS, inert.INTNEG):
+        return _literal(lambda: complex(inert.int_value(tree)))
     if tag == inert.FLOAT:
         return _literal(lambda: complex(tree.payload))
     if tag == inert.RATIONAL:
         p, q = tree.children
         return _literal(lambda: complex(Fraction(inert.int_value(p), q.payload)))
     if tag == inert.SUM:
-        terms = [compile_tree(c) for c in tree.children]
+        terms = [_compile(c) for c in tree.children]
         if not terms:
             return _literal(lambda: 0j)
-
-        def add(env, n=None):
-            columns, m = (env, n) if n else (_OnePoint(env), 1)
-            out = [sum(values, 0j)
-                   for values in zip(*[f(columns, m) for f in terms])]
-            return out if n else out[0]
-        return add
+        return lambda columns, n: [sum(values, 0j) for values in
+                                   zip(*[f(columns, n) for f in terms])]
     if tag == inert.PROD:
-        factors = [compile_tree(c) for c in tree.children]
+        factors = [_compile(c) for c in tree.children]
 
-        def product(env, n=None):
-            columns, m = (env, n) if n else (_OnePoint(env), 1)
-            out = [1 + 0j] * m
+        def product(columns, n):
+            out = [1 + 0j] * n
             for f in factors:
-                out = [a * b for a, b in zip(out, f(columns, m))]
-            return out if n else out[0]
+                out = [a * b for a, b in zip(out, f(columns, n))]
+            return out
         return product
     if tag == inert.DIVIDE:
-        num, den = (compile_tree(c) for c in tree.children)
-
-        def quotient(env, n=None):
-            columns, m = (env, n) if n else (_OnePoint(env), 1)
-            out = [a / b for a, b in zip(num(columns, m), den(columns, m))]
-            return out if n else out[0]
-        return quotient
+        num, den = (_compile(c) for c in tree.children)
+        return lambda columns, n: [a / b for a, b in
+                                   zip(num(columns, n), den(columns, n))]
     if tag == inert.POWER:
-        base_of, expo_of = (compile_tree(c) for c in tree.children)
-
-        def power(env, n=None):
-            columns, m = (env, n) if n else (_OnePoint(env), 1)
-            out = [0j if base == 0 and expo.real > 0 and abs(expo.imag) < 1e-300
-                   else base ** expo
-                   for base, expo in zip(base_of(columns, m), expo_of(columns, m))]
-            return out if n else out[0]
-        return power
+        base_of, expo_of = (_compile(c) for c in tree.children)
+        return lambda columns, n: [
+            0j if base == 0 and expo.real > 0 and abs(expo.imag) < 1e-300
+            else base ** expo
+            for base, expo in zip(base_of(columns, n), expo_of(columns, n))]
     if tag == inert.FUNCTION:
         fname = tree.children[0].payload
-        args = [compile_tree(c) for c in tree.children[1].children]
+        args = [_compile(c) for c in tree.children[1].children]
         fn = _FUNCTIONS.get((fname, len(args)))
 
-        def call(env, n=None):
-            columns, m = (env, n) if n else (_OnePoint(env), 1)
-            values = zip(*[f(columns, m) for f in args])
+        def call(columns, n):
+            values = zip(*[f(columns, n) for f in args])
             if fn is None:
                 raise NoEvaluator(fname)
-            out = [fn(*v) for v in values]
-            return out if n else out[0]
+            return [fn(*v) for v in values]
         return call
 
-    if _noted is not None:  # its children are never compiled
-        _noted.update(free_names(tree))
-
-    def unsupported(env, n=None):
+    def unsupported(columns, n):
         raise NoEvaluator(tag)
     return unsupported
 
 
-# A closure called with one env (``n`` None) reads it as columns of one value
-# each, so the arithmetic is the column arithmetic; no closure refers to
-# itself, so a compiled tree is freed without the cycle collector.
 class _OnePoint(dict):
     """One point assignment read as columns of one value each."""
     __slots__ = ()
@@ -159,36 +147,20 @@ class _OnePoint(dict):
         return (complex(dict.__getitem__(self, name)),)
 
 
-# free names met by the compile walks inside ``noting_free_names``
-_noted: Optional[Set[str]] = None
-
-
-@contextmanager
-def noting_free_names() -> Iterator[Set[str]]:
-    """Yield a set that collects the free names (see ``free_names``) of
-    every tree compiled inside the block."""
-    global _noted
-    outer, _noted = _noted, set()
-    try:
-        yield _noted
-    finally:
-        _noted = outer
+def _constant(name: str) -> Optional[complex]:
+    """The value of a name that is a known constant, None for a free name."""
+    return complex("inf") if name == "infinity" else CONSTANTS.get(name)
 
 
 def _compile_name(name: str) -> Callable:
-    # an env binding shadows a constant of the same name
-    fallback = CONSTANTS.get(name)
-    if fallback is None and name == "infinity":
-        fallback = complex("inf")
-    if fallback is None and _noted is not None:
-        _noted.add(name)
+    fallback = _constant(name)
 
-    def lookup(env, n=None):
-        if name in env:
-            return env[name] if n else complex(env[name])
+    def lookup(columns, n):
+        if name in columns:  # an env binding shadows a constant of the same name
+            return columns[name]
         if fallback is None:
             raise UnknownSymbol(name)
-        return [fallback] * n if n else fallback
+        return [fallback] * n
     return lookup
 
 
@@ -199,33 +171,24 @@ def _literal(value_of: Callable[[], complex]) -> Callable:
     try:
         value = value_of()
     except ArithmeticError:
-        return lambda env, n=None: value_of()
-
-    def literal(env, n=None):
-        return value if n is None else [value] * n
-    return literal
+        return lambda columns, n: value_of()
+    return lambda columns, n: [value] * n
 
 
 def evaluate(tree: InertForm, env: Dict[str, complex]) -> complex:
-    """Evaluate an inert tree at a point assignment.
-
-    Raises UnknownSymbol for free names outside env and the constant table,
-    NoEvaluator for functions outside the supported library.  Arithmetic
-    exceptions (division by zero, overflow) propagate to the caller.
-    """
+    """The tree's value at env, raising as ``compile_tree``'s closures do."""
     return compile_tree(tree)(env)
 
 
 def free_names(tree: InertForm) -> set:
-    """Names in the tree that are not known constants."""
-    out = set()
-    if tree.tag == inert.NAME:
-        if tree.payload not in CONSTANTS and tree.payload != "infinity":
-            out.add(tree.payload)
-        return out
-    if tree.tag == inert.FUNCTION:
-        out |= free_names(tree.children[1])
-        return out
-    for c in tree.children:
-        out |= free_names(c)
-    return out
+    """Names in the tree that are not known constants (a call's own name is
+    not one)."""
+    names, stack = set(), [tree]
+    while stack:
+        t = stack.pop()
+        tag = t.tag
+        if tag == inert.NAME:
+            names.add(t.payload)
+        else:
+            stack.extend([t.children[1]] if tag == inert.FUNCTION else t.children)
+    return {name for name in names if _constant(name) is None}

@@ -25,7 +25,7 @@ from . import inert
 from .backward import backward_string
 from .errors import CheckOptionError, NoEvaluator, TexcasError, UnknownSymbol
 # evaluate stays importable here: perfbench/worker.py wraps verify.evaluate
-from .evaluator import compile_tree, evaluate, noting_free_names  # noqa: F401
+from .evaluator import compile_tree, evaluate, free_names  # noqa: F401
 from .forward import MAPLE, CASDialect, translate_string
 from .inert import (DIVIDE, FLOAT, INTNEG, INTPOS, POWER, PROD,
                     RATIONAL, SUM, InertForm, int_value)
@@ -271,11 +271,10 @@ def check_equivalence(lhs: InertForm, rhs: InertForm, vars: Sequence[str],
     if is_zero(simplified):
         return EquivalenceVerdict("symbolic-zero")
 
-    with noting_free_names() as names:
-        value_at = compile_tree(diff)
-    undeclared = names.difference(vars)
+    undeclared = free_names(diff).difference(vars)
     if undeclared:
         raise UnknownSymbol(min(undeclared))
+    value_at = compile_tree(diff)
 
     rows, columns = _sample_points(len(vars), points, seed)
     try:

@@ -47,6 +47,24 @@ class TestTranslate:
         assert capsys.readouterr().out == \
             "\\left((3+x)^{-1}\\right)^{-\\iunit}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["translate", "--no-divide", "--", "a/b"],
+        ["translate", "--forward", "--no-divide", r"\frac{a}{b}"],
+    ])
+    def test_no_divide_without_backward_is_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--no-divide applies only with --backward" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_backward_with_and_without_no_divide(self, capsys):
+        assert main(["translate", "--backward", "--", "a/b"]) == EXIT_OK
+        assert main(["translate", "--backward", "--no-divide", "--", "a/b"]) == EXIT_OK
+        assert capsys.readouterr().out == "\\frac{a}{b}\na\\idt b^{-1}\n"
+
     def test_input_from_file(self, tmp_path, capsys):
         src = tmp_path / "formula.tex"
         src.write_text(r"\sin@{z}" + "\n", encoding="utf-8")
@@ -178,6 +196,22 @@ class TestInertCommand:
 
     def test_parse_error_exit_code(self, capsys):
         assert main(["inert", "sin(("]) == EXIT_PARSE
+
+    def test_no_divide_without_preprocess_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["inert", "--no-divide", "--", "a/b"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--no-divide applies only with --preprocess" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_preprocess_with_and_without_no_divide(self, capsys):
+        assert main(["inert", "--preprocess", "--", "a/b"]) == EXIT_OK
+        assert main(["inert", "--preprocess", "--no-divide", "--", "a/b"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            '[DIVIDE,[NAME,"a"],[NAME,"b"]]',
+            '[PROD,[NAME,"a"],[POWER,[NAME,"b"],[INTNEG,1]]]']
 
 
 class TestMalformedInput:

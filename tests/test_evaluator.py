@@ -14,7 +14,7 @@ import pytest
 
 from texcas import inert
 from texcas.errors import NoEvaluator, UnknownSymbol
-from texcas.evaluator import CONSTANTS, _call, compile_tree, evaluate
+from texcas.evaluator import CONSTANTS, _call, compile_tree, evaluate, free_names
 from texcas.inert import InertForm, name, parse_maple
 
 from treegen import random_evaluable, random_tree
@@ -136,3 +136,75 @@ def test_zero_to_a_positive_power_is_zero():
     assert compiled({"x": 0, "y": 2.5}) == 0j
     with pytest.raises(ZeroDivisionError):
         compiled({"x": 0, "y": -1})
+
+
+# --- free names and the constant rule ---------------------------------------------
+
+CONSTANT_NAMES = [*CONSTANTS, "infinity"]
+
+
+def with_constants(rng, tree):
+    """The tree beside a constant, and the tree with a constant argument."""
+    constant = name(rng.choice(CONSTANT_NAMES))
+    return [InertForm(rng.choice([inert.SUM, inert.PROD]),
+                      children=[tree, constant]),
+            InertForm(inert.FUNCTION, children=[
+                name("sin"), InertForm(inert.EXPSEQ, children=[
+                    InertForm(inert.POWER, children=[constant, tree])])])]
+
+
+def trees_with_constants(builder, seed, count=300):
+    rng = random.Random(seed)
+    for _ in range(count):
+        tree = builder(rng)
+        yield tree
+        yield from with_constants(rng, tree)
+    yield InertForm(inert.SUM, children=[name(c) for c in CONSTANT_NAMES])
+
+
+def unknown_symbol(fn, *args):
+    """The name an UnknownSymbol raised by fn(*args) names, else None."""
+    try:
+        fn(*args)
+    except UnknownSymbol as exc:
+        return exc.name
+    except Exception:  # any other failure is not a name lookup
+        return None
+    return None
+
+
+@pytest.mark.parametrize("builder", [random_evaluable, random_tree])
+def test_every_name_free_names_leaves_out_has_a_value(builder):
+    for tree in trees_with_constants(builder, 11):
+        names = free_names(tree)
+        compiled = compile_tree(tree)
+        env = {n: 0.5 + 0.25j for n in names}
+        columns = {n: (0.5 + 0.25j, -1.5j, 2.0) for n in names}
+        assert unknown_symbol(compiled, env) is None, tree
+        assert unknown_symbol(compiled, columns, 3) is None, tree
+
+
+@pytest.mark.parametrize("builder", [random_evaluable, random_tree])
+def test_an_unknown_symbol_is_a_free_name(builder):
+    for tree in trees_with_constants(builder, 13):
+        names = free_names(tree)
+        compiled = compile_tree(tree)
+        for raised in (unknown_symbol(compiled, {}),
+                       unknown_symbol(compiled, {}, 2)):
+            assert raised is None or raised in names, tree
+
+
+def test_constants_are_not_free_names():
+    tree = InertForm(inert.SUM, children=[name(c) for c in CONSTANT_NAMES])
+    assert free_names(tree) == set()
+    assert cmath.isinf(compile_tree(tree)({}))
+    assert free_names(InertForm(inert.PROD, children=[tree, name("x")])) == {"x"}
+
+
+@pytest.mark.parametrize("tag, value", [(inert.SUM, 0j), (inert.PROD, 1 + 0j)])
+def test_a_sum_or_product_without_operands(tag, value):
+    empty = InertForm(tag)
+    bits = struct.pack("<dd", value.real, value.imag)
+    assert outcome(lambda env: evaluate(empty, env), {}) == bits
+    assert [struct.pack("<dd", z.real, z.imag)
+            for z in compile_tree(empty)({}, 3)] == [bits] * 3

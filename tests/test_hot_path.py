@@ -44,7 +44,7 @@ def test_reverse_rules_are_built_once_per_lexicon(monkeypatch):
 
 
 def _compiled_nodes(tree):
-    """Nodes compile_tree visits: all but a call's name and argument list."""
+    """Nodes _compile visits: all but a call's name and argument list."""
     if tree.tag == FUNCTION:
         return 1 + sum(_compiled_nodes(c) for c in tree.children[1].children)
     return 1 + sum(_compiled_nodes(c) for c in tree.children)
@@ -53,14 +53,13 @@ def _compiled_nodes(tree):
 @pytest.mark.parametrize("points", [2, 20, 64])
 def test_check_equivalence_compiles_each_node_once(monkeypatch, points):
     compiled = []
-    real = evaluator.compile_tree
+    real = evaluator._compile
 
     def counting(tree):
         compiled.append(id(tree))
         return real(tree)
 
-    monkeypatch.setattr(evaluator, "compile_tree", counting)
-    monkeypatch.setattr(verify, "compile_tree", counting)
+    monkeypatch.setattr(evaluator, "_compile", counting)
     lhs, rhs = parse_maple("sin(x)^2 + cos(x)^2"), parse_maple("1")
     verdict = check_equivalence(lhs, rhs, ["x"], points=points)
     assert verdict.outcome == "numeric-converged"
