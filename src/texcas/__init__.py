@@ -25,8 +25,8 @@ __version__ = "0.1.0"
 
 # Each public name and the submodule it lives in.
 _EXPORTS = {
-    "MAPLE": "forward",
-    "MATHEMATICA": "forward",
+    "MAPLE": "lexicon",
+    "MATHEMATICA": "lexicon",
     "Lexicon": "lexicon",
     "backward_string": "backward",
     "check_equivalence": "verify",

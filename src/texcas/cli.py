@@ -60,7 +60,7 @@ def _load_lexicon(path: Optional[str]) -> Lexicon:
 
 def _cmd_translate(args) -> int:
     lex = _load_lexicon(args.lexicon)
-    text = args.input
+    text = args.input or ""
     if args.file:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read().strip()
@@ -68,7 +68,7 @@ def _cmd_translate(args) -> int:
         from .backward import backward_string
         result = backward_string(text, lex, use_divide=not args.no_divide)
     else:
-        result = translate_string(text, lex, args.dialect)
+        result = translate_string(text, lex, args.dialect or "maple")
     print(result.output)
     _emit_infos(result.infos)
     return EXIT_OK
@@ -142,12 +142,16 @@ def build_parser() -> argparse.ArgumentParser:
     direction = p.add_mutually_exclusive_group()
     direction.add_argument("--forward", action="store_true", default=False)
     direction.add_argument("--backward", action="store_true", default=False)
-    p.add_argument("--dialect", choices=sorted(DIALECTS), default="maple")
+    p.add_argument("--dialect", choices=sorted(DIALECTS),
+                   help="forward target (default: maple)")
     p.add_argument("--lexicon", help="compiled lexicon JSON (default: seed)")
-    p.add_argument("--file", help="read the input from a file")
     p.add_argument("--no-divide", action="store_true",
                    help="disable the DIVIDE element in backward translation")
-    p.add_argument("input", nargs="?", default="")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--file", help="read the input from a file")
+    # no default text: argparse tells a given input from the default by
+    # identity, and an empty argument is the one empty string
+    source.add_argument("input", nargs="?")
     p.set_defaults(func=_cmd_translate)
 
     p = sub.add_parser("compile-lexicon", help="compile CSV+JSON sources")
@@ -187,16 +191,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the option without which --no-divide, an option of preprocess, does nothing
-_DIVIDE_STAGE = {"translate": "backward", "inert": "preprocess"}
+# (subcommand, option) -> the flag and its value that the option needs, as
+# the stage that reads the option runs only then: preprocess builds DIVIDE
+# nodes, and --dialect selects the forward renderer
+_OPTION_NEEDS = {
+    ("translate", "no_divide"): ("backward", True),
+    ("inert", "no_divide"): ("preprocess", True),
+    ("translate", "dialect"): ("backward", False),
+}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    stage = _DIVIDE_STAGE.get(args.command)
-    if stage and args.no_divide and not getattr(args, stage):
-        parser.error(f"{args.command}: --no-divide applies only with --{stage}")
+    for (command, option), (flag, value) in _OPTION_NEEDS.items():
+        if command == args.command and getattr(args, option) \
+                and getattr(args, flag) != value:
+            parser.error(f"{command}: --{option.replace('_', '-')} applies only "
+                         f"{'with' if value else 'without'} --{flag}")
     try:
         return args.func(args)
     except (TexcasError, OSError, UnicodeDecodeError) as exc:

@@ -58,13 +58,6 @@ _FUNCTIONS = {
 }
 
 
-def _call(fname: str, args) -> complex:
-    fn = _FUNCTIONS.get((fname, len(args)))
-    if fn is None:
-        raise NoEvaluator(fname)
-    return fn(*args)
-
-
 def compile_tree(tree: InertForm) -> Callable:
     """Walk the tree once and return a closure doing only arithmetic.
 

@@ -8,9 +8,7 @@ from typing import List, Optional, Tuple
 
 from .errors import (ArityMismatch, NoDirectTranslation, TranslationError,
                      UnknownMacro)
-# the dialect table lives in the lexicon; MAPLE and MATHEMATICA re-exported
-from .lexicon import (DIALECTS, MAPLE, MATHEMATICA, CASDialect, Lexicon,
-                      LexiconEntry, fill)
+from .lexicon import DIALECTS, CASDialect, Lexicon, LexiconEntry, fill
 from .scanner import DelimiterClass, PomTree, TermKind, scan
 
 
@@ -170,9 +168,7 @@ def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[tu
         return ("val", _Unit(text, "atom")), i + 1
 
     if entry.role == "constant":
-        template = entry.translations.get(ctx.dialect.name)
-        if template is None:
-            raise NoDirectTranslation(name, ctx.dialect.name)
+        template = _template(entry, name, ctx)
         ctx.note_entry(entry)
         kind = "call" if "(" in template or "[" in template else "atom"
         return ("val", _Unit(template, kind)), i + 1
@@ -201,9 +197,7 @@ def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[tu
             args.append(_translate_sequence(children[j].children, ctx))
             j += 1
 
-    template = entry.translations.get(ctx.dialect.name)
-    if template is None:
-        raise NoDirectTranslation(name, ctx.dialect.name)
+    template = _template(entry, name, ctx)
     ctx.note_entry(entry)
 
     if name == "\\frac":
@@ -226,16 +220,21 @@ def _translate_sqrt(children, i, ctx, entry) -> Tuple[tuple, int]:
     radicand = _translate_sequence(children[j].children, ctx)
     j += 1
     if order is None:
-        template = entry.translations.get(ctx.dialect.name)
+        template = _template(entry, "\\sqrt", ctx)
         args = [radicand]
     else:
-        root_entry = ctx.lex.lookup("\\root")
-        template = root_entry.translations.get(ctx.dialect.name)
+        template = _template(ctx.lex.lookup("\\root"), "\\sqrt", ctx)
         args = [radicand, order]
-    if template is None:
-        raise NoDirectTranslation("\\sqrt", ctx.dialect.name)
     ctx.note_entry(entry)
     return ("val", _Unit(fill(template, args), "call")), j
+
+
+def _template(entry: LexiconEntry, name: str, ctx: _Context) -> str:
+    """The entry's template in the context's dialect, which it must have."""
+    template = entry.translations.get(ctx.dialect.name)
+    if template is None:
+        raise NoDirectTranslation(name, ctx.dialect.name)
+    return template
 
 
 def _is_curly(node: PomTree) -> bool:
@@ -264,11 +263,11 @@ def _resolve_scripts(items: List[tuple], ctx: _Context) -> None:
 
 
 def _power_base(unit: _Unit) -> str:
-    if unit.kind in ("atom", "call", "group"):
-        return unit.text
+    """A script's base: never a spliced unit, as scripts resolve rightmost
+    first."""
     if unit.kind == "frac":
         return f"({_frac_text(unit, 'operator')})"
-    return f"({unit.text})"
+    return unit.text
 
 
 def _power_exponent(unit: _Unit) -> str:

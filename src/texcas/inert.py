@@ -66,10 +66,6 @@ class InertForm:
         return "".join(out)
 
 
-def name(s: str) -> InertForm:
-    return InertForm(NAME, s)
-
-
 def intlit(n: int) -> InertForm:
     if n >= 0:
         return InertForm(INTPOS, n)
@@ -152,6 +148,12 @@ class _Parser:
             starts.append(m.start(1))
         return error((starts + [len(self.text)])[i], detail)
 
+    def nest(self) -> None:
+        """One level deeper; past MAX_NESTING, MapleTooDeep at the next token."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.fail(self.i, MAX_NESTING, MapleTooDeep)
+
     def parse(self) -> InertForm:
         node = self.equation()
         if self.tokens[self.i] != _EOF:
@@ -160,9 +162,7 @@ class _Parser:
 
     def equation(self) -> InertForm:
         """``range ["=" range]``, one nesting level below the caller's."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise self.fail(self.i, MAX_NESTING, MapleTooDeep)
+        self.nest()
         left = self.range_()
         if self.tokens[self.i] == "=":
             self.i += 1
@@ -212,9 +212,7 @@ class _Parser:
         tok = tokens[i]
         if tok == "-" or tok == "+":
             self.i = i + 1
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise self.fail(i + 1, MAX_NESTING, MapleTooDeep)
+            self.nest()
             node = self.unary()
             self.depth -= 1
             return _negate(node) if tok == "-" else node
@@ -222,9 +220,7 @@ class _Parser:
         if tokens[self.i] != "^":
             return base
         self.i = i = self.i + 1
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise self.fail(i, MAX_NESTING, MapleTooDeep)
+        self.nest()
         if tokens[i] == "+":
             raise self.fail(i, "an expression")
         exponent = self.unary()
@@ -502,8 +498,7 @@ def _render(t: InertForm, parent_prec: int) -> str:
         text = f"{_render(t.children[0], 5)}/{_render(t.children[1], 5)}"
         return f"({text})" if parent_prec >= 4 else text
     if tag == FUNCTION:
-        args = ", ".join(_render(c, 0) for c in t.children[1].children)
-        return f"{t.payload or t.children[0].payload}({args})"
+        return f"{t.children[0].payload}({_render(t.children[1], 0)})"
     if tag == EXPSEQ:
         return ", ".join(_render(c, 0) for c in t.children)
     if tag == SUM:

@@ -44,10 +44,6 @@ class MathTerm:
     # term that is no macro
     tentative_features: List[LexiconEntry] = field(default_factory=list)
 
-    @property
-    def at_count(self) -> int:
-        return len(self.lexeme) if self.kind is TermKind.AT_MARKER else 0
-
 
 class DelimiterClass(Enum):
     CURLY = "curly"

@@ -26,10 +26,10 @@ from .backward import backward_string
 from .errors import CheckOptionError, NoEvaluator, TexcasError, UnknownSymbol
 # evaluate stays importable here: perfbench/worker.py wraps verify.evaluate
 from .evaluator import compile_tree, evaluate, free_names  # noqa: F401
-from .forward import MAPLE, CASDialect, translate_string
+from .forward import translate_string
 from .inert import (DIVIDE, FLOAT, INTNEG, INTPOS, POWER, PROD,
                     RATIONAL, SUM, InertForm, int_value)
-from .lexicon import MAPLE_SIDE, SEMANTIC_LATEX, Lexicon
+from .lexicon import MAPLE, MAPLE_SIDE, SEMANTIC_LATEX, CASDialect, Lexicon
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_POINTS = 20
@@ -311,11 +311,17 @@ class RoundTripStep:
 @dataclass
 class RoundTripReport:
     steps: List[RoundTripStep]
-    fixed_point_reached: bool
-    cycles_to_fixed_point: Optional[Fraction]
-    cycles_by_side: Dict[str, Fraction]
+    cycles_by_side: Dict[str, Fraction]  # empty without a fixed point
     terminated_reason: str  # fixed-point | max-steps | translation-error
     error: Optional[str] = None
+
+    @property
+    def fixed_point_reached(self) -> bool:
+        return self.terminated_reason == "fixed-point"
+
+    @property
+    def cycles_to_fixed_point(self) -> Optional[Fraction]:
+        return max(self.cycles_by_side.values(), default=None)
 
 
 def _other(side: str) -> str:
@@ -328,52 +334,34 @@ def round_trip(start_text: str, start_side: str, lex: Lexicon,
     """Alternately translate between the two representations until each side's
     string equals its value one cycle earlier, or max_steps is exhausted.
     No simplification is applied during cycling.  A fixed point needs two
-    texts before the repeated one, so max_steps must be at least 3."""
+    texts before the repeated one, so max_steps must be at least 3.
+
+    The first repeat ends the trip: when the new text equals ``texts[j]``,
+    the side of ``texts[j]`` is at a fixed point after j/2 cycles and the
+    other side after (j+1)/2."""
     if max_steps < 3:
         raise CheckOptionError(f"max_steps must be at least 3, not {max_steps}")
     texts = [start_text]
+    sides = (start_side, _other(start_side))
     side = start_side
-
-    def translate(text: str, from_side: str) -> str:
-        if from_side == SEMANTIC_LATEX:
-            return translate_string(text, lex, dialect).output
-        return backward_string(text, lex, use_divide=use_divide).output
-
+    reason, error, cycles = "max-steps", None, {}
     while len(texts) < max_steps:
         try:
-            new = translate(texts[-1], side)
+            if side == SEMANTIC_LATEX:
+                new = translate_string(texts[-1], lex, dialect).output
+            else:
+                new = backward_string(texts[-1], lex, use_divide=use_divide).output
         except TexcasError as exc:
-            return RoundTripReport(
-                steps=_steps(texts, start_side),
-                fixed_point_reached=False, cycles_to_fixed_point=None,
-                cycles_by_side={}, terminated_reason="translation-error",
-                error=str(exc))
+            reason, error = "translation-error", str(exc)
+            break
         if len(texts) >= 2 and new == texts[-2]:
             j = len(texts) - 2
-            while j - 2 >= 0 and texts[j - 2] == new:
-                j -= 2
-            repeated_side = start_side if j % 2 == 0 else _other(start_side)
-            cycles = {repeated_side: Fraction(j, 2),
-                      _other(repeated_side): Fraction(j + 1, 2)}
-            return RoundTripReport(
-                steps=_steps(texts, start_side),
-                fixed_point_reached=True,
-                cycles_to_fixed_point=max(cycles.values()),
-                cycles_by_side=cycles,
-                terminated_reason="fixed-point")
+            reason = "fixed-point"
+            cycles = {sides[j % 2]: Fraction(j, 2),
+                      sides[1 - j % 2]: Fraction(j + 1, 2)}
+            break
         texts.append(new)
         side = _other(side)
 
-    return RoundTripReport(steps=_steps(texts, start_side),
-                           fixed_point_reached=False,
-                           cycles_to_fixed_point=None, cycles_by_side={},
-                           terminated_reason="max-steps")
-
-
-def _steps(texts: List[str], start_side: str) -> List[RoundTripStep]:
-    out = []
-    side = start_side
-    for k, text in enumerate(texts):
-        out.append(RoundTripStep(index=k, side=side, text=text))
-        side = _other(side)
-    return out
+    steps = [RoundTripStep(k, sides[k % 2], text) for k, text in enumerate(texts)]
+    return RoundTripReport(steps, cycles, reason, error)

@@ -5,7 +5,8 @@ import pytest
 from texcas.backward import backward_string, build_reverse_rules, translate_backward
 from texcas.errors import UnknownFunction, UnsupportedTag
 from texcas.forward import translate_string
-from texcas.inert import parse_maple, preprocess
+from texcas.inert import INTNEG, PROD, InertForm, parse_maple, preprocess
+from texcas.lexicon import Lexicon
 from texcas.scanner import scan
 from texcas.verify import MAPLE_SIDE, round_trip
 
@@ -43,6 +44,8 @@ class TestGoldenOutputs:
     def test_negation_renders_minus_sign(self, lex):
         assert back("a*(-1)", lex) == "-a"
         assert back("-a", lex) == "-a"
+        lone = InertForm(PROD, children=[InertForm(INTNEG, 1)])
+        assert translate_backward(lone, lex).output == "-1"
 
     def test_subtraction_absorbs_sign(self, lex):
         assert back("x-3*I", lex) == r"x-3\idt\iunit"
@@ -107,6 +110,11 @@ class TestReverseRules:
             r"\JacobiP{$1}{$2}{$0}@{$3}"
         assert rules[("EllipticF", 2)].latex_template == \
             r"\EllIntF@{\asin@{$0}}{$1}"
+        # a Maple template that repeats a placeholder has no inverse
+        doc = lex.to_json()
+        doc["entries"][r"\Fsq"] = {"num_vars": 2, "at_variants": [1],
+                                   "translations": {"maple": "F($0,$0)"}}
+        assert ("F", 2) not in build_reverse_rules(Lexicon.from_json(doc))
 
     def test_unknown_function_errors(self, lex):
         with pytest.raises(UnknownFunction):

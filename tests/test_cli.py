@@ -71,6 +71,25 @@ class TestTranslate:
         assert main(["translate", "--file", str(src)]) == EXIT_OK
         assert capsys.readouterr().out == "sin(z)\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["translate", "--backward", "--dialect", "mathematica", "sin(x)"],
+         "translate: --dialect applies only without --backward"),
+        (["translate", "--backward", "--dialect", "maple", "sin(x)"],
+         "translate: --dialect applies only without --backward"),
+        (["translate", "--file", "formula.tex", "cos(y)"],
+         "argument input: not allowed with argument --file"),
+        (["translate", "--file", "formula.tex", ""],
+         "argument input: not allowed with argument --file"),
+    ])
+    def test_option_the_path_ignores_is_refused(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestCompileLexicon:
     def test_seed_sources_compile(self, tmp_path, capsys):

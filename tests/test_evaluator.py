@@ -14,10 +14,19 @@ import pytest
 
 from texcas import inert
 from texcas.errors import NoEvaluator, UnknownSymbol
-from texcas.evaluator import CONSTANTS, _call, compile_tree, evaluate, free_names
-from texcas.inert import InertForm, name, parse_maple
+from texcas.evaluator import (_FUNCTIONS, CONSTANTS, compile_tree, evaluate,
+                               free_names)
+from texcas.inert import InertForm, parse_maple
 
-from treegen import random_evaluable, random_tree
+from treegen import name, random_evaluable, random_tree
+
+
+def _call(fname, args):
+    """The reference dispatch: the function table's entry, else NoEvaluator."""
+    fn = _FUNCTIONS.get((fname, len(args)))
+    if fn is None:
+        raise NoEvaluator(fname)
+    return fn(*args)
 
 
 def reference_walk(tree, env):

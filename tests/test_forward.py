@@ -4,6 +4,7 @@ import pytest
 
 from texcas.errors import (ArityMismatch, NoDirectTranslation, UnknownMacro)
 from texcas.forward import translate_string
+from texcas.lexicon import Lexicon
 
 
 def maple(text, lex):
@@ -102,6 +103,8 @@ class TestStructure:
     def test_caret_reassociates_flat_siblings(self, lex):
         assert maple("x^3", lex).output == "x^3"
         assert maple("x^{n+1}", lex).output == "x^(n+1)"
+        assert maple(r"x^\frac{1}{2}", lex).output == "x^((1)/(2))"
+        assert maple("x^y^z", lex).output == "x^(y^z)"
 
     def test_negative_exponent(self, lex):
         assert maple("z^{-2}", lex).output == "z^(-2)"
@@ -132,8 +135,9 @@ class TestErrors:
             maple(r"x + \qhyperg{a}{b}@{z}", lex)
 
     def test_arity_mismatch(self, lex):
-        with pytest.raises(ArityMismatch):
-            maple(r"\JacobiP{\alpha}{\beta}@{z}", lex)
+        for text in (r"\JacobiP{\alpha}{\beta}@{z}", r"\sqrt", r"\sqrt[3] x"):
+            with pytest.raises(ArityMismatch):
+                maple(text, lex)
 
     def test_missing_required_at_marker(self, lex):
         with pytest.raises(ArityMismatch):
@@ -142,6 +146,15 @@ class TestErrors:
     def test_no_direct_translation(self, lex):
         with pytest.raises(NoDirectTranslation):
             maple(r"\finestructure", lex)
+        # a function, \sqrt and \sqrt[n] (through \root) without a template
+        doc = lex.to_json()  # a copy of every record
+        for table, macro in (("entries", r"\sin"), ("builtins", r"\sqrt"),
+                             ("builtins", r"\root")):
+            del doc[table][macro]["translations"]["mathematica"]
+        partial = Lexicon.from_json(doc)
+        for text in (r"\sin@{z}", r"\sqrt{x}", r"\sqrt[3]{x}"):
+            with pytest.raises(NoDirectTranslation):
+                mma(text, partial)
 
 
 class TestDialectTotality:

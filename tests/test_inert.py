@@ -12,12 +12,12 @@ from texcas.errors import MalformedList, MapleSyntaxError, UnsupportedConstruct
 from texcas.evaluator import evaluate
 from texcas.inert import (DIVIDE, EQUATION, EXPSEQ, FUNCTION, INTNEG, INTPOS,
                           NAME, POWER, PROD, RANGE, RATIONAL, SUM, InertForm,
-                          from_nested_list, intlit, name, nested_list_to_text,
+                          from_nested_list, intlit, nested_list_to_text,
                           parse_maple, preprocess, render_maple,
                           to_nested_list)
 from texcas.verify import MAPLE_SIDE, round_trip
 
-from treegen import random_evaluable, random_tree
+from treegen import name, random_evaluable, random_tree
 
 
 def fn(fname, *args):
@@ -208,6 +208,9 @@ class TestNestedList:
         ["RATIONAL", ["INTPOS", 1], ["INTPOS", 0]],
         ["NAME", 3],
         "NAME",
+        [3, ["NAME", "x"]],
+        ["NAME", "x", "y"],
+        ["FLOAT", "1.5"],
     ])
     def test_malformed_lists_rejected(self, nl):
         with pytest.raises(MalformedList):

@@ -123,9 +123,11 @@ class TestCompileErrors:
                 tmp_path, [r"\sin,0,1,7,,sin($0),Sin[$0],"]))
 
     def test_bad_constant_alias(self, tmp_path):
-        with pytest.raises(SchemaError):
-            compile_with(tmp_path, [],
-                         constants={"\\cpi": {"maple": "Pi", "alias": "p"}})
+        # an alias outside i, e, C, and an advisory that is not text
+        for extra in ({"alias": "p"}, {"advisory": 5}):
+            with pytest.raises(SchemaError):
+                compile_with(tmp_path, [],
+                             constants={"\\cpi": {"maple": "Pi", **extra}})
 
     def test_greek_missing_dialect(self, tmp_path):
         with pytest.raises(SchemaError):

@@ -155,10 +155,12 @@ def test_row_without_trailing_reverse_cell_compiles(tmp_path):
 
 def test_reverse_needs_a_maple_call(tmp_path):
     path = tmp_path / "macros.csv"
-    path.write_text(",".join(CSV_COLUMNS) + "\n"
-                    "\\half,0,1,1,,($0)/2,($0)/2,,\\half@{$0}\n", encoding="utf-8")
-    with pytest.raises(SchemaError):
-        compile_macro_csv(path)
+    # a quotient, and a product whose outer parentheses close two calls
+    for row in ("\\half,0,1,1,,($0)/2,($0)/2,,\\half@{$0}\n",
+                "\\fg,0,2,1,,f($0)*g($1),,,\\fg@{$0}{$1}\n"):
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + row, encoding="utf-8")
+        with pytest.raises(SchemaError):
+            compile_macro_csv(path)
 
 
 def test_reverse_placeholders_index_the_maple_call(tmp_path):

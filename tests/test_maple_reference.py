@@ -50,11 +50,11 @@ from texcas.errors import (MapleSyntaxError, MapleTooDeep, TexcasError,
 from texcas.inert import (DIVIDE, EQUATION, EXPSEQ, FLOAT, FUNCTION, INTNEG,
                           INTPOS, NAME, POWER, PROD, RANGE, RATIONAL, STRING,
                           SUM, InertForm, int_value, intlit, is_int_literal,
-                          name, parse_maple, preprocess,
-                          rational, render_maple, to_nested_list)
+                          parse_maple, preprocess, rational, render_maple,
+                          to_nested_list)
 from texcas.verify import MAPLE_SIDE, check_equivalence, round_trip
 
-from treegen import random_evaluable, random_tree
+from treegen import name, random_evaluable, random_tree
 
 DATA = Path(__file__).parent / "data"
 

@@ -15,10 +15,12 @@ from texcas.cli import (EXIT_PARSE, EXIT_TRANSLATION, CorpusRecord,
 from texcas.errors import (MapleSyntaxError, MapleTooDeep, ScanError,
                            ScanTooDeep)
 from texcas.forward import translate_string
-from texcas.inert import name, parse_maple
+from texcas.inert import parse_maple
 from texcas.scanner import scan
 from texcas.verify import (MAPLE_SIDE, SEMANTIC_LATEX, check_equivalence,
                            round_trip)
+
+from treegen import name
 
 DEPTHS = [300, 1000, 3000]
 

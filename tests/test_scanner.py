@@ -66,7 +66,7 @@ class TestClassification:
             tree = scan(rf"\sin{marker}{{z}}")
             at = tree.children[1].term
             assert at.kind is TermKind.AT_MARKER
-            assert at.at_count == count
+            assert len(at.lexeme) == count
 
     def test_digit_sequence_is_maximal_run(self):
         tree = scan("123x")
@@ -180,7 +180,7 @@ class TestProperties:
             if term.kind is TermKind.MACRO_COMMAND:
                 assert term.lexeme.startswith("\\")
             if term.kind is TermKind.AT_MARKER:
-                assert 1 <= term.at_count <= 3
+                assert 1 <= len(term.lexeme) <= 3
 
 
 @pytest.mark.parametrize("text", [

@@ -19,7 +19,7 @@ SRC = str(Path(texcas.__file__).resolve().parent.parent)
 
 # each public name and the module it comes from
 HOME = {
-    "MAPLE": forward, "MATHEMATICA": forward, "Lexicon": lexicon,
+    "MAPLE": lexicon, "MATHEMATICA": lexicon, "Lexicon": lexicon,
     "backward_string": backward, "check_equivalence": verify,
     "compile_lexicon": lexicon, "load_default": lexicon,
     "parse_maple": inert, "preprocess": inert, "round_trip": verify,

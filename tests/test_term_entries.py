@@ -27,7 +27,7 @@ from texcas.backward import build_reverse_rules
 from texcas.corpus import read_corpus
 from texcas.errors import MalformedList, TexcasError
 from texcas.forward import translate_forward, translate_string
-from texcas.inert import from_nested_list
+from texcas.inert import INTPOS, InertForm, from_nested_list, render_maple
 from texcas.lexicon import DIALECTS, Lexicon, seed_path
 from texcas.scanner import scan
 
@@ -105,6 +105,8 @@ def test_forward_translates_with_the_scanned_entries(extended):  # noqa: F811
 def test_complex_is_no_inert_tag():
     with pytest.raises(MalformedList):
         from_nested_list(["COMPLEX", ["INTPOS", 1]])
+    with pytest.raises(MalformedList):
+        render_maple(InertForm("COMPLEX", children=[InertForm(INTPOS, 1)]))
 
 
 def test_forward_output_matches_golden(lex):

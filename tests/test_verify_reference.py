@@ -29,12 +29,12 @@ from texcas.errors import NoEvaluator, UnknownSymbol
 from texcas.evaluator import _FUNCTIONS, CONSTANTS, compile_tree, free_names
 from texcas.inert import (DIVIDE, EQUATION, EXPSEQ, FLOAT, FUNCTION, INTNEG,
                           INTPOS, POWER, PROD, RATIONAL, SUM, InertForm,
-                          int_value, name, parse_maple, preprocess)
+                          int_value, parse_maple, preprocess)
 from texcas.verify import (ANNULUS, DEFAULT_POINTS, DEFAULT_SEED,
                            DEFAULT_TOLERANCE, EquivalenceVerdict, check_equivalence,
                            simplify_light)
 
-from treegen import random_evaluable, random_tree
+from treegen import name, random_evaluable, random_tree
 
 # --- the reference simplifier ---------------------------------------------
 

@@ -10,6 +10,10 @@ from texcas.inert import (DIVIDE, EQUATION, EXPSEQ, FLOAT, FUNCTION, INTNEG,
 _NAMES = ["x", "y", "z", "alpha", "beta", "Theta", "foo_1", "Pi", "infinity"]
 
 
+def name(s: str) -> InertForm:
+    return InertForm(NAME, s)
+
+
 def _leaf(rng: random.Random) -> InertForm:
     choice = rng.randrange(6)
     if choice == 0:
