@@ -17,8 +17,9 @@ from typing import List, Optional
 from .errors import (CorpusFormatError, LexiconError, MapleSyntaxError,
                      ScanError, TexcasError, UnsupportedConstruct)
 from .forward import InfoMessage, translate_string
-from .lexicon import (ADVISORY_KINDS, DIALECTS, MAPLE_SIDE, SEMANTIC_LATEX,
-                      Lexicon, compile_lexicon, load_default, seed_path)
+from .lexicon import (ADVISORY_KINDS, DIALECTS, MAPLE, MAPLE_SIDE,
+                      SEMANTIC_LATEX, Lexicon, compile_lexicon, load_default,
+                      seed_path)
 
 EXIT_OK = 0
 EXIT_TRANSLATION = 2
@@ -68,7 +69,7 @@ def _cmd_translate(args) -> int:
         from .backward import backward_string
         result = backward_string(text, lex, use_divide=not args.no_divide)
     else:
-        result = translate_string(text, lex, args.dialect or "maple")
+        result = translate_string(text, lex, args.dialect or MAPLE)
     print(result.output)
     _emit_infos(result.infos)
     return EXIT_OK
@@ -139,9 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("translate", help="translate a single formula")
-    direction = p.add_mutually_exclusive_group()
-    direction.add_argument("--forward", action="store_true", default=False)
-    direction.add_argument("--backward", action="store_true", default=False)
+    p.add_argument("--backward", action="store_true",
+                   help="translate Maple to semantic LaTeX (default: forward)")
     p.add_argument("--dialect", choices=sorted(DIALECTS),
                    help="forward target (default: maple)")
     p.add_argument("--lexicon", help="compiled lexicon JSON (default: seed)")

@@ -30,7 +30,7 @@ _ATOMIC_RE = re.compile(r"^(\d+(\.\d+)?|[A-Za-z][A-Za-z0-9_]*|\\\[[A-Za-z]+\])$"
 @dataclass(slots=True)
 class _Unit:
     text: str
-    kind: str  # atom | call | group | power | frac | other
+    kind: str  # atom | group | frac | other
     frac: Optional[Tuple[str, str, bool]] = None  # (num, den, compact_ok)
 
 
@@ -55,8 +55,9 @@ class _Context:
             self.add_info(adv.kind, f"{entry.macro_name}: {adv.text}")
 
 
-def translate_forward(tree: PomTree, lex: Lexicon, dialect: CASDialect) -> TranslationResult:
-    """Translate a first-scan tree into a CAS expression string.
+def translate_forward(tree: PomTree, lex: Lexicon, dialect: str) -> TranslationResult:
+    """Translate a first-scan tree into a CAS expression string in the
+    dialect of that name, a key of ``DIALECTS`` (else ``TranslationError``).
 
     Each macro is rendered by placeholder substitution into the patterns of
     the entry that ``scan`` attached to its term (no entry: ``UnknownMacro``).
@@ -66,15 +67,16 @@ def translate_forward(tree: PomTree, lex: Lexicon, dialect: CASDialect) -> Trans
     denote constants are passed through untouched with a constant-suggestion
     info.
     """
-    if isinstance(dialect, str):
-        dialect = DIALECTS[dialect]
-    ctx = _Context(lex, dialect)
+    if not (isinstance(dialect, str) and dialect in DIALECTS):
+        raise TranslationError(f"unknown dialect {dialect!r}: not one of "
+                               f"{', '.join(DIALECTS)}")
+    ctx = _Context(lex, DIALECTS[dialect])
     children = tree.children if tree.is_sequence else [tree]
     output = _translate_sequence(children, ctx)
     return TranslationResult(output=output, infos=unique_infos(ctx.infos))
 
 
-def translate_string(text: str, lex: Lexicon, dialect) -> TranslationResult:
+def translate_string(text: str, lex: Lexicon, dialect: str) -> TranslationResult:
     return translate_forward(scan(text, lex), lex, dialect)
 
 
@@ -170,7 +172,7 @@ def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[tu
     if entry.role == "constant":
         template = _template(entry, name, ctx)
         ctx.note_entry(entry)
-        kind = "call" if "(" in template or "[" in template else "atom"
+        kind = "atom" if _ATOMIC_RE.match(template) else "other"
         return ("val", _Unit(template, kind)), i + 1
 
     # function role: consume parameter groups, at-marker, variable groups
@@ -205,7 +207,7 @@ def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[tu
         compact = bool(_ATOMIC_RE.match(num) and _ATOMIC_RE.match(den))
         return ("val", _Unit("", "frac", frac=(num, den, compact))), j
 
-    return ("val", _Unit(fill(template, args), "call")), j
+    return ("val", _Unit(fill(template, args), "other")), j
 
 
 def _translate_sqrt(children, i, ctx, entry) -> Tuple[tuple, int]:
@@ -226,12 +228,13 @@ def _translate_sqrt(children, i, ctx, entry) -> Tuple[tuple, int]:
         template = _template(ctx.lex.lookup("\\root"), "\\sqrt", ctx)
         args = [radicand, order]
     ctx.note_entry(entry)
-    return ("val", _Unit(fill(template, args), "call")), j
+    return ("val", _Unit(fill(template, args), "other")), j
 
 
-def _template(entry: LexiconEntry, name: str, ctx: _Context) -> str:
-    """The entry's template in the context's dialect, which it must have."""
-    template = entry.translations.get(ctx.dialect.name)
+def _template(entry: Optional[LexiconEntry], name: str, ctx: _Context) -> str:
+    """The entry's template in the context's dialect, which it must have;
+    no entry has no template."""
+    template = entry and entry.translations.get(ctx.dialect.name)
     if template is None:
         raise NoDirectTranslation(name, ctx.dialect.name)
     return template
@@ -256,10 +259,10 @@ def _resolve_scripts(items: List[tuple], ctx: _Context) -> None:
         base = items[k - 1][1]
         arg = items[k + 1][1]
         if tag == "caret":
-            unit = _Unit(f"{_power_base(base)}^{_power_exponent(arg)}", "power")
+            text = f"{_power_base(base)}^{_power_exponent(arg)}"
         else:
-            unit = _Unit(_subscripted(base, arg, ctx.dialect), "other")
-        items[k - 1:k + 2] = [("val", unit)]
+            text = fill(ctx.dialect.subscript, [_power_base(base), arg.text])
+        items[k - 1:k + 2] = [("val", _Unit(text, "other"))]
 
 
 def _power_base(unit: _Unit) -> str:
@@ -271,21 +274,10 @@ def _power_base(unit: _Unit) -> str:
 
 
 def _power_exponent(unit: _Unit) -> str:
-    if unit.kind == "atom":
-        return unit.text
-    if unit.kind in ("call", "group"):
-        return unit.text if unit.text.startswith("(") else f"({unit.text})"
-    if unit.kind == "frac":
-        return f"({_frac_text(unit, 'operator')})"
-    return f"({unit.text})"
-
-
-def _subscripted(base: _Unit, sub: _Unit, dialect: CASDialect) -> str:
-    b = _power_base(base)
-    s = sub.text
-    if dialect.name == "mathematica":
-        return f"Subscript[{b}, {s}]"
-    return f"{b}[{s}]"
+    """An exponent: bracketed unless it is an atom or a group."""
+    if unit.kind == "other":
+        return f"({unit.text})"
+    return _power_base(unit)  # an atom, a group or a bracketed fraction
 
 
 # --- assembly ---------------------------------------------------------------

@@ -21,14 +21,18 @@ from .errors import DuplicateMacro, PlaceholderOutOfRange, SchemaError
 
 @dataclass(frozen=True)
 class CASDialect:
+    """A forward target's syntax: how a product and a subscript are spelled."""
     name: str
     mult_token: str
+    subscript: str  # template over the base ($0) and the index ($1)
 
 
-MAPLE = CASDialect("maple", "*")
-MATHEMATICA = CASDialect("mathematica", " ")
+# a dialect is passed by its name, the key of its syntax record
+MAPLE = "maple"
+MATHEMATICA = "mathematica"
 
-DIALECTS = {"maple": MAPLE, "mathematica": MATHEMATICA}
+DIALECTS = {MAPLE: CASDialect(MAPLE, "*", "$0[$1]"),
+            MATHEMATICA: CASDialect(MATHEMATICA, " ", "Subscript[$0, $1]")}
 
 # the two sides a round trip alternates between
 SEMANTIC_LATEX = "semantic-latex"

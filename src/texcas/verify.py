@@ -29,7 +29,7 @@ from .evaluator import compile_tree, evaluate, free_names  # noqa: F401
 from .forward import translate_string
 from .inert import (DIVIDE, FLOAT, INTNEG, INTPOS, POWER, PROD,
                     RATIONAL, SUM, InertForm, int_value)
-from .lexicon import MAPLE, MAPLE_SIDE, SEMANTIC_LATEX, CASDialect, Lexicon
+from .lexicon import MAPLE, MAPLE_SIDE, SEMANTIC_LATEX, Lexicon
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_POINTS = 20
@@ -324,31 +324,30 @@ class RoundTripReport:
         return max(self.cycles_by_side.values(), default=None)
 
 
-def _other(side: str) -> str:
-    return MAPLE_SIDE if side == SEMANTIC_LATEX else SEMANTIC_LATEX
-
-
 def round_trip(start_text: str, start_side: str, lex: Lexicon,
-               max_steps: int = 12, dialect: CASDialect = MAPLE,
-               use_divide: bool = True) -> RoundTripReport:
-    """Alternately translate between the two representations until each side's
-    string equals its value one cycle earlier, or max_steps is exhausted.
-    No simplification is applied during cycling.  A fixed point needs two
-    texts before the repeated one, so max_steps must be at least 3.
+               max_steps: int = 12, use_divide: bool = True) -> RoundTripReport:
+    """Alternately translate between semantic LaTeX and Maple, the one CAS
+    whose inert form backward reads, until each side's string equals its
+    value one cycle earlier, or max_steps is exhausted.  No simplification
+    is applied during cycling.  A fixed point needs two texts before the
+    repeated one, so max_steps must be at least 3.
 
     The first repeat ends the trip: when the new text equals ``texts[j]``,
     the side of ``texts[j]`` is at a fixed point after j/2 cycles and the
     other side after (j+1)/2."""
     if max_steps < 3:
         raise CheckOptionError(f"max_steps must be at least 3, not {max_steps}")
+    if start_side not in (SEMANTIC_LATEX, MAPLE_SIDE):
+        raise CheckOptionError(f"start_side must be {SEMANTIC_LATEX} or "
+                               f"{MAPLE_SIDE}, not {start_side!r}")
     texts = [start_text]
-    sides = (start_side, _other(start_side))
-    side = start_side
+    sides = (start_side,
+             MAPLE_SIDE if start_side == SEMANTIC_LATEX else SEMANTIC_LATEX)
     reason, error, cycles = "max-steps", None, {}
     while len(texts) < max_steps:
         try:
-            if side == SEMANTIC_LATEX:
-                new = translate_string(texts[-1], lex, dialect).output
+            if sides[(len(texts) - 1) % 2] == SEMANTIC_LATEX:
+                new = translate_string(texts[-1], lex, MAPLE).output
             else:
                 new = backward_string(texts[-1], lex, use_divide=use_divide).output
         except TexcasError as exc:
@@ -361,7 +360,6 @@ def round_trip(start_text: str, start_side: str, lex: Lexicon,
                       sides[1 - j % 2]: Fraction(j + 1, 2)}
             break
         texts.append(new)
-        side = _other(side)
 
     steps = [RoundTripStep(k, sides[k % 2], text) for k, text in enumerate(texts)]
     return RoundTripReport(steps, cycles, reason, error)

@@ -1,6 +1,7 @@
 """A tolerance or point count with which the numeric check decides nothing is
 refused, by the library and by ``texcas corpus``, before any record runs; so
-is a round trip too short to reach a fixed point."""
+is a round trip too short to reach a fixed point, or from a side it does not
+translate from."""
 
 import json
 import math
@@ -100,3 +101,10 @@ def test_round_trip_needs_three_steps(lex, capsys, max_steps):
     report = round_trip("1+x", SEMANTIC_LATEX, lex, max_steps=max_steps)
     assert report.fixed_point_reached
     assert cli.main(argv) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("side", ["latex", "mathematica", None])
+def test_round_trip_needs_a_side_it_translates_from(lex, side):
+    # a side that is neither would run backward and label each step with it
+    with pytest.raises(CheckOptionError, match="start_side must be"):
+        round_trip("x+1", side, lex)

@@ -1,11 +1,12 @@
 """Command-line interface tests: exit codes, stdout discipline, corpus stats."""
 
+import argparse
 import json
 
 import pytest
 
 from texcas.cli import (EXIT_OK, EXIT_PARSE, EXIT_SCHEMA, EXIT_TRANSLATION,
-                        main, read_corpus, run_corpus)
+                        build_parser, main, read_corpus, run_corpus)
 from texcas.lexicon import load_default, seed_path
 
 HEADER = ("macro,num_params,num_vars,at_variants,dlmf_link,"
@@ -14,7 +15,7 @@ HEADER = ("macro,num_params,num_vars,at_variants,dlmf_link,"
 
 class TestTranslate:
     def test_forward_stdout_payload_only(self, capsys):
-        assert main(["translate", "--forward", "--dialect", "maple",
+        assert main(["translate", "--dialect", "maple",
                      r"\sin@@{z}"]) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.out == "sin(z)\n"
@@ -25,7 +26,7 @@ class TestTranslate:
         assert capsys.readouterr().out == "x\n"
 
     def test_branch_cut_warning_on_stderr(self, capsys):
-        assert main(["translate", "--forward", "--dialect", "maple",
+        assert main(["translate", "--dialect", "maple",
                      r"\BesselK{\frac{1}{4}}@{\frac{1}{4}z^2}"]) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.out == "BesselK(1/4,(1/4)*z^2)\n"
@@ -49,7 +50,7 @@ class TestTranslate:
 
     @pytest.mark.parametrize("argv", [
         ["translate", "--no-divide", "--", "a/b"],
-        ["translate", "--forward", "--no-divide", r"\frac{a}{b}"],
+        ["translate", "--no-divide", r"\frac{a}{b}"],
     ])
     def test_no_divide_without_backward_is_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -80,6 +81,9 @@ class TestTranslate:
          "argument input: not allowed with argument --file"),
         (["translate", "--file", "formula.tex", ""],
          "argument input: not allowed with argument --file"),
+        # forward is what translate does without --backward
+        (["translate", "--forward", r"\sin@{z}"],
+         "unrecognized arguments: --forward"),
     ])
     def test_option_the_path_ignores_is_refused(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -231,6 +235,86 @@ class TestInertCommand:
         assert capsys.readouterr().out.splitlines() == [
             '[DIVIDE,[NAME,"a"],[NAME,"b"]]',
             '[PROD,[NAME,"a"],[POWER,[NAME,"b"],[INTNEG,1]]]']
+
+
+class TestEveryOptionActs:
+    """Every option of every subcommand changes stdout, or the report file,
+    for some input: an option the parser gains without a row here fails."""
+
+    # options that only name a file to read or write
+    PATH_ONLY = {("translate", "--file"), ("corpus", "--report"),
+                 ("compile-lexicon", "--out"), ("compile-lexicon", "--csv"),
+                 ("compile-lexicon", "--constants"),
+                 ("compile-lexicon", "--greek"),
+                 ("compile-lexicon", "--builtins")}
+
+    CORPUS_RUN = ["corpus", "CORPUS", "--report", "REPORT"]
+
+    # (subcommand, option) -> (a command line without the option, the option
+    # and a value that is not its default, inserted after the subcommand);
+    # an argument that is a key of the ``paths`` fixture stands for its path
+    ACTS = {
+        ("translate", "--backward"): (["translate", "--", "sin(x)"], ["--backward"]),
+        ("translate", "--dialect"): (["translate", "--", r"\sin@{z}"],
+                                     ["--dialect", "mathematica"]),
+        ("translate", "--lexicon"): (["translate", "--", r"\sin@{z}"],
+                                     ["--lexicon", "LEXICON"]),
+        ("translate", "--no-divide"): (["translate", "--backward", "--", "a/b"],
+                                       ["--no-divide"]),
+        ("corpus", "--lexicon"): (CORPUS_RUN, ["--lexicon", "LEXICON"]),
+        ("corpus", "--tolerance"): (CORPUS_RUN, ["--tolerance", "1e-300"]),
+        ("corpus", "--points"): (CORPUS_RUN, ["--points", "1"]),
+        ("corpus", "--seed"): (CORPUS_RUN, ["--seed", "1"]),
+        ("roundtrip", "--side"): (["roundtrip", "--", "sin(x)/2"],
+                                  ["--side", "maple"]),
+        ("roundtrip", "--max-steps"): (["roundtrip", "--", r"\EllIntF@{\phi}{k}"],
+                                       ["--max-steps", "3"]),
+        ("roundtrip", "--lexicon"): (["roundtrip", "--", r"\sin@{z}"],
+                                     ["--lexicon", "LEXICON"]),
+        ("roundtrip", "--no-divide"): (["roundtrip", "--", r"\frac{a}{b}"],
+                                       ["--no-divide"]),
+        ("inert", "--compat-prefix"): (["inert", "--", "a/b"], ["--compat-prefix"]),
+        ("inert", "--preprocess"): (["inert", "--", "a/b"], ["--preprocess"]),
+        ("inert", "--no-divide"): (["inert", "--preprocess", "--", "a/b"],
+                                   ["--no-divide"]),
+    }
+
+    def test_the_table_names_every_option(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        options = {(name, option) for name, command in commands.items()
+                   for action in command._actions if action.dest != "help"
+                   for option in action.option_strings}
+        assert options == set(self.ACTS) | self.PATH_ONLY
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        doc = load_default().to_json()  # a copy in which \sin is the cosine
+        doc["entries"]["\\sin"]["translations"]["maple"] = "cos($0)"
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(json.dumps(doc), encoding="utf-8")
+        corpus = tmp_path / "corpus.tsv"
+        # exp-ln's sampled difference depends on the points, the seed and
+        # the tolerance; sine's Maple text on the lexicon
+        corpus.write_text("exp-ln\t\\exp@{\\ln@{z}} = z\n"
+                          "sine\t\\sin@{z} = \\sin@{z}\n", encoding="utf-8")
+        return {"LEXICON": lexicon, "CORPUS": corpus,
+                "REPORT": tmp_path / "report.jsonl"}
+
+    def run(self, argv, paths, capsys) -> str:
+        """Stdout, then the report file when the command writes one."""
+        report = paths["REPORT"]
+        report.unlink(missing_ok=True)
+        assert main([str(paths.get(a, a)) for a in argv]) == EXIT_OK
+        written = report.read_text(encoding="utf-8") if report.exists() else ""
+        return capsys.readouterr().out + written
+
+    @pytest.mark.parametrize("command, option", sorted(ACTS))
+    def test_option_changes_the_output(self, command, option, paths, capsys):
+        argv, given = self.ACTS[command, option]
+        without = self.run(argv, paths, capsys)
+        assert self.run([argv[0], *given, *argv[1:]], paths, capsys) != without
 
 
 class TestMalformedInput:

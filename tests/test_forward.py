@@ -2,9 +2,10 @@
 
 import pytest
 
-from texcas.errors import (ArityMismatch, NoDirectTranslation, UnknownMacro)
+from texcas.errors import (ArityMismatch, NoDirectTranslation,
+                           TranslationError, UnknownMacro)
 from texcas.forward import translate_string
-from texcas.lexicon import Lexicon
+from texcas.lexicon import DIALECTS, Lexicon
 
 
 def maple(text, lex):
@@ -105,6 +106,11 @@ class TestStructure:
         assert maple("x^{n+1}", lex).output == "x^(n+1)"
         assert maple(r"x^\frac{1}{2}", lex).output == "x^((1)/(2))"
         assert maple("x^y^z", lex).output == "x^(y^z)"
+        # a template that starts with a bracket is still one operand to bracket
+        doc = lex.to_json()
+        doc["entries"][r"\foo"] = {"num_vars": 1, "at_variants": [1],
+                                   "translations": {"maple": "($0)+1"}}
+        assert maple(r"x^\foo@{y}", Lexicon.from_json(doc)).output == "x^((y)+1)"
 
     def test_negative_exponent(self, lex):
         assert maple("z^{-2}", lex).output == "z^(-2)"
@@ -133,6 +139,10 @@ class TestErrors:
     def test_unknown_macro_aborts(self, lex):
         with pytest.raises(UnknownMacro):
             maple(r"x + \qhyperg{a}{b}@{z}", lex)
+        # a dialect is one of the names in DIALECTS; nothing else is one
+        for dialect in ("maxima", None, DIALECTS["maple"]):
+            with pytest.raises(TranslationError, match="unknown dialect"):
+                translate_string("x", lex, dialect)
 
     def test_arity_mismatch(self, lex):
         for text in (r"\JacobiP{\alpha}{\beta}@{z}", r"\sqrt", r"\sqrt[3] x"):
@@ -155,6 +165,10 @@ class TestErrors:
         for text in (r"\sin@{z}", r"\sqrt{x}", r"\sqrt[3]{x}"):
             with pytest.raises(NoDirectTranslation):
                 mma(text, partial)
+        # \sqrt[n] without a \root entry at all
+        del doc["builtins"][r"\root"]
+        with pytest.raises(NoDirectTranslation):
+            maple(r"\sqrt[3]{x}", Lexicon.from_json(doc))
 
 
 class TestDialectTotality:

@@ -5,8 +5,10 @@ was built at a single exit: after the first repeated text it searched back,
 two steps at a time, for an earlier copy of that text, and it stored
 ``fixed_point_reached`` and ``cycles_to_fixed_point`` as fields.  Now both
 are derived from ``terminated_reason`` and ``cycles_by_side``.  On every
-start, side, ``max_steps`` (3 to 12), dialect and ``use_divide``, the new
-report must hold the same steps, reason, cycles, derived fields and error.
+start, side, ``max_steps`` (3 to 12) and ``use_divide``, the new report
+must hold the same steps, reason, cycles, derived fields and error.  The
+reference took a forward dialect; ``round_trip`` is Maple's alone, so it is
+compared with the Maple dialect.
 """
 
 import json
@@ -22,8 +24,7 @@ from texcas.backward import backward_string
 from texcas.errors import TexcasError
 from texcas.forward import translate_string
 from texcas.inert import render_maple
-from texcas.lexicon import (MAPLE, MAPLE_SIDE, MATHEMATICA, SEMANTIC_LATEX,
-                            CASDialect, Lexicon)
+from texcas.lexicon import MAPLE, MAPLE_SIDE, SEMANTIC_LATEX, Lexicon
 from texcas.verify import round_trip
 
 from treegen import random_evaluable
@@ -55,7 +56,7 @@ def _other(side: str) -> str:
 
 
 def reference_round_trip(start_text: str, start_side: str, lex: Lexicon,
-                         max_steps: int = 12, dialect: CASDialect = MAPLE,
+                         max_steps: int = 12, dialect: str = MAPLE,
                          use_divide: bool = True) -> RoundTripReport:
     texts = [start_text]
     side = start_side
@@ -134,16 +135,15 @@ def starts() -> list:
 STARTS = starts()
 
 
-@pytest.mark.parametrize("dialect, use_divide", [
-    (MAPLE, True), (MAPLE, False), (MATHEMATICA, True)])
-def test_round_trip_matches_reference(lex, dialect, use_divide):
+@pytest.mark.parametrize("use_divide", [True, False])
+def test_round_trip_matches_reference(lex, use_divide):
     reasons = set()
     for k, (text, side) in enumerate(STARTS):
         for max_steps in (3 + k % 10, 12 - k % 10):
             ours = round_trip(text, side, lex, max_steps=max_steps,
-                              dialect=dialect, use_divide=use_divide)
+                              use_divide=use_divide)
             ref = reference_round_trip(text, side, lex, max_steps=max_steps,
-                                       dialect=dialect, use_divide=use_divide)
+                                       use_divide=use_divide)
             assert fields(ours) == fields(ref), (text, side, max_steps)
             reasons.add(ours.terminated_reason)
     # the starts end in every way, so each exit is compared
