@@ -10,7 +10,7 @@ from . import inert
 from .errors import UnknownFunction, UnsupportedTag
 from .forward import TranslationResult, unique_infos
 from .inert import InertForm
-from .lexicon import Lexicon, LexiconEntry, call_shape, fill
+from .lexicon import MAPLE, Lexicon, LexiconEntry, call_shape, fill
 
 
 @dataclass
@@ -30,8 +30,7 @@ def _macro_template(entry: LexiconEntry, permutation: List[int]) -> str:
     for s in range(entry.num_params):
         parts.append("{$%d}" % slot_to_pos[s])
     if entry.num_vars:
-        if 0 not in entry.at_variants:
-            parts.append("@")
+        parts.append("@" * min(entry.at_variants))  # the fewest @ forward accepts
         for s in range(entry.num_params, entry.arity):
             parts.append("{$%d}" % slot_to_pos[s])
     return "".join(parts)
@@ -47,7 +46,7 @@ def build_reverse_rules(lex: Lexicon) -> Dict[Tuple[str, int], ReverseRule]:
     rules: Dict[Tuple[str, int], ReverseRule] = {}
     for table in (lex.entries, lex.builtins):
         for entry in table.values():
-            template = entry.translations.get("maple")
+            template = entry.translations.get(MAPLE)
             if template is None or entry.role != "function":
                 continue
             shape = call_shape(template)
@@ -72,9 +71,9 @@ def _name_map(lex: Lexicon) -> Dict[str, str]:
     """Maple name -> semantic macro; constants shadow Greek letters (gamma)."""
     names: Dict[str, str] = {}
     for cmd, renderings in lex.greek.items():
-        names[renderings["maple"]] = cmd
+        names[renderings[MAPLE]] = cmd
     for record in lex.constants:
-        maple = record.translations.get("maple")
+        maple = record.translations.get(MAPLE)
         if maple and re.fullmatch(r"[A-Za-z_]\w*", maple):
             names[maple] = record.semantic_macro
     return names

@@ -10,20 +10,19 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from . import inert, verify
 from .errors import CorpusFormatError, TexcasError, UnknownMacro
 from .evaluator import free_names
 from .forward import translate_string
-from .lexicon import Lexicon
+from .lexicon import MAPLE, Lexicon
 
 
 @dataclass
 class CorpusRecord:
     id: str
     semantic_latex: str
-    constraint: Optional[str] = None
 
 
 @dataclass
@@ -55,8 +54,7 @@ def read_corpus(path) -> List[CorpusRecord]:
             if rid in seen:
                 raise CorpusFormatError(f"{path}:{lineno}: duplicate id {rid}")
             seen.add(rid)
-            records.append(CorpusRecord(rid, parts[1],
-                                        parts[2] if len(parts) > 2 else None))
+            records.append(CorpusRecord(rid, parts[1]))  # later columns ignored
     return records
 
 
@@ -72,8 +70,7 @@ def run_corpus(records: List[CorpusRecord], lex: Lexicon,
         entry = {"id": record.id, "semantic_latex": record.semantic_latex}
         log.append(entry)
         try:
-            entry["maple"] = translate_string(record.semantic_latex, lex,
-                                              "maple").output
+            entry["maple"] = translate_string(record.semantic_latex, lex, MAPLE).output
             tree = inert.parse_maple(entry["maple"])
             if tree.tag != inert.EQUATION:
                 entry.update(classification="ignored", reason="not a relation")

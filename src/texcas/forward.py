@@ -175,31 +175,38 @@ def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[tu
         kind = "atom" if _ATOMIC_RE.match(template) else "other"
         return ("val", _Unit(template, kind)), i + 1
 
-    # function role: consume parameter groups, at-marker, variable groups
-    if name == "\\sqrt":
-        return _translate_sqrt(children, i, ctx, entry)
-
-    args: List[str] = []
+    # function role: \sqrt's optional [order], the parameter groups, an @ run
+    # of a length the entry lists, then the variable groups
     j = i + 1
+    order = None
+    if name == "\\sqrt" and j < len(children) \
+            and children[j].delimiter_class is DelimiterClass.BRACKET_OPTIONAL:
+        order = _translate_sequence(children[j].children, ctx)
+        j += 1
+    args: List[str] = []
     for _ in range(entry.num_params):
         if j >= len(children) or not _is_curly(children[j]):
-            raise ArityMismatch(name, entry.num_params + entry.num_vars, len(args))
+            raise ArityMismatch(name, entry.arity, len(args))
         args.append(_translate_sequence(children[j].children, ctx))
         j += 1
     if entry.num_vars > 0:
-        has_at = (j < len(children) and children[j].term is not None
-                  and children[j].term.kind is TermKind.AT_MARKER)
-        if has_at:
-            j += 1  # all @-variants translate identically
-        elif 0 not in entry.at_variants:
+        at = children[j].term if j < len(children) else None
+        ats = len(at.lexeme) if at is not None and at.kind is TermKind.AT_MARKER else 0
+        if ats not in entry.at_variants:
             raise ArityMismatch(name, entry.arity, len(args))
+        if ats:
+            j += 1  # every listed @-variant translates identically
         for _ in range(entry.num_vars):
             if j >= len(children) or not _is_curly(children[j]):
                 raise ArityMismatch(name, entry.arity, len(args))
             args.append(_translate_sequence(children[j].children, ctx))
             j += 1
 
-    template = _template(entry, name, ctx)
+    if order is None:
+        template = _template(entry, name, ctx)
+    else:  # \sqrt[n]{x} is \root{x}{n}
+        args.append(order)
+        template = _template(ctx.lex.lookup("\\root"), name, ctx)
     ctx.note_entry(entry)
 
     if name == "\\frac":
@@ -207,27 +214,6 @@ def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[tu
         compact = bool(_ATOMIC_RE.match(num) and _ATOMIC_RE.match(den))
         return ("val", _Unit("", "frac", frac=(num, den, compact))), j
 
-    return ("val", _Unit(fill(template, args), "other")), j
-
-
-def _translate_sqrt(children, i, ctx, entry) -> Tuple[tuple, int]:
-    j = i + 1
-    order = None
-    if (j < len(children)
-            and children[j].delimiter_class is DelimiterClass.BRACKET_OPTIONAL):
-        order = _translate_sequence(children[j].children, ctx)
-        j += 1
-    if j >= len(children) or not _is_curly(children[j]):
-        raise ArityMismatch("\\sqrt", 1, 0)
-    radicand = _translate_sequence(children[j].children, ctx)
-    j += 1
-    if order is None:
-        template = _template(entry, "\\sqrt", ctx)
-        args = [radicand]
-    else:
-        template = _template(ctx.lex.lookup("\\root"), "\\sqrt", ctx)
-        args = [radicand, order]
-    ctx.note_entry(entry)
     return ("val", _Unit(fill(template, args), "other")), j
 
 

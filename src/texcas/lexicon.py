@@ -39,8 +39,8 @@ SEMANTIC_LATEX = "semantic-latex"
 MAPLE_SIDE = "maple"
 
 # the trailing ``reverse`` column is optional, so 8-column sources still compile
-CSV_COLUMNS = ["macro", "num_params", "num_vars", "at_variants",
-               "dlmf_link", "maple", "mathematica", "advisories", "reverse"]
+CSV_COLUMNS = ["macro", "num_params", "num_vars", "at_variants", "dlmf_link",
+               *DIALECTS, "advisories", "reverse"]
 
 ADVISORY_KINDS = {"branch-cut", "domain", "definition-difference",
                   "no-direct-translation"}
@@ -204,7 +204,7 @@ def _check_placeholders(entry: LexiconEntry, file, line) -> None:
     checks = [(t, entry.arity) for t in entry.translations.values()]
     if entry.reverse is not None:
         # reverse placeholders index the arguments of the Maple call
-        shape = call_shape(entry.translations.get("maple", ""))
+        shape = call_shape(entry.translations.get(MAPLE, ""))
         if shape is None:
             raise SchemaError(file, line, f"{entry.macro_name}: a reverse "
                               "template needs a Maple pattern that is one call")
@@ -263,6 +263,9 @@ def _make_entry(name, d, file, line=1, role=None) -> LexiconEntry:
         if not check(fields[key]):
             raise SchemaError(file, line, f"{name}: {key} must be {wanted}, "
                               f"got {fields[key]!r}")
+    if fields["num_vars"] and not fields["at_variants"]:
+        raise SchemaError(file, line, f"{name}: a macro with variables must "
+                          "list at least one @ count in at_variants")
     fields["at_variants"] = frozenset(fields["at_variants"])
     fields["advisories"] = [Advisory(a["kind"], a["text"])
                             for a in fields["advisories"]]

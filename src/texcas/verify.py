@@ -267,7 +267,7 @@ def check_equivalence(lhs: InertForm, rhs: InertForm, vars: Sequence[str],
     alone."""
     check_options(tolerance, points)
     diff = _difference(lhs, rhs)
-    simplified = simplify_light(inert.preprocess(diff))
+    simplified = simplify_light(diff)
     if is_zero(simplified):
         return EquivalenceVerdict("symbolic-zero")
 

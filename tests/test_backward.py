@@ -8,7 +8,7 @@ from texcas.forward import translate_string
 from texcas.inert import INTNEG, PROD, InertForm, parse_maple, preprocess
 from texcas.lexicon import Lexicon
 from texcas.scanner import scan
-from texcas.verify import MAPLE_SIDE, round_trip
+from texcas.verify import MAPLE_SIDE, SEMANTIC_LATEX, round_trip
 
 
 def back(text, lex, **kw):
@@ -115,6 +115,17 @@ class TestReverseRules:
         doc["entries"][r"\Fsq"] = {"num_vars": 2, "at_variants": [1],
                                    "translations": {"maple": "F($0,$0)"}}
         assert ("F", 2) not in build_reverse_rules(Lexicon.from_json(doc))
+
+    def test_writes_the_fewest_listed_at_signs(self, lex):
+        # forward reads only the listed @ counts, so backward writes one
+        doc = lex.to_json()
+        doc["entries"][r"\foo"] = {"num_vars": 1, "at_variants": [2, 3],
+                                   "translations": {"maple": "foo($0)"}}
+        lex2 = Lexicon.from_json(doc)
+        assert back("foo(x)", lex2) == r"\foo@@{x}"
+        report = round_trip(r"\foo@@{x}", SEMANTIC_LATEX, lex2)
+        assert report.terminated_reason == "fixed-point"
+        assert [s.text for s in report.steps] == [r"\foo@@{x}", "foo(x)"]
 
     def test_unknown_function_errors(self, lex):
         with pytest.raises(UnknownFunction):

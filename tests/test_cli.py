@@ -133,7 +133,7 @@ class TestCorpus:
     TEN_RECORDS = [
         "rel-01\t\\sin@{z}^{2}+\\cos@{z}^{2} = 1",
         "rel-02\t\\sin@{z+\\frac{\\cpi}{2}} = \\cos@{z}",
-        "rel-03\t\\cos@{-z} = \\cos@{z}",
+        "rel-03\t\\cos@{-z} = \\cos@{z}\tz > 0",  # a third column is ignored
         "rel-04\t\\exp@{\\ln@{z}} = z",
         "rel-05\t\\sqrt{z}^{2} = z",
         "rel-06\t\\JacobiP{\\alpha}{\\beta}{0}@{x} = 1",
@@ -145,6 +145,7 @@ class TestCorpus:
 
     def test_classification_partition(self, tmp_path, lex):
         records = read_corpus(self.make_corpus(tmp_path, self.TEN_RECORDS))
+        assert records[2].semantic_latex == "\\cos@{-z} = \\cos@{z}"
         stats, log = run_corpus(records, lex)
         assert stats.total == 10
         assert stats.translated == 9

@@ -120,9 +120,12 @@ class TestStructure:
         assert mma("x_{1}", lex).output == "Subscript[x, 1]"
 
     def test_at_variants_translate_identically(self, lex):
-        outputs = {maple(rf"\sin{at}{{z}}", lex).output
-                   for at in ("@", "@@", "@@@")}
+        # the @ counts an entry lists translate alike; any other is refused
+        outputs = {maple(rf"\sin{at}{{z}}", lex).output for at in ("@", "@@")}
         assert outputs == {"sin(z)"}
+        for text in (r"\sin@@@{z}", r"\frac@{a}{b}", r"\sqrt@{x}"):
+            with pytest.raises(ArityMismatch, match="argument group"):
+                maple(text, lex)
 
     def test_group_translation_is_contiguous(self, lex):
         # hierarchy preservation: the argument group's translation appears

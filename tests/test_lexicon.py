@@ -174,6 +174,7 @@ MALFORMED = {
     "string-count": ({"num_params": "1"}, [r"\sin,a,1,1,,sin($0),Sin[$0],"]),
     "bool-count": ({"num_vars": True}, [r"\sin,0,True,1,,sin($0),Sin[$0],"]),
     "at-variants-7": ({"at_variants": [7]}, [r"\sin,0,1,7,,sin($0),Sin[$0],"]),
+    "at-variants-none": ({"at_variants": []}, [r"\sin,0,1,,,sin($0),Sin[$0],"]),
     "bogus-advisory": ({"advisories": [{"kind": "bogus", "text": "t"}]},
                        [r"\sin,0,1,1,,sin($0),Sin[$0],bogus:t"]),
     "bogus-role": ({"role": "bogus"}, None),

@@ -14,7 +14,9 @@ walk became single passes: 1,100 backward renderings of seeded
 macros (every ``@`` variant, a few with too few arguments), Greek letters,
 constants, ``\\frac``, ``\\sqrt`` and ``\\sqrt[n]``, decimals, sub- and
 superscripts, groups and ``\\left(``/``\\right)``, some with a stray
-marker, an unknown macro or a relation.
+marker, an unknown macro or a relation.  Its 19 texts with an ``@`` count
+that the entry does not list were recorded again when forward began to
+refuse such a count.
 """
 
 import json

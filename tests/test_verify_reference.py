@@ -281,7 +281,7 @@ def reference_check_equivalence(lhs: InertForm, rhs: InertForm, vars,
     """Decide whether lhs == rhs: first by simplifying the formula difference
     to literal zero, else by seeded complex sampling of the difference."""
     diff = _difference(lhs, rhs)
-    simplified = reference_simplify_light(inert.preprocess(diff))
+    simplified = reference_simplify_light(diff)
     if is_zero(simplified):
         return EquivalenceVerdict("symbolic-zero")
 
