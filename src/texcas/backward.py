@@ -84,7 +84,6 @@ class _Backward:
         # the lexicon is immutable, so its reverse tables are built once
         if lex.reverse_tables is None:
             lex.reverse_tables = (build_reverse_rules(lex), _name_map(lex))
-        self.lex = lex
         self.rules, self.name_map = lex.reverse_tables
         self.infos: List[Tuple[str, str]] = []  # (kind, text), repeats kept
 

@@ -158,7 +158,7 @@ def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[tu
 
     if entry.role == "operator":
         # \idt: multiplication with no presentation appearance
-        return ("op", ctx.dialect.mult_token), i + 1
+        return ("op", _template(entry, name, ctx)), i + 1
 
     if entry.role == "greek-letter":
         text = entry.translations[ctx.dialect.name]

@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import inert
@@ -28,7 +27,7 @@ from .errors import CheckOptionError, NoEvaluator, TexcasError, UnknownSymbol
 from .evaluator import compile_tree, evaluate, free_names  # noqa: F401
 from .forward import translate_string
 from .inert import (DIVIDE, FLOAT, INTNEG, INTPOS, POWER, PROD,
-                    RATIONAL, SUM, InertForm, int_value)
+                    RATIONAL, SUM, InertForm)
 from .lexicon import MAPLE, MAPLE_SIDE, SEMANTIC_LATEX, Lexicon
 
 DEFAULT_TOLERANCE = 1e-10
@@ -43,41 +42,30 @@ ANNULUS = (0.1, 2.0)
 _MAX_FOLD_BITS = 2 ** 20
 
 
-# Each simplified node travels with its structural key, hashable and totally
-# ordered: ``(tag, payload)`` for a leaf, ``(tag, None, *child_keys)`` for an
-# inner node.  So every key is built once, from its children's keys.  A float
-# key keeps its sign of zero, so terms in -0.0 and 0.0 are never collected.
-Keyed = Tuple[InertForm, tuple]
+# The simplifier works on structural keys alone, hashable and totally
+# ordered: ``(tag, payload)`` for a leaf, ``(tag, payload, *child_keys)`` for
+# an inner node.  A float leaf's key holds ``(value, sign of value)``, so
+# terms in -0.0 and 0.0 are never collected.  ``simplify_light`` builds the
+# tree once, from the final key.
 # an exact rational: int for an integer literal, Fraction otherwise
 Number = Union[int, Fraction]
 
 
-def _leaf(tag: str, payload) -> Keyed:
-    if tag == FLOAT:
-        return InertForm(tag, payload, []), \
-            (FLOAT, (payload, math.copysign(1.0, payload)))
-    return InertForm(tag, payload, []), (tag, payload)
-
-
-def _node(tag: str, pairs: List[Keyed], payload=None) -> Keyed:
-    nodes, keys = zip(*pairs)
-    return InertForm(tag, payload, list(nodes)), (tag, None, *keys)
-
-
-def _number(f: Number) -> Keyed:
+def _number(f: Number) -> tuple:
     if f.denominator == 1:
         n = f.numerator
-        return _leaf(INTPOS, n) if n >= 0 else _leaf(INTNEG, -n)
-    return _node(RATIONAL, [_number(f.numerator), _leaf(INTPOS, f.denominator)])
+        return (INTPOS, n) if n >= 0 else (INTNEG, -n)
+    return RATIONAL, None, _number(f.numerator), (INTPOS, f.denominator)
 
 
-def _as_number(t: InertForm) -> Optional[Number]:
-    if t.tag == INTPOS:
-        return t.payload
-    if t.tag == INTNEG:
-        return -t.payload
-    if t.tag == RATIONAL:
-        return Fraction(int_value(t.children[0]), t.children[1].payload)
+def _as_number(key: tuple) -> Optional[Number]:
+    tag = key[0]
+    if tag == INTPOS:
+        return key[1]
+    if tag == INTNEG:
+        return -key[1]
+    if tag == RATIONAL:
+        return Fraction(_as_number(key[2]), key[3][1])
     return None
 
 
@@ -86,30 +74,39 @@ def simplify_light(tree: InertForm) -> InertForm:
     additive 0 / multiplicative 1, x^1 -> x, x^0 -> 1, sort commutative
     operands, combine DIVIDE of rationals.  Deliberately far weaker than a
     CAS simplify."""
-    return _simplify(tree)[0]
+    return _tree(_simplify(tree))
 
 
-def _simplify(tree: InertForm) -> Keyed:
+def _tree(key: tuple) -> InertForm:
+    """The tree a key stands for."""
+    if len(key) == 2:
+        tag, payload = key
+        return InertForm(tag, payload[0] if tag == FLOAT else payload, [])
+    return InertForm(key[0], key[1], [_tree(k) for k in key[2:]])
+
+
+def _simplify(tree: InertForm) -> tuple:
     tag = tree.tag
     # a SUM or PROD without operands still folds (to 0 or 1)
     if not tree.children and tag not in (DIVIDE, POWER, PROD, SUM):
-        return _leaf(tag, tree.payload)
-    pairs = [_simplify(c) for c in tree.children]
+        if tag == FLOAT:
+            return FLOAT, (tree.payload, math.copysign(1.0, tree.payload))
+        return tag, tree.payload
+    keys = [_simplify(c) for c in tree.children]
 
     if tag == DIVIDE:
-        (num, num_key), (den, _) = pairs
+        num, den = keys
         fn, fd = _as_number(num), _as_number(den)
         if fn is not None and fd is not None and fd != 0:
             return _number(Fraction(fn, fd))
         if fd == 1:
-            return num, num_key
-        return _node(tag, pairs, tree.payload)
+            return num
 
-    if tag == POWER:
-        (base, base_key), (expo, _) = pairs
+    elif tag == POWER:
+        base, expo = keys
         fe = _as_number(expo)
         if fe == 1:
-            return base, base_key
+            return base
         fb = _as_number(base)
         if fe == 0 and fb != 0:
             return _number(1)
@@ -117,64 +114,54 @@ def _simplify(tree: InertForm) -> Keyed:
                 and (fb != 0 or fe > 0) and _fold_bits(fb, fe) <= _MAX_FOLD_BITS:
             k = fe.numerator
             return _number(fb ** k if k >= 0 else Fraction(fb) ** k)
-        return _node(tag, pairs, tree.payload)
 
-    if tag == PROD:
+    elif tag == PROD:
         coeff, rest = 1, []
-        for c, key in _flatten(PROD, pairs):
-            f = _as_number(c)
-            if f is not None:
-                coeff *= f
+        for key in _flatten(PROD, keys):
+            f = _as_number(key)
+            if f is None:
+                rest.append(key)
             else:
-                rest.append((c, key))
+                coeff *= f
         if coeff == 0:
             return _number(0)
-        rest.sort(key=itemgetter(1))
-        if not rest:
-            return _number(coeff)
-        if coeff != 1:
+        rest.sort()
+        if coeff != 1 or not rest:
             rest.insert(0, _number(coeff))
-        return rest[0] if len(rest) == 1 else _node(PROD, rest)
+        return rest[0] if len(rest) == 1 else (PROD, None, *rest)
 
-    if tag == SUM:
+    elif tag == SUM:
         constant, collected = 0, {}
-        for c, key in _flatten(SUM, pairs):
-            f = _as_number(c)
-            if f is not None:
+        for key in _flatten(SUM, keys):
+            f = _as_number(key)
+            if f is None:
+                coeff, core = _split_term(key)
+                collected[core] = collected.get(core, 0) + coeff
+            else:
                 constant += f
-                continue
-            coeff, core, key = _split_term(c, key)
-            if key in collected:
-                collected[key] = (collected[key][0] + coeff, core)
-            else:
-                collected[key] = (coeff, core)
-        out = []
-        if constant != 0:
-            out.append(_number(constant))
-        for key in sorted(collected):
-            coeff, core = collected[key]
-            if coeff == 0:
-                continue
+        out = [_number(constant)] if constant != 0 else []
+        for core in sorted(collected):
+            coeff = collected[core]
             if coeff == 1:
-                out.append((core, key))
-            else:
-                out.append(_node(PROD, [_number(coeff), (core, key)]))
+                out.append(core)
+            elif coeff != 0:
+                out.append((PROD, None, _number(coeff), core))
         if not out:
             return _number(0)
-        return out[0] if len(out) == 1 else _node(SUM, out)
+        return out[0] if len(out) == 1 else (SUM, None, *out)
 
-    return _node(tag, pairs, tree.payload)
+    return (tag, tree.payload, *keys)
 
 
-def _flatten(tag: str, pairs: List[Keyed]) -> List[Keyed]:
+def _flatten(tag: str, keys: List[tuple]) -> List[tuple]:
     """The operands, with each child of the same tag spliced in: a node's
     key holds its children's keys from index 2 on."""
     out = []
-    for c, key in pairs:
-        if c.tag == tag:
-            out.extend(zip(c.children, key[2:]))
+    for key in keys:
+        if key[0] == tag:
+            out.extend(key[2:])
         else:
-            out.append((c, key))
+            out.append(key)
     return out
 
 
@@ -184,16 +171,13 @@ def _fold_bits(base: Number, expo: Number) -> int:
     return abs(expo.numerator) * size
 
 
-def _split_term(t: InertForm, key: tuple) -> Tuple[Number, InertForm, tuple]:
-    """A term as (rational coefficient, core, key of the core)."""
-    if t.tag == PROD:
-        f = _as_number(t.children[0])
+def _split_term(key: tuple) -> Tuple[Number, tuple]:
+    """A term's key as (rational coefficient, key of the core)."""
+    if key[0] == PROD:
+        f = _as_number(key[2])
         if f is not None:
-            rest = t.children[1:]
-            if len(rest) == 1:
-                return f, rest[0], key[3]
-            return f, InertForm(PROD, children=rest), (PROD, None, *key[3:])
-    return 1, t, key
+            return f, key[3] if len(key) == 4 else (PROD, None, *key[3:])
+    return 1, key
 
 
 def is_zero(t: InertForm) -> bool:

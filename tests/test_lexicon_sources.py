@@ -134,6 +134,17 @@ def test_new_constant_suggestion(extended, lex):
         "(1+sqrt(5))/2"
 
 
+def test_idt_renders_its_lexicon_template(lex, tmp_path):
+    builtins = json.loads((DATA / "builtins.json").read_text(encoding="utf-8"))
+    builtins["\\idt"]["mathematica"] = "*"
+    path = tmp_path / "builtins.json"
+    path.write_text(json.dumps(builtins), encoding="utf-8")
+    starred = compile_lexicon(DATA / "macros.csv", DATA / "constants.json",
+                              DATA / "greek.json", path)
+    assert translate_string("a\\idt b", starred, "mathematica").output == "a*b"
+    assert translate_string("a\\idt b", lex, "mathematica").output == "a b"
+
+
 # --- older sources and compiled lexicons ---------------------------------------------
 
 def test_eight_column_header_still_compiles(tmp_path):

@@ -4,6 +4,8 @@ is imported on first access, and each subcommand loads only its stages.
 The import sets are read from ``sys.modules`` in fresh interpreters, since
 this process has long since imported every module."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -135,3 +137,49 @@ def test_the_maple_side_loads_no_checker(argv):
     modules = cli_modules(*argv)
     assert "texcas.inert" in modules
     assert not modules & NOT_MAPLE_SIDE
+
+
+# --- unused imports --------------------------------------------------------------
+
+def unused_imports(source: str, exported) -> list:
+    """(line, name) for each name bound by a module-level import that the
+    module never reads, that ``exported`` (its ``__all__``) does not list and
+    whose import statement carries no ``# noqa: F401``."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__" \
+                or not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            continue
+        if any("# noqa: F401" in line
+               for line in lines[stmt.lineno - 1:stmt.end_lineno]):
+            continue
+        for alias in stmt.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound != "*" and bound not in read and bound not in exported:
+                found.append((stmt.lineno, bound))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(Path(texcas.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_module_import_is_read(path):
+    name = "texcas" if path.stem == "__init__" else f"texcas.{path.stem}"
+    exported = getattr(importlib.import_module(name), "__all__", ())
+    assert unused_imports(path.read_text(encoding="utf-8"), exported) == []
+
+
+def test_guard_sees_unused_imports():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "from operator import itemgetter\n"
+              "from math import (pi,\n"
+              "                  tau)  # noqa: F401\n"
+              "from json import dumps, loads as read_json\n"
+              "__all__ = ['dumps']\n"
+              "x = os.path.join\n")
+    assert unused_imports(source, ["dumps"]) == [(3, "itemgetter"),
+                                                 (6, "read_json")]
