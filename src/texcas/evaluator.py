@@ -72,7 +72,9 @@ def compile_tree(tree: InertForm) -> Callable:
     column = _compile(tree)
 
     def value_at(env, n=None):
-        return column(env, n) if n else column(_OnePoint(env), 1)[0]
+        if n:
+            return column(env, n)
+        return column({name: (complex(v),) for name, v in env.items()}, 1)[0]
     return value_at
 
 
@@ -130,14 +132,6 @@ def _compile(tree: InertForm) -> Callable:
     def unsupported(columns, n):
         raise NoEvaluator(tag)
     return unsupported
-
-
-class _OnePoint(dict):
-    """One point assignment read as columns of one value each."""
-    __slots__ = ()
-
-    def __getitem__(self, name):
-        return (complex(dict.__getitem__(self, name)),)
 
 
 def _constant(name: str) -> Optional[complex]:

@@ -8,7 +8,7 @@ from typing import List, Optional, Tuple
 
 from .errors import (ArityMismatch, NoDirectTranslation, TranslationError,
                      UnknownMacro)
-from .lexicon import DIALECTS, CASDialect, Lexicon, LexiconEntry, fill
+from .lexicon import DIALECTS, Lexicon, LexiconEntry, fill
 from .scanner import DelimiterClass, PomTree, TermKind, scan
 
 
@@ -25,13 +25,15 @@ class TranslationResult:
 
 
 _ATOMIC_RE = re.compile(r"^(\d+(\.\d+)?|[A-Za-z][A-Za-z0-9_]*|\\\[[A-Za-z]+\])$")
+# a placeholder in brackets of its own: ($0) is one, a call's sin($0) is not
+_BARE_RE = re.compile(r"(?<!\w)\((\$\d+)\)")
 
 
 @dataclass(slots=True)
 class _Unit:
     text: str
     kind: str  # atom | group | frac | other
-    frac: Optional[Tuple[str, str, bool]] = None  # (num, den, compact_ok)
+    compact: Optional[str] = None  # a fraction's text standing alone
 
 
 def unique_infos(pairs) -> List[InfoMessage]:
@@ -40,10 +42,13 @@ def unique_infos(pairs) -> List[InfoMessage]:
 
 
 class _Context:
-    def __init__(self, lex: Lexicon, dialect: CASDialect):
+    def __init__(self, lex: Lexicon, dialect: str):
         self.lex = lex
         self.dialect = dialect
         self.infos: List[Tuple[str, str]] = []  # (kind, text), repeats kept
+
+    def product(self) -> str:  # \idt's template spells every product
+        return _template(self.lex.product, "\\idt", self.dialect)
 
     def add_info(self, kind: str, text: str) -> None:
         self.infos.append((kind, text))
@@ -62,15 +67,15 @@ def translate_forward(tree: PomTree, lex: Lexicon, dialect: str) -> TranslationR
     Each macro is rendered by placeholder substitution into the patterns of
     the entry that ``scan`` attached to its term (no entry: ``UnknownMacro``).
     ``lex``, which the tree should be scanned with, gives the constant
-    suggestions and the ``\\sqrt[n]`` template.  The tree hierarchy is
-    preserved.  Bare Latin letters and generic Greek commands that could
-    denote constants are passed through untouched with a constant-suggestion
-    info.
+    suggestions and the ``\\sqrt[n]`` and product templates.  The tree
+    hierarchy is preserved.  Bare Latin letters and generic Greek commands
+    that could denote constants are passed through untouched with a
+    constant-suggestion info.
     """
     if not (isinstance(dialect, str) and dialect in DIALECTS):
         raise TranslationError(f"unknown dialect {dialect!r}: not one of "
                                f"{', '.join(DIALECTS)}")
-    ctx = _Context(lex, DIALECTS[dialect])
+    ctx = _Context(lex, dialect)
     children = tree.children if tree.is_sequence else [tree]
     output = _translate_sequence(children, ctx)
     return TranslationResult(output=output, infos=unique_infos(ctx.infos))
@@ -117,7 +122,7 @@ def _build_items(children: List[PomTree], ctx: _Context) -> Tuple[List[tuple], b
             items.append(("val", _Unit(term.lexeme, "atom")))
         elif kind is TermKind.OPERATOR_SYMBOL:
             lex = term.lexeme
-            items.append(("op", ctx.dialect.mult_token if lex == "*" else lex))
+            items.append(("op", ctx.product() if lex == "*" else lex))
         elif kind is TermKind.MACRO_COMMAND or kind is TermKind.GREEK_LETTER_COMMAND:
             item, i = _translate_macro(children, i, ctx)
             items.append(item)
@@ -158,10 +163,10 @@ def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[tu
 
     if entry.role == "operator":
         # \idt: multiplication with no presentation appearance
-        return ("op", _template(entry, name, ctx)), i + 1
+        return ("op", _template(entry, name, ctx.dialect)), i + 1
 
     if entry.role == "greek-letter":
-        text = entry.translations[ctx.dialect.name]
+        text = _template(entry, name, ctx.dialect)
         suggestion = ctx.lex.command_suggestions.get(name)
         if suggestion:
             ctx.add_info("constant-suggestion",
@@ -170,7 +175,7 @@ def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[tu
         return ("val", _Unit(text, "atom")), i + 1
 
     if entry.role == "constant":
-        template = _template(entry, name, ctx)
+        template = _template(entry, name, ctx.dialect)
         ctx.note_entry(entry)
         kind = "atom" if _ATOMIC_RE.match(template) else "other"
         return ("val", _Unit(template, kind)), i + 1
@@ -203,26 +208,27 @@ def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[tu
             j += 1
 
     if order is None:
-        template = _template(entry, name, ctx)
+        template = _template(entry, name, ctx.dialect)
     else:  # \sqrt[n]{x} is \root{x}{n}
         args.append(order)
-        template = _template(ctx.lex.lookup("\\root"), name, ctx)
+        template = _template(ctx.lex.lookup("\\root"), name, ctx.dialect)
     ctx.note_entry(entry)
+    text = fill(template, args)
+    if name != "\\frac":
+        return ("val", _Unit(text, "other")), j
+    # a fraction of atoms has a compact form, without the bare brackets
+    compact = text
+    if all(map(_ATOMIC_RE.match, args)):
+        compact = fill(_BARE_RE.sub(r"\1", template), args)
+    return ("val", _Unit(text, "frac", compact)), j
 
-    if name == "\\frac":
-        num, den = args
-        compact = bool(_ATOMIC_RE.match(num) and _ATOMIC_RE.match(den))
-        return ("val", _Unit("", "frac", frac=(num, den, compact))), j
 
-    return ("val", _Unit(fill(template, args), "other")), j
-
-
-def _template(entry: Optional[LexiconEntry], name: str, ctx: _Context) -> str:
-    """The entry's template in the context's dialect, which it must have;
-    no entry has no template."""
-    template = entry and entry.translations.get(ctx.dialect.name)
+def _template(entry: Optional[LexiconEntry], name: str, dialect: str) -> str:
+    """The entry's template in the dialect, which it must have; no entry
+    has no template."""
+    template = entry and entry.translations.get(dialect)
     if template is None:
-        raise NoDirectTranslation(name, ctx.dialect.name)
+        raise NoDirectTranslation(name, dialect)
     return template
 
 
@@ -247,7 +253,7 @@ def _resolve_scripts(items: List[tuple], ctx: _Context) -> None:
         if tag == "caret":
             text = f"{_power_base(base)}^{_power_exponent(arg)}"
         else:
-            text = fill(ctx.dialect.subscript, [_power_base(base), arg.text])
+            text = fill(DIALECTS[ctx.dialect], [_power_base(base), arg.text])
         items[k - 1:k + 2] = [("val", _Unit(text, "other"))]
 
 
@@ -255,7 +261,7 @@ def _power_base(unit: _Unit) -> str:
     """A script's base: never a spliced unit, as scripts resolve rightmost
     first."""
     if unit.kind == "frac":
-        return f"({_frac_text(unit, 'operator')})"
+        return f"({unit.text})"
     return unit.text
 
 
@@ -268,15 +274,6 @@ def _power_exponent(unit: _Unit) -> str:
 
 # --- assembly ---------------------------------------------------------------
 
-def _frac_text(unit: _Unit, context: str) -> str:
-    num, den, compact = unit.frac
-    if context == "standalone":
-        return f"{num}/{den}" if compact else f"({num})/({den})"
-    if context == "juxtaposed":
-        return f"({num}/{den})" if compact else f"(({num})/({den}))"
-    return f"({num})/({den})"
-
-
 def _assemble(items: List[tuple], ctx: _Context) -> str:
     parts: List[str] = []
     prev_value = False
@@ -287,19 +284,15 @@ def _assemble(items: List[tuple], ctx: _Context) -> str:
             continue
         unit = payload
         implicit = prev_value
+        text = unit.text
         if unit.kind == "frac":
+            # a fraction alone or beside a value is written compactly
             if len(items) == 1:
-                text = _frac_text(unit, "standalone")
-            else:
-                next_value = k + 1 < len(items) and items[k + 1][0] == "val"
-                if implicit or next_value:
-                    text = _frac_text(unit, "juxtaposed")
-                else:
-                    text = _frac_text(unit, "operator")
-        else:
-            text = unit.text
+                text = unit.compact
+            elif implicit or (k + 1 < len(items) and items[k + 1][0] == "val"):
+                text = f"({unit.compact})"
         if implicit:
-            parts.append(ctx.dialect.mult_token)
+            parts.append(ctx.product())
         parts.append(text)
         prev_value = True
     out = "".join(parts).strip()

@@ -409,6 +409,15 @@ def to_nested_list(tree: InertForm) -> list:
 
 
 def from_nested_list(nl) -> InertForm:
+    """The tree of a nested list; one nested more than ``MAX_HEIGHT`` levels
+    below its root is refused, as ``parse_maple`` refuses so tall a tree."""
+    return _from_list(nl, MAX_HEIGHT)
+
+
+def _from_list(nl, room: int) -> InertForm:
+    """``from_nested_list`` for a list ``room`` levels above the bound."""
+    if room < 0:
+        raise MalformedList(f"a list may nest at most {MAX_HEIGHT} levels")
     if not isinstance(nl, list) or not nl:
         raise MalformedList(f"expected a non-empty list, got {nl!r}")
     tag = nl[0]
@@ -430,7 +439,7 @@ def from_nested_list(nl) -> InertForm:
         if tag in (NAME, STRING) and not isinstance(payload, str):
             raise MalformedList(f"{tag} payload must be a string")
         return InertForm(tag, payload)
-    children = [from_nested_list(c) for c in nl[1:]]
+    children = [_from_list(c, room - 1) for c in nl[1:]]
     node = InertForm(tag, children=children)
     _check_arity(node)
     return node

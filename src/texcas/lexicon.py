@@ -19,20 +19,12 @@ from typing import Dict, List, Optional, Tuple
 from .errors import DuplicateMacro, PlaceholderOutOfRange, SchemaError
 
 
-@dataclass(frozen=True)
-class CASDialect:
-    """A forward target's syntax: how a product and a subscript are spelled."""
-    name: str
-    mult_token: str
-    subscript: str  # template over the base ($0) and the index ($1)
-
-
-# a dialect is passed by its name, the key of its syntax record
+# a dialect is passed by its name, the key of its subscript template over
+# the base ($0) and the index ($1): the one piece of syntax no entry spells
 MAPLE = "maple"
 MATHEMATICA = "mathematica"
 
-DIALECTS = {MAPLE: CASDialect(MAPLE, "*", "$0[$1]"),
-            MATHEMATICA: CASDialect(MATHEMATICA, " ", "Subscript[$0, $1]")}
+DIALECTS = {MAPLE: "$0[$1]", MATHEMATICA: "Subscript[$0, $1]"}
 
 # the two sides a round trip alternates between
 SEMANTIC_LATEX = "semantic-latex"
@@ -103,6 +95,8 @@ class Lexicon:
         self._names: Dict[str, LexiconEntry] = {
             **{c.semantic_macro: c.entry for c in constants},
             **greek, **builtins, **entries}
+        # the entry whose templates spell every product forward writes
+        self.product: Optional[LexiconEntry] = self._names.get("\\idt")
         # plain letter -> macro suggestion (\iunit, \expe, \CatalansConstant)
         self.letter_suggestions = {c.plain_letter_alias: c.semantic_macro
                                    for c in constants if c.plain_letter_alias}

@@ -14,7 +14,8 @@ import pytest
 
 import texcas
 from texcas.backward import backward_string
-from texcas.errors import PlaceholderOutOfRange, SchemaError, UnknownFunction
+from texcas.errors import (NoDirectTranslation, PlaceholderOutOfRange,
+                           SchemaError, UnknownFunction)
 from texcas.forward import translate_string
 from texcas.lexicon import (CSV_COLUMNS, Lexicon, compile_lexicon,
                             compile_macro_csv, load_default)
@@ -143,6 +144,41 @@ def test_idt_renders_its_lexicon_template(lex, tmp_path):
                               DATA / "greek.json", path)
     assert translate_string("a\\idt b", starred, "mathematica").output == "a*b"
     assert translate_string("a\\idt b", lex, "mathematica").output == "a b"
+
+
+def with_builtins(tmp_path, edit):
+    """The seed lexicon with its builtins.json changed by ``edit``."""
+    builtins = json.loads((DATA / "builtins.json").read_text(encoding="utf-8"))
+    edit(builtins)
+    path = tmp_path / "builtins.json"
+    path.write_text(json.dumps(builtins), encoding="utf-8")
+    return compile_lexicon(DATA / "macros.csv", DATA / "constants.json",
+                           DATA / "greek.json", path)
+
+
+def test_frac_renders_its_lexicon_template(lex, tmp_path):
+    divide = with_builtins(tmp_path, lambda b: b["\\frac"].update(
+        maple="divide($0,$1)"))
+    assert translate_string("\\frac{a}{b}", divide, "maple").output == \
+        "divide(a,b)"
+    assert translate_string("\\frac{a}{b}", lex, "maple").output == "a/b"
+
+
+def test_every_product_renders_the_idt_template(lex, tmp_path):
+    starred = with_builtins(tmp_path, lambda b: b["\\idt"].update(
+        mathematica="*"))
+    for text in ("a b", "a*b"):
+        assert translate_string(text, starred, "mathematica").output == "a*b"
+        assert translate_string(text, lex, "mathematica").output == "a b"
+
+
+def test_a_product_needs_the_idt_entry(tmp_path):
+    bare = with_builtins(tmp_path, lambda b: b.pop("\\idt"))
+    assert translate_string("a+b", bare, "maple").output == "a+b"
+    for text in ("a b", "a*b"):
+        with pytest.raises(NoDirectTranslation) as exc:
+            translate_string(text, bare, "maple")
+        assert exc.value.macro == "\\idt"
 
 
 # --- older sources and compiled lexicons ---------------------------------------------

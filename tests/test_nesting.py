@@ -12,10 +12,10 @@ from texcas import inert, scanner
 from texcas.backward import backward_string
 from texcas.cli import (EXIT_PARSE, EXIT_TRANSLATION, CorpusRecord,
                         main, run_corpus)
-from texcas.errors import (MapleSyntaxError, MapleTooDeep, ScanError,
-                           ScanTooDeep)
+from texcas.errors import (MalformedList, MapleSyntaxError, MapleTooDeep,
+                           ScanError, ScanTooDeep)
 from texcas.forward import translate_string
-from texcas.inert import parse_maple
+from texcas.inert import from_nested_list, parse_maple, to_nested_list
 from texcas.scanner import scan
 from texcas.verify import (MAPLE_SIDE, SEMANTIC_LATEX, check_equivalence,
                            round_trip)
@@ -142,3 +142,22 @@ def test_latex_nesting_up_to_the_limit_translates(lex):
         translate_string(text, lex, "maple")
         with pytest.raises(ScanTooDeep):
             scan(deeper, lex)
+
+
+def nested_powers(h):
+    """A nested list h levels below its root: x squared h times."""
+    nl = ["NAME", "x"]
+    for _ in range(h):
+        nl = ["POWER", nl, ["INTPOS", 2]]
+    return nl
+
+
+def test_nested_lists_up_to_the_height_limit_are_read():
+    h = inert.MAX_HEIGHT
+    nl = nested_powers(h)
+    tree = from_nested_list(nl)
+    assert inert._height(tree) == h
+    assert to_nested_list(tree) == nl
+    for taller in (h + 1, 3000):
+        with pytest.raises(MalformedList):
+            from_nested_list(nested_powers(taller))
