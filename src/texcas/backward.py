@@ -3,20 +3,21 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import inert
 from .errors import UnknownFunction, UnsupportedTag
 from .forward import TranslationResult, unique_infos
 from .inert import InertForm
-from .lexicon import MAPLE, Lexicon, LexiconEntry, call_shape, fill
+from .lexicon import MAPLE, Lexicon, LexiconEntry, Record, call_shape, fill
 
 
-@dataclass
-class ReverseRule:
-    latex_template: str
-    advisories: list = field(default_factory=list)
+class ReverseRule(Record):
+    __slots__ = ("latex_template", "advisories")
+
+    def __init__(self, latex_template: str, advisories: Optional[list] = None):
+        self.latex_template = latex_template
+        self.advisories = [] if advisories is None else advisories
 
 
 def _macro_template(entry: LexiconEntry, permutation: List[int]) -> str:

@@ -9,34 +9,40 @@ root; the two sides of that ``EQUATION`` are checked for equivalence.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
 from typing import List, Tuple
 
 from . import inert, verify
 from .errors import CorpusFormatError, TexcasError, UnknownMacro
 from .evaluator import free_names
 from .forward import translate_string
-from .lexicon import MAPLE, Lexicon
+from .lexicon import MAPLE, Lexicon, Record
 
 
-@dataclass
-class CorpusRecord:
-    id: str
-    semantic_latex: str
+class CorpusRecord(Record):
+    __slots__ = ("id", "semantic_latex")
+
+    def __init__(self, id: str, semantic_latex: str):
+        self.id = id
+        self.semantic_latex = semantic_latex
 
 
-@dataclass
-class CorpusStats:
-    total: int = 0
-    translated: int = 0
-    verified: int = 0
-    translated_unverified: int = 0
-    untranslated_unknown_macro: int = 0
-    errored: int = 0
-    ignored: int = 0
+class CorpusStats(Record):
+    __slots__ = ("total", "translated", "verified", "translated_unverified",
+                 "untranslated_unknown_macro", "errored", "ignored")
+
+    def __init__(self, total: int = 0, translated: int = 0, verified: int = 0,
+                 translated_unverified: int = 0, untranslated_unknown_macro: int = 0,
+                 errored: int = 0, ignored: int = 0):
+        self.total = total
+        self.translated = translated
+        self.verified = verified
+        self.translated_unverified = translated_unverified
+        self.untranslated_unknown_macro = untranslated_unknown_macro
+        self.errored = errored
+        self.ignored = ignored
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def read_corpus(path) -> List[CorpusRecord]:
@@ -95,6 +101,5 @@ def run_corpus(records: List[CorpusRecord], lex: Lexicon,
             if verdict.reason:
                 entry["reason"] = verdict.reason
     counts = Counter(e["classification"].replace("-", "_") for e in log)
-    stats = CorpusStats(total=len(log), **counts)
-    stats.translated = stats.verified + stats.translated_unverified + stats.ignored
-    return stats, log
+    translated = counts["verified"] + counts["translated_unverified"] + counts["ignored"]
+    return CorpusStats(total=len(log), translated=translated, **counts), log

@@ -3,25 +3,28 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .errors import (ArityMismatch, NoDirectTranslation, TranslationError,
                      UnknownMacro)
-from .lexicon import DIALECTS, Lexicon, LexiconEntry, fill
+from .lexicon import DIALECTS, Lexicon, LexiconEntry, Record, fill
 from .scanner import DelimiterClass, PomTree, TermKind, scan
 
 
-@dataclass
-class InfoMessage:
-    kind: str  # constant-suggestion | branch-cut | domain | dlmf-link | ...
-    text: str
+class InfoMessage(Record):
+    __slots__ = ("kind", "text")
+
+    def __init__(self, kind: str, text: str):
+        self.kind = kind  # constant-suggestion | branch-cut | domain | dlmf-link | ...
+        self.text = text
 
 
-@dataclass
-class TranslationResult:
-    output: str
-    infos: List[InfoMessage] = field(default_factory=list)
+class TranslationResult(Record):
+    __slots__ = ("output", "infos")
+
+    def __init__(self, output: str, infos: Optional[List[InfoMessage]] = None):
+        self.output = output
+        self.infos = [] if infos is None else infos
 
 
 _ATOMIC_RE = re.compile(r"^(\d+(\.\d+)?|[A-Za-z][A-Za-z0-9_]*|\\\[[A-Za-z]+\])$")
@@ -29,11 +32,13 @@ _ATOMIC_RE = re.compile(r"^(\d+(\.\d+)?|[A-Za-z][A-Za-z0-9_]*|\\\[[A-Za-z]+\])$"
 _BARE_RE = re.compile(r"(?<!\w)\((\$\d+)\)")
 
 
-@dataclass(slots=True)
-class _Unit:
-    text: str
-    kind: str  # atom | group | frac | other
-    compact: Optional[str] = None  # a fraction's text standing alone
+class _Unit(Record):
+    __slots__ = ("text", "kind", "compact")
+
+    def __init__(self, text: str, kind: str, compact: Optional[str] = None):
+        self.text = text
+        self.kind = kind  # atom | group | frac | other
+        self.compact = compact  # a fraction's text standing alone
 
 
 def unique_infos(pairs) -> List[InfoMessage]:

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 from .errors import (MalformedList, MapleSyntaxError, MapleTooDeep,
                      TexcasError, UnsupportedConstruct)
+from .lexicon import Record
 
 # inert tags
 NAME = "NAME"
@@ -43,11 +43,14 @@ _PAYLOAD_TAGS = {NAME, STRING, INTPOS, INTNEG, FLOAT}
 _NUMERIC_TAGS = frozenset((INTPOS, INTNEG, RATIONAL, FLOAT))
 
 
-@dataclass(eq=True, slots=True)
-class InertForm:
-    tag: str
-    payload: Union[int, float, str, None] = None
-    children: List["InertForm"] = field(default_factory=list)
+class InertForm(Record):
+    __slots__ = ("tag", "payload", "children")
+
+    def __init__(self, tag: str, payload: Union[int, float, str, None] = None,
+                 children: Optional[List[InertForm]] = None):
+        self.tag = tag
+        self.payload = payload
+        self.children = [] if children is None else children
 
     def __repr__(self):
         # without recursion, so that every tree the parser accepts has a repr

@@ -11,9 +11,9 @@ import csv
 import io
 import json
 import re
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 from importlib import resources
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DuplicateMacro, PlaceholderOutOfRange, SchemaError
@@ -40,37 +40,68 @@ ADVISORY_KINDS = {"branch-cut", "domain", "definition-difference",
 ROLES = ("function", "constant", "greek-letter", "operator")
 
 
-@dataclass
-class Advisory:
-    kind: str
-    text: str
+class Record:
+    """A value record: equality and a repr over its ``__slots__``, in order,
+    and no hash.  Each record writes its own ``__init__``."""
+
+    __slots__ = ()
+    __hash__ = None  # a record may change after it is built
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
 
 
-@dataclass
-class LexiconEntry:
-    macro_name: str
-    num_params: int
-    num_vars: int
-    at_variants: frozenset
-    dlmf_link: Optional[str]
-    translations: Dict[str, str]
-    advisories: List[Advisory]
-    role: str  # one of ROLES
-    # semantic-LaTeX template over the Maple call's arguments, for Maple
-    # templates that are not a plain call with distinct placeholders
-    reverse: Optional[str]
+class Advisory(Record):
+    __slots__ = ("kind", "text")
+
+    def __init__(self, kind: str, text: str):
+        self.kind = kind
+        self.text = text
+
+
+class LexiconEntry(Record):
+    __slots__ = ("macro_name", "num_params", "num_vars", "at_variants",
+                 "dlmf_link", "translations", "advisories", "role", "reverse")
+
+    def __init__(self, macro_name: str, num_params: int, num_vars: int,
+                 at_variants: frozenset, dlmf_link: Optional[str],
+                 translations: Dict[str, str], advisories: List[Advisory],
+                 role: str, reverse: Optional[str]):
+        self.macro_name = macro_name
+        self.num_params = num_params
+        self.num_vars = num_vars
+        self.at_variants = at_variants
+        self.dlmf_link = dlmf_link
+        self.translations = translations
+        self.advisories = advisories
+        self.role = role  # one of ROLES
+        # semantic-LaTeX template over the Maple call's arguments, for Maple
+        # templates that are not a plain call with distinct placeholders
+        self.reverse = reverse
 
     @property
     def arity(self) -> int:
         return self.num_params + self.num_vars
 
 
-@dataclass
-class ConstantRecord:
-    entry: LexiconEntry  # role constant: the name, translations and advisory
-    plain_letter_alias: Optional[str] = None
-    advisory: Optional[str] = None
-    suggest_for: Optional[str] = None  # generic command that may denote it
+class ConstantRecord(Record):
+    __slots__ = ("entry", "plain_letter_alias", "advisory", "suggest_for")
+
+    def __init__(self, entry: LexiconEntry, plain_letter_alias: Optional[str] = None,
+                 advisory: Optional[str] = None, suggest_for: Optional[str] = None):
+        self.entry = entry  # role constant: the name, translations and advisory
+        self.plain_letter_alias = plain_letter_alias
+        self.advisory = advisory
+        self.suggest_for = suggest_for  # generic command that may denote it
 
     @property
     def semantic_macro(self) -> str:
@@ -84,7 +115,7 @@ class ConstantRecord:
 class Lexicon:
     """Immutable after compile; lookup is total over all compiled names."""
 
-    def __init__(self, entries, constants, greek, builtins):
+    def __init__(self, entries, constants, greek, builtins, file="<lexicon>"):
         self.entries: Dict[str, LexiconEntry] = entries
         self.constants: List[ConstantRecord] = constants
         self.greek: Dict[str, Dict[str, str]] = {  # from greek-letter entries
@@ -97,6 +128,11 @@ class Lexicon:
             **greek, **builtins, **entries}
         # the entry whose templates spell every product forward writes
         self.product: Optional[LexiconEntry] = self._names.get("\\idt")
+        # forward fills \root's template with \sqrt[n]'s arguments and n
+        sqrt, root = self._names.get("\\sqrt"), self._names.get("\\root")
+        if sqrt and root and root.arity != sqrt.arity + 1:
+            raise SchemaError(file, 1, f"\\root must take \\sqrt's {sqrt.arity} "
+                              f"argument(s) and the order; it takes {root.arity}")
         # plain letter -> macro suggestion (\iunit, \expe, \CatalansConstant)
         self.letter_suggestions = {c.plain_letter_alias: c.semantic_macro
                                    for c in constants if c.plain_letter_alias}
@@ -136,7 +172,7 @@ class Lexicon:
         except (KeyError, TypeError, AttributeError) as exc:
             raise SchemaError(file, 1, "not a compiled lexicon: "
                               f"{type(exc).__name__}: {exc}")
-        return Lexicon(entries, constants, greek, builtins)
+        return Lexicon(entries, constants, greek, builtins, file)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -148,8 +184,11 @@ class Lexicon:
 
 
 def _entry_to_json(e: LexiconEntry) -> dict:
-    d = {k: v for k, v in asdict(e).items() if k != "macro_name"}
-    return {**d, "at_variants": sorted(e.at_variants)}
+    return {"num_params": e.num_params, "num_vars": e.num_vars,
+            "at_variants": sorted(e.at_variants), "dlmf_link": e.dlmf_link,
+            "translations": dict(e.translations),
+            "advisories": [{"kind": a.kind, "text": a.text} for a in e.advisories],
+            "role": e.role, "reverse": e.reverse}
 
 
 # --- templates ------------------------------------------------------------
@@ -213,7 +252,8 @@ def _check_placeholders(entry: LexiconEntry, file, line) -> None:
 # --- validation -----------------------------------------------------------
 
 def _is_count(v) -> bool:
-    return type(v) is int and v >= 0  # a bool is no count
+    # a bool is no count; TeX reads at most nine arguments of a macro
+    return type(v) is int and 0 <= v <= 9
 
 
 def _is_text(v) -> bool:
@@ -222,8 +262,8 @@ def _is_text(v) -> bool:
 
 # (field, check, what the check wants) for every field of a record
 _FIELD_CHECKS = (
-    ("num_params", _is_count, "a non-negative integer"),
-    ("num_vars", _is_count, "a non-negative integer"),
+    ("num_params", _is_count, "an integer from 0 to 9"),
+    ("num_vars", _is_count, "an integer from 0 to 9"),
     ("at_variants", lambda v: isinstance(v, list) and all(
         type(n) is int and 0 <= n <= 3 for n in v), "a list within 0, 1, 2, 3"),
     ("dlmf_link", _is_text, "text or null"),
@@ -294,7 +334,10 @@ def _constant(name, d, file) -> ConstantRecord:
 
 def _cell_int(cell: str):
     """The cell as an int, or as text, which _make_entry refuses."""
-    return int(cell) if cell.isdecimal() else cell
+    try:
+        return int(cell) if cell.isdecimal() else cell
+    except ValueError:  # more digits than int() converts
+        return cell
 
 
 def compile_macro_csv(path) -> Dict[str, LexiconEntry]:
@@ -391,8 +434,10 @@ def compile_lexicon(macro_csv, constants_json, greek_json, builtins_json) -> Lex
                  for name, d in _load_json(constants_json).items()]
     builtins = {name: _make_entry(name, d, builtins_json)
                 for name, d in _load_json(builtins_json).items()}
-    return Lexicon(compile_macro_csv(macro_csv), constants,
-                   _greek(_load_json(greek_json), greek_json), builtins)
+    macros = compile_macro_csv(macro_csv)
+    # a check across entries names the file of \root (the CSV shadows builtins)
+    return Lexicon(macros, constants, _greek(_load_json(greek_json), greek_json),
+                   builtins, macro_csv if "\\root" in macros else builtins_json)
 
 
 _DEFAULT: Optional[Lexicon] = None

@@ -9,13 +9,12 @@ scans as three sibling leaves ``x``, ``^``, ``3``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
 from typing import List, Optional
 
 from .errors import EmptyInput, ScanTooDeep, UnbalancedDelimiters, UnsupportedSymbol
-from .lexicon import LexiconEntry, load_default
+from .lexicon import LexiconEntry, Record, load_default
 
 # Groups may nest this deep; forward translation recurses a few frames per
 # group, so the limit keeps it within Python's default recursion limit.
@@ -35,14 +34,18 @@ class TermKind(Enum):
     RESERVED = "reserved"
 
 
-@dataclass(slots=True)
-class MathTerm:
-    lexeme: str
-    kind: TermKind
-    position: int = 0
-    # the macro's lexicon entry: one, or none for an unknown macro or a
-    # term that is no macro
-    tentative_features: List[LexiconEntry] = field(default_factory=list)
+class MathTerm(Record):
+    __slots__ = ("lexeme", "kind", "position", "tentative_features")
+
+    def __init__(self, lexeme: str, kind: TermKind, position: int = 0,
+                 tentative_features: Optional[List[LexiconEntry]] = None):
+        self.lexeme = lexeme
+        self.kind = kind
+        self.position = position
+        # the macro's lexicon entry: one, or none for an unknown macro or a
+        # term that is no macro
+        self.tentative_features = ([] if tentative_features is None
+                                   else tentative_features)
 
 
 class DelimiterClass(Enum):
@@ -51,15 +54,20 @@ class DelimiterClass(Enum):
     PAREN = "paren"
 
 
-@dataclass(slots=True)
-class PomTree:
+class PomTree(Record):
     """Either a leaf term, a delimited group, or a sequence of siblings."""
 
-    term: Optional[MathTerm] = None
-    delimiter_class: Optional[DelimiterClass] = None
-    children: Optional[List["PomTree"]] = None
-    open_lexeme: str = ""
-    close_lexeme: str = ""
+    __slots__ = ("term", "delimiter_class", "children", "open_lexeme", "close_lexeme")
+
+    def __init__(self, term: Optional[MathTerm] = None,
+                 delimiter_class: Optional[DelimiterClass] = None,
+                 children: Optional[List[PomTree]] = None,
+                 open_lexeme: str = "", close_lexeme: str = ""):
+        self.term = term
+        self.delimiter_class = delimiter_class
+        self.children = children
+        self.open_lexeme = open_lexeme
+        self.close_lexeme = close_lexeme
 
     @property
     def is_leaf(self) -> bool:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -28,7 +27,7 @@ from .evaluator import compile_tree, evaluate, free_names  # noqa: F401
 from .forward import translate_string
 from .inert import (DIVIDE, FLOAT, INTNEG, INTPOS, POWER, PROD,
                     RATIONAL, SUM, InertForm)
-from .lexicon import MAPLE, MAPLE_SIDE, SEMANTIC_LATEX, Lexicon
+from .lexicon import MAPLE, MAPLE_SIDE, SEMANTIC_LATEX, Lexicon, Record
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_POINTS = 20
@@ -186,11 +185,16 @@ def is_zero(t: InertForm) -> bool:
 
 # --- equivalence checking -------------------------------------------------------
 
-@dataclass
-class EquivalenceVerdict:
-    outcome: str  # symbolic-zero | numeric-converged | numeric-mismatch | inconclusive
-    samples: List[Tuple[Dict[str, complex], float]] = field(default_factory=list)
-    reason: Optional[str] = None
+class EquivalenceVerdict(Record):
+    __slots__ = ("outcome", "samples", "reason")
+
+    def __init__(self, outcome: str,
+                 samples: Optional[List[Tuple[Dict[str, complex], float]]] = None,
+                 reason: Optional[str] = None):
+        # symbolic-zero | numeric-converged | numeric-mismatch | inconclusive
+        self.outcome = outcome
+        self.samples = [] if samples is None else samples
+        self.reason = reason
 
     @property
     def max_abs_difference(self) -> Optional[float]:
@@ -285,19 +289,25 @@ def check_equivalence(lhs: InertForm, rhs: InertForm, vars: Sequence[str],
 
 # --- round-trip fixed-point testing ----------------------------------------------
 
-@dataclass
-class RoundTripStep:
-    index: int
-    side: str  # semantic-latex | maple
-    text: str
+class RoundTripStep(Record):
+    __slots__ = ("index", "side", "text")
+
+    def __init__(self, index: int, side: str, text: str):
+        self.index = index
+        self.side = side  # semantic-latex | maple
+        self.text = text
 
 
-@dataclass
-class RoundTripReport:
-    steps: List[RoundTripStep]
-    cycles_by_side: Dict[str, Fraction]  # empty without a fixed point
-    terminated_reason: str  # fixed-point | max-steps | translation-error
-    error: Optional[str] = None
+class RoundTripReport(Record):
+    __slots__ = ("steps", "cycles_by_side", "terminated_reason", "error")
+
+    def __init__(self, steps: List[RoundTripStep], cycles_by_side: Dict[str, Fraction],
+                 terminated_reason: str, error: Optional[str] = None):
+        self.steps = steps
+        self.cycles_by_side = cycles_by_side  # empty without a fixed point
+        # fixed-point | max-steps | translation-error
+        self.terminated_reason = terminated_reason
+        self.error = error
 
     @property
     def fixed_point_reached(self) -> bool:

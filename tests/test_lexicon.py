@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from texcas import cli
 from texcas.errors import DuplicateMacro, PlaceholderOutOfRange, SchemaError
 from texcas.lexicon import (CSV_COLUMNS, DIALECTS, Lexicon, compile_lexicon,
                             compile_macro_csv, load_default, seed_path)
@@ -173,6 +174,9 @@ DUPLICATE_KEY = object()
 MALFORMED = {
     "string-count": ({"num_params": "1"}, [r"\sin,a,1,1,,sin($0),Sin[$0],"]),
     "bool-count": ({"num_vars": True}, [r"\sin,0,True,1,,sin($0),Sin[$0],"]),
+    "count-10": ({"num_vars": 10}, [r"\sin,0,10,1,,sin($0),Sin[$0],"]),
+    "count-10**400": ({"num_params": 10**400},
+                      [rf"\sin,{10**400},1,1,,sin($0),Sin[$0],"]),
     "at-variants-7": ({"at_variants": [7]}, [r"\sin,0,1,7,,sin($0),Sin[$0],"]),
     "at-variants-none": ({"at_variants": []}, [r"\sin,0,1,,,sin($0),Sin[$0],"]),
     "bogus-advisory": ({"advisories": [{"kind": "bogus", "text": "t"}]},
@@ -236,3 +240,59 @@ def test_lookup_precedence(tmp_path):
 def test_seed_lexicon_matches_recorded_json():
     recorded = Path(__file__).parent / "data" / "seed_lexicon.json"
     assert load_default().to_json() == json.loads(recorded.read_text(encoding="utf-8"))
+
+
+def test_a_count_cell_past_int_digits_is_refused(tmp_path):
+    # int() refuses a decimal string of more than 4,300 digits
+    with pytest.raises(SchemaError, match="num_params must be an integer from 0 to 9"):
+        compile_macro_csv(write_csv(
+            tmp_path, [rf"\sin,{'9' * 5000},1,1,,sin($0),Sin[$0],"]))
+
+
+# \sqrt[n]{x} fills \root's template with \sqrt's arguments and then n, so a
+# lexicon in which \root takes other than one argument more is refused
+ROOT_ARITY = {
+    "root-takes-three": ("\\root", {"num_vars": 3, "maple": "root($0,$1,$2)",
+                                    "mathematica": "Surd[$0,$1,$2]"}),
+    "sqrt-takes-none": ("\\sqrt", {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROOT_ARITY))
+def test_root_must_take_sqrts_arguments_and_the_order(case, tmp_path, capsys):
+    name, record = ROOT_ARITY[case]
+    builtins = json.loads(seed_path("builtins.json").read_text(encoding="utf-8"))
+    builtins[name] = {**builtins[name], **record} if record else {}
+    path = write_json(tmp_path, "builtins.json", builtins)
+    with pytest.raises(SchemaError, match=r"\\root must take") as refused:
+        compile_lexicon(*map(seed_path, ("macros.csv", "constants.json",
+                                         "greek.json")), path)
+    assert refused.value.file == path
+
+    compiled = load_default().to_json()
+    compiled["builtins"][name] = {  # the record as a compiled lexicon holds it
+        **{k: v for k, v in builtins[name].items() if k not in DIALECTS},
+        "translations": {k: builtins[name][k] for k in DIALECTS if k in builtins[name]}}
+    lexicon_path = write_json(tmp_path, "compiled.json", compiled)
+    with pytest.raises(SchemaError, match=r"\\root must take") as refused:
+        Lexicon.load(lexicon_path)
+    assert refused.value.file == lexicon_path
+
+    # and from the CLI: exit code 4 and one error line, not an IndexError
+    capsys.readouterr()
+    for argv in (["compile-lexicon", "--builtins", str(path),
+                  "--out", str(tmp_path / "out.json")],
+                 ["translate", "--lexicon", str(lexicon_path), "--", r"\sqrt[3]{x}"]):
+        assert cli.main(argv) == cli.EXIT_SCHEMA
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("error:") == 1 and err.startswith("error:")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_a_root_error_names_the_csv_that_defines_root(tmp_path):
+    sqrt = json.loads(seed_path("builtins.json").read_text(encoding="utf-8"))["\\sqrt"]
+    with pytest.raises(SchemaError, match=r"\\root must take \\sqrt's 1 argument") \
+            as refused:
+        compile_with(tmp_path, [r"\root,0,1,0,,root($0),Surd[$0],"],
+                     builtins={"\\sqrt": sqrt})
+    assert refused.value.file == tmp_path / "macros.csv"

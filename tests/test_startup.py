@@ -16,6 +16,7 @@ import pytest
 
 import texcas
 from texcas import backward, cli, corpus, evaluator, forward, inert, lexicon, scanner, verify
+from texcas.lexicon import seed_path
 
 SRC = str(Path(texcas.__file__).resolve().parent.parent)
 
@@ -52,11 +53,12 @@ try:
     runpy.run_module("texcas.cli", run_name="__main__")
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("texcas"))]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
 def cli_modules(*argv):
+    """Every module loaded by a run of ``texcas argv``, which must succeed."""
     code, modules = json.loads(run_fresh(CLI_PROBE, json.dumps(argv)).splitlines()[-1])
     assert code == 0
     return set(modules)
@@ -137,6 +139,38 @@ def test_the_maple_side_loads_no_checker(argv):
     modules = cli_modules(*argv)
     assert "texcas.inert" in modules
     assert not modules & NOT_MAPLE_SIDE
+
+
+# Standard-library modules no entry point may load: records are slotted
+# classes, and ``dataclasses`` alone would bring in ``inspect``, ``ast``,
+# ``dis`` and ``tokenize`` on every start.
+HEAVY = {"dataclasses", "inspect"}
+
+
+@pytest.fixture(scope="module")
+def heavy_unless_bare():
+    """The heavy modules that a bare interpreter does not load already."""
+    return HEAVY - set(run_fresh("import sys; print(*sys.modules)").split())
+
+
+def test_import_texcas_loads_no_heavy_module(heavy_unless_bare):
+    out = run_fresh("import sys, texcas\n"
+                    "texcas.load_default()\n"
+                    "print(*sys.modules)")
+    assert not set(out.split()) & heavy_unless_bare
+
+
+@pytest.mark.parametrize("argv", [
+    ["translate", "--", r"\sin@{z}"],
+    ["translate", "--backward", "--", "sin(x)^2/3"],
+    ["inert", "--", "sin(x)^2/3"],
+    ["roundtrip", "--", r"\sin@{z}"],
+    ["corpus", str(seed_path("seed_corpus.tsv"))],
+    ["compile-lexicon", "--out", os.devnull],
+], ids=["translate", "translate-backward", "inert", "roundtrip", "corpus",
+        "compile-lexicon"])
+def test_no_subcommand_loads_a_heavy_module(argv, heavy_unless_bare):
+    assert not cli_modules(*argv) & heavy_unless_bare
 
 
 # --- unused imports --------------------------------------------------------------
