@@ -12,8 +12,8 @@ import io
 import json
 import re
 from functools import lru_cache
-from importlib import resources
 from operator import attrgetter
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DuplicateMacro, PlaceholderOutOfRange, SchemaError
@@ -115,7 +115,7 @@ class ConstantRecord(Record):
 class Lexicon:
     """Immutable after compile; lookup is total over all compiled names."""
 
-    def __init__(self, entries, constants, greek, builtins, file="<lexicon>"):
+    def __init__(self, entries, constants, greek, builtins):
         self.entries: Dict[str, LexiconEntry] = entries
         self.constants: List[ConstantRecord] = constants
         self.greek: Dict[str, Dict[str, str]] = {  # from greek-letter entries
@@ -128,11 +128,6 @@ class Lexicon:
             **greek, **builtins, **entries}
         # the entry whose templates spell every product forward writes
         self.product: Optional[LexiconEntry] = self._names.get("\\idt")
-        # forward fills \root's template with \sqrt[n]'s arguments and n
-        sqrt, root = self._names.get("\\sqrt"), self._names.get("\\root")
-        if sqrt and root and root.arity != sqrt.arity + 1:
-            raise SchemaError(file, 1, f"\\root must take \\sqrt's {sqrt.arity} "
-                              f"argument(s) and the order; it takes {root.arity}")
         # plain letter -> macro suggestion (\iunit, \expe, \CatalansConstant)
         self.letter_suggestions = {c.plain_letter_alias: c.semantic_macro
                                    for c in constants if c.plain_letter_alias}
@@ -172,7 +167,8 @@ class Lexicon:
         except (KeyError, TypeError, AttributeError) as exc:
             raise SchemaError(file, 1, "not a compiled lexicon: "
                               f"{type(exc).__name__}: {exc}")
-        return Lexicon(entries, constants, greek, builtins, file)
+        return _check_root(Lexicon(entries, constants, greek, builtins),
+                           lambda name: file)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -435,16 +431,30 @@ def compile_lexicon(macro_csv, constants_json, greek_json, builtins_json) -> Lex
     builtins = {name: _make_entry(name, d, builtins_json)
                 for name, d in _load_json(builtins_json).items()}
     macros = compile_macro_csv(macro_csv)
-    # a check across entries names the file of \root (the CSV shadows builtins)
-    return Lexicon(macros, constants, _greek(_load_json(greek_json), greek_json),
-                   builtins, macro_csv if "\\root" in macros else builtins_json)
+    greek = _greek(_load_json(greek_json), greek_json)
+    # where each name's entry comes from: the CSV shadows builtins, and so on
+    sources = ((macros, macro_csv), (builtins, builtins_json), (greek, greek_json))
+    return _check_root(Lexicon(macros, constants, greek, builtins), lambda name: next(
+        (path for names, path in sources if name in names), constants_json))
+
+
+def _check_root(lexicon: Lexicon, file_of) -> Lexicon:
+    """Refuse a \\root that does not take \\sqrt's arguments and the order, which
+    forward fills it with; ``file_of(name)`` is the file name's entry is from."""
+    sqrt, root = lexicon.lookup("\\sqrt"), lexicon.lookup("\\root")
+    if sqrt and root and root.arity != sqrt.arity + 1:
+        sqrt_file = file_of("\\sqrt")
+        raise SchemaError(file_of("\\root"), 1, (
+            f"\\root must take \\sqrt's {sqrt.arity} argument(s) and the order; "
+            f"it takes {root.arity} (\\sqrt comes from {sqrt_file})"))
+    return lexicon
 
 
 _DEFAULT: Optional[Lexicon] = None
 
 
 def seed_path(name: str):
-    return resources.files("texcas").joinpath("data").joinpath(name)
+    return Path(__file__).resolve().parent / "data" / name
 
 
 def load_default() -> Lexicon:

@@ -296,3 +296,24 @@ def test_a_root_error_names_the_csv_that_defines_root(tmp_path):
         compile_with(tmp_path, [r"\root,0,1,0,,root($0),Surd[$0],"],
                      builtins={"\\sqrt": sqrt})
     assert refused.value.file == tmp_path / "macros.csv"
+
+
+def test_a_root_error_names_the_csv_that_shadows_sqrt(tmp_path):
+    # \root comes from builtins.json and still takes two arguments, but the
+    # CSV's \sqrt takes two as well: the error says where each one comes from
+    root = json.loads(seed_path("builtins.json").read_text(encoding="utf-8"))["\\root"]
+    with pytest.raises(SchemaError, match=r"\\root must take \\sqrt's 2 argument") \
+            as refused:
+        compile_with(tmp_path, [r'\sqrt,0,2,0,,"sqrt($0,$1)","Sqrt[$0,$1]",'],
+                     builtins={"\\root": root})
+    assert refused.value.file == tmp_path / "builtins.json"
+    assert f"(\\sqrt comes from {tmp_path / 'macros.csv'})" in refused.value.reason
+
+
+def test_a_root_error_names_the_side_file_of_each_entry(tmp_path):
+    with pytest.raises(SchemaError, match=r"\\sqrt's 0 argument\(s\) and the "
+                       r"order; it takes 0") as refused:
+        compile_with(tmp_path, [], greek={"\\root": {"maple": "r", "mathematica": "R"}},
+                     constants={"\\sqrt": {"maple": "s", "mathematica": "S"}})
+    assert refused.value.file == tmp_path / "greek.json"
+    assert f"(\\sqrt comes from {tmp_path / 'constants.json'})" in refused.value.reason
