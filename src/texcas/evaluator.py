@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from operator import mul, truediv
 from typing import Callable, Dict, Optional
 
 from . import inert
@@ -104,13 +105,13 @@ def _compile(tree: InertForm) -> Callable:
         def product(columns, n):
             out = [1 + 0j] * n
             for f in factors:
-                out = [a * b for a, b in zip(out, f(columns, n))]
+                out = list(map(mul, out, f(columns, n)))
             return out
         return product
     if tag == inert.DIVIDE:
         num, den = (_compile(c) for c in tree.children)
-        return lambda columns, n: [a / b for a, b in
-                                   zip(num(columns, n), den(columns, n))]
+        return lambda columns, n: list(map(truediv, num(columns, n),
+                                           den(columns, n)))
     if tag == inert.POWER:
         base_of, expo_of = (_compile(c) for c in tree.children)
         return lambda columns, n: [
@@ -123,10 +124,10 @@ def _compile(tree: InertForm) -> Callable:
         fn = _FUNCTIONS.get((fname, len(args)))
 
         def call(columns, n):
-            values = zip(*[f(columns, n) for f in args])
+            values = [f(columns, n) for f in args]
             if fn is None:
                 raise NoEvaluator(fname)
-            return [fn(*v) for v in values]
+            return list(map(fn, *values))
         return call
 
     def unsupported(columns, n):

@@ -8,7 +8,7 @@ from typing import List, Optional, Tuple
 from .errors import (ArityMismatch, NoDirectTranslation, TranslationError,
                      UnknownMacro)
 from .lexicon import DIALECTS, Lexicon, LexiconEntry, Record, fill
-from .scanner import DelimiterClass, PomTree, TermKind, scan
+from .scanner import LEADS, DelimiterClass, MathTerm, PomTree, TermKind, scan
 
 
 class InfoMessage(Record):
@@ -26,6 +26,16 @@ class TranslationResult(Record):
         self.output = output
         self.infos = [] if infos is None else infos
 
+
+# the members the walk compares, bound once: on Python 3.11 each
+# ``TermKind.X`` goes through ``EnumType.__getattr__``, several times the cost
+# of a global (3.12 dropped that hook)
+_MACRO, _GREEK = TermKind.MACRO_COMMAND, TermKind.GREEK_LETTER_COMMAND
+_LETTER, _DIGITS = TermKind.LATIN_LETTER, TermKind.DIGIT_SEQUENCE
+_OPERATOR, _RELATION = TermKind.OPERATOR_SYMBOL, TermKind.RELATION_SYMBOL
+_CARET, _UNDERSCORE, _AT = TermKind.CARET, TermKind.UNDERSCORE, TermKind.AT_MARKER
+_CURLY, _OPTIONAL, _PAREN = (DelimiterClass.CURLY, DelimiterClass.BRACKET_OPTIONAL,
+                             DelimiterClass.PAREN)
 
 _ATOMIC_RE = re.compile(r"^(\d+(\.\d+)?|[A-Za-z][A-Za-z0-9_]*|\\\[[A-Za-z]+\])$")
 # a placeholder in brackets of its own: ($0) is one, a call's sin($0) is not
@@ -47,9 +57,10 @@ def unique_infos(pairs) -> List[InfoMessage]:
 
 
 class _Context:
-    def __init__(self, lex: Lexicon, dialect: str):
+    def __init__(self, lex: Lexicon, dialect: str, leaves: dict):
         self.lex = lex
         self.dialect = dialect
+        self.leaves = leaves  # _leaf_table(lex, dialect), or {} to build it
         self.infos: List[Tuple[str, str]] = []  # (kind, text), repeats kept
 
     def product(self) -> str:  # \idt's template spells every product
@@ -80,7 +91,9 @@ def translate_forward(tree: PomTree, lex: Lexicon, dialect: str) -> TranslationR
     if not (isinstance(dialect, str) and dialect in DIALECTS):
         raise TranslationError(f"unknown dialect {dialect!r}: not one of "
                                f"{', '.join(DIALECTS)}")
-    ctx = _Context(lex, dialect)
+    if lex.leaf_tables is None:
+        lex.leaf_tables = {name: _leaf_table(lex, name) for name in DIALECTS}
+    ctx = _Context(lex, dialect, lex.leaf_tables[dialect])
     children = tree.children if tree.is_sequence else [tree]
     output = _translate_sequence(children, ctx)
     return TranslationResult(output=output, infos=unique_infos(ctx.infos))
@@ -88,6 +101,36 @@ def translate_forward(tree: PomTree, lex: Lexicon, dialect: str) -> TranslationR
 
 def translate_string(text: str, lex: Lexicon, dialect: str) -> TranslationResult:
     return translate_forward(scan(text, lex), lex, dialect)
+
+
+# --- leaf table -------------------------------------------------------------
+
+def _leaf_table(lex: Lexicon, dialect: str) -> dict:
+    """lexeme -> (entry, item, info pairs) of every leaf that translates the
+    same wherever it stands: Latin letters, operator and relation symbols,
+    and the lexicon's Greek letters, constants and operators (\\idt).  The
+    entry is a macro's, None for any other leaf.  Each item is built once, by
+    the walk itself; a leaf without a template in the dialect is left out, so
+    each occurrence still raises NoDirectTranslation.  Every translation
+    shares these items: no stage may change a cached ``_Unit``."""
+    # the walk reads a macro term's entry, not which macro kind it has; the
+    # symbols come last, so a side-file name without a backslash that spells
+    # one cannot displace it
+    leaves = [(name, _MACRO, entry) for name, entry in lex.names.items()
+              if entry.role != "function"]
+    leaves += [(lexeme, kind, None) for lexeme, kind in LEADS.items()
+               if kind is _LETTER or kind is _OPERATOR or kind is _RELATION]
+    ctx = _Context(lex, dialect, {})
+    table = {}
+    for lexeme, kind, entry in leaves:
+        ctx.infos = []
+        term = MathTerm(lexeme, kind, 0, entry and [entry])
+        try:
+            (item,), _ = _build_items([PomTree(term)], ctx)
+        except NoDirectTranslation:
+            continue
+        table[lexeme] = (entry, item, tuple(ctx.infos))
+    return table
 
 
 # --- sequence translation ---------------------------------------------------
@@ -103,6 +146,7 @@ def _build_items(children: List[PomTree], ctx: _Context) -> Tuple[List[tuple], b
     """The sequence's items, and whether any is a caret or underscore."""
     items: List[tuple] = []
     has_scripts = False
+    leaf_of = ctx.leaves.get
     i = 0
     n = len(children)
     while i < n:
@@ -110,48 +154,56 @@ def _build_items(children: List[PomTree], ctx: _Context) -> Tuple[List[tuple], b
         term = node.term
         if term is None:  # a group
             inner = _translate_sequence(node.children, ctx)
-            if node.delimiter_class is not DelimiterClass.PAREN \
-                    and _ATOMIC_RE.match(inner):
+            if node.delimiter_class is not _PAREN and _ATOMIC_RE.match(inner):
                 items.append(("val", _Unit(inner, "atom")))
             else:
                 items.append(("val", _Unit(f"({inner})", "group")))
             i += 1
             continue
+        leaf = leaf_of(term.lexeme)
+        # a macro's cached item serves only the entry it was built from
+        if leaf is not None and leaf[0] is (term.tentative_features[0]
+                                            if term.tentative_features else None):
+            items.append(leaf[1])
+            if leaf[2]:
+                ctx.infos += leaf[2]
+            i += 1
+            continue
         kind = term.kind
-        if kind is TermKind.LATIN_LETTER:
-            suggestion = ctx.lex.letter_suggestions.get(term.lexeme)
-            if suggestion:
-                ctx.add_info("constant-suggestion",
-                             f"letter '{term.lexeme}' may denote the constant "
-                             f"{suggestion}; it is translated as a plain letter")
-            items.append(("val", _Unit(term.lexeme, "atom")))
-        elif kind is TermKind.OPERATOR_SYMBOL:
-            lex = term.lexeme
-            items.append(("op", ctx.product() if lex == "*" else lex))
-        elif kind is TermKind.MACRO_COMMAND or kind is TermKind.GREEK_LETTER_COMMAND:
+        if kind is _MACRO or kind is _GREEK:
             item, i = _translate_macro(children, i, ctx)
             items.append(item)
             continue
-        elif kind is TermKind.DIGIT_SEQUENCE:
+        if kind is _DIGITS:
             text = term.lexeme
             # re-fuse decimal literals split by the shallow first scan
             if i + 2 < n:
                 point = children[i + 1].term
                 frac = children[i + 2].term
                 if point is not None and point.lexeme == "." and frac is not None \
-                        and frac.kind is TermKind.DIGIT_SEQUENCE:
+                        and frac.kind is _DIGITS:
                     text = f"{text}.{frac.lexeme}"
                     i += 2
             items.append(("val", _Unit(text, "atom")))
-        elif kind is TermKind.CARET:
+        elif kind is _CARET:
             items.append(("caret", None))
             has_scripts = True
-        elif kind is TermKind.UNDERSCORE:
+        elif kind is _UNDERSCORE:
             items.append(("subscript", None))
             has_scripts = True
-        elif kind is TermKind.RELATION_SYMBOL:
+        elif kind is _LETTER:
+            suggestion = ctx.lex.letter_suggestions.get(term.lexeme)
+            if suggestion:
+                ctx.add_info("constant-suggestion",
+                             f"letter '{term.lexeme}' may denote the constant "
+                             f"{suggestion}; it is translated as a plain letter")
+            items.append(("val", _Unit(term.lexeme, "atom")))
+        elif kind is _OPERATOR:
+            lex = term.lexeme
+            items.append(("op", ctx.product() if lex == "*" else lex))
+        elif kind is _RELATION:
             items.append(("op", " = " if term.lexeme == "=" else term.lexeme))
-        elif kind is TermKind.AT_MARKER:
+        elif kind is _AT:
             raise TranslationError(f"stray at-marker at position {term.position}")
         else:
             raise TranslationError(f"cannot translate reserved symbol {term.lexeme!r}")
@@ -190,7 +242,7 @@ def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[tu
     j = i + 1
     order = None
     if name == "\\sqrt" and j < len(children) \
-            and children[j].delimiter_class is DelimiterClass.BRACKET_OPTIONAL:
+            and children[j].delimiter_class is _OPTIONAL:
         order = _translate_sequence(children[j].children, ctx)
         j += 1
     args: List[str] = []
@@ -201,7 +253,7 @@ def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[tu
         j += 1
     if entry.num_vars > 0:
         at = children[j].term if j < len(children) else None
-        ats = len(at.lexeme) if at is not None and at.kind is TermKind.AT_MARKER else 0
+        ats = len(at.lexeme) if at is not None and at.kind is _AT else 0
         if ats not in entry.at_variants:
             raise ArityMismatch(name, entry.arity, len(args))
         if ats:
@@ -238,7 +290,7 @@ def _template(entry: Optional[LexiconEntry], name: str, dialect: str) -> str:
 
 
 def _is_curly(node: PomTree) -> bool:
-    return node.delimiter_class is DelimiterClass.CURLY
+    return node.delimiter_class is _CURLY
 
 
 # --- caret / subscript resolution -------------------------------------------

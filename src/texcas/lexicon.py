@@ -123,11 +123,11 @@ class Lexicon:
         self.builtins: Dict[str, LexiconEntry] = builtins
         # every name once: the CSV shadows builtins, builtins shadow Greek
         # letters and Greek letters shadow constants
-        self._names: Dict[str, LexiconEntry] = {
+        self.names: Dict[str, LexiconEntry] = {
             **{c.semantic_macro: c.entry for c in constants},
             **greek, **builtins, **entries}
         # the entry whose templates spell every product forward writes
-        self.product: Optional[LexiconEntry] = self._names.get("\\idt")
+        self.product: Optional[LexiconEntry] = self.names.get("\\idt")
         # plain letter -> macro suggestion (\iunit, \expe, \CatalansConstant)
         self.letter_suggestions = {c.plain_letter_alias: c.semantic_macro
                                    for c in constants if c.plain_letter_alias}
@@ -137,9 +137,12 @@ class Lexicon:
         # (reverse rules, Maple name map) of backward translation, which
         # builds them on first use so loading a lexicon does not pay for them
         self.reverse_tables = None
+        # dialect -> forward's table of the leaves it writes the same way at
+        # every occurrence, built on first use like the reverse tables
+        self.leaf_tables = None
 
     def lookup(self, name: str) -> Optional[LexiconEntry]:
-        return self._names.get(name)
+        return self.names.get(name)
 
     # --- persistence -------------------------------------------------------
 
@@ -147,12 +150,12 @@ class Lexicon:
         return {
             "entries": {n: _entry_to_json(e) for n, e in sorted(self.entries.items())},
             "constants": [
-                {"macro": c.semantic_macro, "translations": c.translations,
+                {"macro": c.semantic_macro, "translations": dict(c.translations),
                  "alias": c.plain_letter_alias, "advisory": c.advisory,
                  "suggest_for": c.suggest_for}
                 for c in self.constants
             ],
-            "greek": self.greek,
+            "greek": {cmd: dict(t) for cmd, t in self.greek.items()},
             "builtins": {n: _entry_to_json(e)
                          for n, e in sorted(self.builtins.items())},
         }
@@ -315,6 +318,10 @@ def _greek(doc: dict, file) -> Dict[str, LexiconEntry]:
 
 def _constant(name, d, file) -> ConstantRecord:
     entry = _make_entry(name, d, file, role="constant")
+    if entry.arity:  # a constant is a leaf: nothing would fill its placeholders
+        raise SchemaError(file, 1, f"{name}: a constant takes no arguments, "
+                          f"got num_params {entry.num_params} and num_vars "
+                          f"{entry.num_vars}")
     alias, advisory, suggest_for = map(d.get, ("alias", "advisory", "suggest_for"))
     if alias not in (None, "i", "e", "C"):
         raise SchemaError(file, 1, f"{name}: alias must be one of i, e, C")

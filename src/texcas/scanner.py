@@ -88,6 +88,12 @@ _TOKEN_RE = re.compile(
     r"%[^\n]*\n?|\s+|\\\\|\\[a-zA-Z]+|@{1,3}|[0-9]+"
     r"|[a-zA-Z^_{\[(}\])&+\-*/!|.,;:=<>]")
 
+# the members the scan loop compares or builds, bound once: on Python 3.11
+# each ``TermKind.X`` goes through ``EnumType.__getattr__``, several times
+# the cost of a global (3.12 dropped that hook)
+_MACRO, _GREEK = TermKind.MACRO_COMMAND, TermKind.GREEK_LETTER_COMMAND
+_RESERVED, _PAREN = TermKind.RESERVED, DelimiterClass.PAREN
+
 _DELIM_PAIRS = {"{": "}", "[": "]", "(": ")"}
 _DELIM_CLASSES = {
     "{": DelimiterClass.CURLY,
@@ -96,9 +102,10 @@ _DELIM_CLASSES = {
 }
 
 # a token's first character -> its term kind, or what the scan does with it;
-# whitespace and comments are absent, so the scan skips them
+# whitespace and comments are absent, so the scan skips them.  Forward reads
+# the one-character leaves it may write from here.
 _BACKSLASH, _OPEN, _CLOSE = "backslash", "open", "close"
-_LEADS = {
+LEADS = {
     **dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ",
                     TermKind.LATIN_LETTER),
     **dict.fromkeys("0123456789", TermKind.DIGIT_SEQUENCE),
@@ -136,7 +143,7 @@ def scan(text: str, kb=None) -> PomTree:
     if kb is None:
         kb = load_default()
 
-    lead = _LEADS.get
+    lead = LEADS.get
     siblings: List[PomTree] = []  # of the innermost open group, or the root
     # (enclosing siblings, open lexeme, open position) per open group
     stack = []
@@ -147,11 +154,11 @@ def scan(text: str, kb=None) -> PomTree:
             continue
         if kind is _BACKSLASH:
             if lexeme == "\\\\":
-                siblings.append(PomTree(MathTerm(lexeme, TermKind.RESERVED, pos)))
+                siblings.append(PomTree(MathTerm(lexeme, _RESERVED, pos)))
             elif lexeme == "\\left" or lexeme == "\\right":
                 # \left<delim> ... \right<delim> forms a paren-class group
                 for dlex, dpos in tokens_left:
-                    if dlex[0] in _LEADS:
+                    if dlex[0] in LEADS:
                         break
                 else:
                     raise UnbalancedDelimiters(pos, f"{lexeme} without a delimiter")
@@ -171,16 +178,15 @@ def scan(text: str, kb=None) -> PomTree:
                     expected = _DELIM_PAIRS[open_lex[-1]]
                     if dlex != expected:
                         raise UnbalancedDelimiters(dpos, f"expected \\right{expected}")
-                    parent.append(PomTree(None, DelimiterClass.PAREN, siblings,
+                    parent.append(PomTree(None, _PAREN, siblings,
                                           open_lex, "\\right" + dlex))
                     siblings = parent
             else:
                 entry = kb.lookup(lexeme)
                 if entry is None:
-                    siblings.append(PomTree(MathTerm(lexeme, TermKind.MACRO_COMMAND, pos)))
+                    siblings.append(PomTree(MathTerm(lexeme, _MACRO, pos)))
                 else:
-                    kind = (TermKind.GREEK_LETTER_COMMAND if entry.role == "greek-letter"
-                            else TermKind.MACRO_COMMAND)
+                    kind = _GREEK if entry.role == "greek-letter" else _MACRO
                     siblings.append(PomTree(MathTerm(lexeme, kind, pos, [entry])))
         elif kind is _OPEN:
             stack.append((siblings, lexeme, pos))

@@ -120,6 +120,14 @@ def test_error_in_an_earlier_argument_wins_over_an_unknown_function():
         compiled({"x": 1})
 
 
+@pytest.mark.parametrize("text", ["sin()", "BesselK()"])
+def test_a_call_without_arguments_raises_only_when_called(text):
+    compiled = compile_tree(parse_maple(text))
+    for n in (None, 3):
+        with pytest.raises(NoEvaluator):
+            compiled({}, n)
+
+
 def test_unsupported_tag_raises_only_when_called():
     compiled = compile_tree(parse_maple("x = 1"))
     with pytest.raises(NoEvaluator):

@@ -162,6 +162,18 @@ class TestCompileBehaviour:
         assert reloaded.lookup("\\JacobiP").translations == \
             lex.lookup("\\JacobiP").translations
 
+    def test_to_json_shares_no_container_with_the_lexicon(self, lex):
+        def empty(value):  # every dict and list in the document, innermost first
+            for inner in (value.values() if isinstance(value, dict) else value):
+                if isinstance(inner, (dict, list)):
+                    empty(inner)
+            value.clear()
+
+        before = lex.to_json()
+        empty(lex.to_json())
+        assert lex.to_json() == before
+        assert lex.greek["\\alpha"] and lex.lookup("\\cpi").translations
+
 
 # --- one validating constructor for every input --------------------------------
 
@@ -287,6 +299,28 @@ def test_root_must_take_sqrts_arguments_and_the_order(case, tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.count("error:") == 1 and err.startswith("error:")
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("counts", [{"num_vars": 1}, {"num_params": 1},
+                                    {"num_params": 2, "num_vars": 1}])
+def test_a_constant_that_declares_arguments_is_refused(counts, tmp_path, capsys):
+    # it would compile to f($0) and save as a lexicon that does not load
+    constants = json.loads(seed_path("constants.json").read_text(encoding="utf-8"))
+    constants["\\cpi"].update(counts, maple="f($0)")
+    path = write_json(tmp_path, "constants.json", constants)
+    with pytest.raises(SchemaError, match=r"\\cpi: a constant takes no arguments") \
+            as refused:
+        compile_lexicon(seed_path("macros.csv"), path,
+                        *map(seed_path, ("greek.json", "builtins.json")))
+    assert refused.value.file == path
+
+    capsys.readouterr()
+    out_path = tmp_path / "out.json"
+    argv = ["compile-lexicon", "--constants", str(path), "--out", str(out_path)]
+    assert cli.main(argv) == cli.EXIT_SCHEMA
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error:") == 1 and err.startswith("error:")
+    assert not out_path.exists()
 
 
 def test_a_root_error_names_the_csv_that_defines_root(tmp_path):

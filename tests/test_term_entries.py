@@ -27,7 +27,8 @@ import pytest
 from test_lexicon_sources import extended  # noqa: F401  (a fixture)
 from texcas.backward import build_reverse_rules
 from texcas.corpus import read_corpus
-from texcas.errors import MalformedList, TexcasError
+from texcas.errors import (MalformedList, NoDirectTranslation, TexcasError,
+                           UnknownMacro)
 from texcas.forward import translate_forward, translate_string
 from texcas.inert import INTPOS, InertForm, from_nested_list, render_maple
 from texcas.lexicon import DIALECTS, Lexicon, seed_path
@@ -91,6 +92,92 @@ def test_one_lookup_per_macro(lex, lookups, dialect):
 def test_a_radical_of_order_n_also_looks_up_its_template(lex, lookups):
     assert translate_string(r"\sqrt[3]{x}", lex, "maple").output == "root(x,3)"
     assert len(lookups) == 2
+
+
+def test_a_fresh_lexicons_first_translation_makes_only_the_scans_lookups(
+        lex, lookups):
+    fresh = Lexicon.from_json(lex.to_json())
+    del lookups[:]  # from_json's own, of \\sqrt and \\root
+    assert fresh.leaf_tables is None
+    result = translate_string(CRITERION_1, fresh, "maple")
+    assert lookups == ["\\JacobiP", "\\alpha", "\\beta", "\\cos", "\\Theta"]
+    assert set(fresh.leaf_tables) == set(DIALECTS)
+    assert result == translate_string(CRITERION_1, lex, "maple")
+
+
+def respelled(lex):
+    """The seed lexicon with \\alpha and \\cpi spelled differently, an
+    advisory on \\cpi and no constant suggested for \\alpha."""
+    doc = lex.to_json()
+    doc["greek"]["\\alpha"] = {"maple": "a_alpha", "mathematica": "AAlpha"}
+    for record in doc["constants"]:
+        if record["macro"] == "\\cpi":
+            record.update(translations={"maple": "pi()", "mathematica": "PiValue"},
+                          advisory="pi() is a call")
+        if record["macro"] == "\\finestructure":
+            record["suggest_for"] = None
+    return Lexicon.from_json(doc)
+
+
+ALPHA_SUGGESTION = ["constant-suggestion", "command '\\alpha' may denote the "
+                    "constant \\finestructure; it is translated as a Greek letter"]
+EXPE_ADVISORY = ["no-direct-translation",
+                 "\\expe: Maple has no symbol for e; the workaround exp(1) is used"]
+CROSS_TEXT = r"\cpi\alpha + \expe^{x}"
+# recorded before forward kept a leaf table: templates and advisories come
+# from the entries the scan attached, suggestions from the translating lexicon
+CROSS = {
+    ("seed", "respelled"): {
+        "maple": {"output": "Pi*alpha+exp(1)^x", "infos": [EXPE_ADVISORY]},
+        "mathematica": {"output": "Pi \\[Alpha]+E^x", "infos": [EXPE_ADVISORY]}},
+    ("respelled", "seed"): {
+        "maple": {"output": "pi()*a_alpha+exp(1)^x", "infos": [
+            ["no-direct-translation", "\\cpi: pi() is a call"],
+            ALPHA_SUGGESTION, EXPE_ADVISORY]},
+        "mathematica": {"output": "PiValue AAlpha+E^x", "infos": [
+            ["no-direct-translation", "\\cpi: pi() is a call"],
+            ALPHA_SUGGESTION, EXPE_ADVISORY]}},
+}
+
+
+@pytest.mark.parametrize("scanned, translated", sorted(CROSS))
+def test_a_tree_scanned_with_another_lexicon_keeps_its_entries(
+        lex, scanned, translated):
+    lexicons = {"seed": lex, "respelled": respelled(lex)}
+    for name in (translated, scanned):  # each lexicon's tables built first
+        translate_string(CROSS_TEXT, lexicons[name], "maple")
+    tree = scan(CROSS_TEXT, lexicons[scanned])
+    row = {}
+    for dialect in DIALECTS:
+        result = translate_forward(tree, lexicons[translated], dialect)
+        row[dialect] = {"output": result.output,
+                        "infos": [[i.kind, i.text] for i in result.infos]}
+    assert row == CROSS[scanned, translated]
+
+
+def test_a_macro_the_scan_did_not_know_stays_unknown(lex):
+    doc = lex.to_json()
+    doc["constants"] = [c for c in doc["constants"] if c["macro"] != "\\cpi"]
+    tree = scan(CROSS_TEXT, Lexicon.from_json(doc))
+    translate_string(CROSS_TEXT, lex, "maple")  # lex's tables hold \\cpi
+    with pytest.raises(UnknownMacro, match=r"\\cpi"):
+        translate_forward(tree, lex, "maple")
+
+
+def test_a_leaf_without_a_template_is_refused_where_it_stands(lex):
+    doc = lex.to_json()
+    del doc["builtins"]["\\idt"]["translations"]["mathematica"]
+    for record in doc["constants"]:
+        if record["macro"] == "\\EulerConstant":
+            del record["translations"]["mathematica"]
+    partial = Lexicon.from_json(doc)
+    for text in ("a*b", r"a\idt b", "2x", r"\EulerConstant"):
+        with pytest.raises(NoDirectTranslation):
+            translate_string(text, partial, "mathematica")
+    assert [translate_string(text, partial, "maple").output
+            for text in ("a*b", r"a\idt b", "2x", r"\EulerConstant")] == \
+        ["a*b", "a*b", "2*x", "gamma"]
+    assert translate_string("a+b", partial, "mathematica").output == "a+b"
 
 
 def test_scan_attaches_the_entry_itself(lex):
