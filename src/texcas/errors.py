@@ -102,9 +102,14 @@ class MapleSyntaxError(TexcasError):
 
 
 class MapleTooDeep(MapleSyntaxError):
+    """Maple input past a bound of ``limit`` levels.  Nesting is refused at
+    the token past the bound, which follows at least one token per level; a
+    parsed tree too tall is refused as a whole, at position 0."""
+
     def __init__(self, position, limit):
         self.limit = limit
-        super().__init__(position, f"at most {limit} nested levels")
+        super().__init__(position, f"at most {limit} nested levels" if position
+                         else f"a tree at most {limit} levels tall")
 
 
 class UnsupportedConstruct(TexcasError):

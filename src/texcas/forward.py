@@ -8,7 +8,7 @@ from typing import List, Optional, Tuple
 from .errors import (ArityMismatch, NoDirectTranslation, TranslationError,
                      UnknownMacro)
 from .lexicon import DIALECTS, Lexicon, LexiconEntry, Record, fill
-from .scanner import LEADS, DelimiterClass, MathTerm, PomTree, TermKind, scan
+from .scanner import DelimiterClass, MathTerm, PomTree, TermKind, scan
 
 
 class InfoMessage(Record):
@@ -30,8 +30,8 @@ class TranslationResult(Record):
 # the members the walk compares, bound once: on Python 3.11 each
 # ``TermKind.X`` goes through ``EnumType.__getattr__``, several times the cost
 # of a global (3.12 dropped that hook)
-_MACRO, _GREEK = TermKind.MACRO_COMMAND, TermKind.GREEK_LETTER_COMMAND
-_LETTER, _DIGITS = TermKind.LATIN_LETTER, TermKind.DIGIT_SEQUENCE
+_MACRO, _LETTER = TermKind.MACRO_COMMAND, TermKind.LATIN_LETTER
+_DIGITS = TermKind.DIGIT_SEQUENCE
 _OPERATOR, _RELATION = TermKind.OPERATOR_SYMBOL, TermKind.RELATION_SYMBOL
 _CARET, _UNDERSCORE, _AT = TermKind.CARET, TermKind.UNDERSCORE, TermKind.AT_MARKER
 _CURLY, _OPTIONAL, _PAREN = (DelimiterClass.CURLY, DelimiterClass.BRACKET_OPTIONAL,
@@ -47,7 +47,7 @@ class _Unit(Record):
 
     def __init__(self, text: str, kind: str, compact: Optional[str] = None):
         self.text = text
-        self.kind = kind  # atom | group | frac | other
+        self.kind = kind  # atom | frac | other; a bracketed group is an atom
         self.compact = compact  # a fraction's text standing alone
 
 
@@ -57,10 +57,10 @@ def unique_infos(pairs) -> List[InfoMessage]:
 
 
 class _Context:
-    def __init__(self, lex: Lexicon, dialect: str, leaves: dict):
+    def __init__(self, lex: Lexicon, dialect: str):
         self.lex = lex
         self.dialect = dialect
-        self.leaves = leaves  # _leaf_table(lex, dialect), or {} to build it
+        self.leaves = lex.leaf_tables[dialect]  # filled by _leaf
         self.infos: List[Tuple[str, str]] = []  # (kind, text), repeats kept
 
     def product(self) -> str:  # \idt's template spells every product
@@ -92,8 +92,8 @@ def translate_forward(tree: PomTree, lex: Lexicon, dialect: str) -> TranslationR
         raise TranslationError(f"unknown dialect {dialect!r}: not one of "
                                f"{', '.join(DIALECTS)}")
     if lex.leaf_tables is None:
-        lex.leaf_tables = {name: _leaf_table(lex, name) for name in DIALECTS}
-    ctx = _Context(lex, dialect, lex.leaf_tables[dialect])
+        lex.leaf_tables = {name: {} for name in DIALECTS}
+    ctx = _Context(lex, dialect)
     children = tree.children if tree.is_sequence else [tree]
     output = _translate_sequence(children, ctx)
     return TranslationResult(output=output, infos=unique_infos(ctx.infos))
@@ -101,36 +101,6 @@ def translate_forward(tree: PomTree, lex: Lexicon, dialect: str) -> TranslationR
 
 def translate_string(text: str, lex: Lexicon, dialect: str) -> TranslationResult:
     return translate_forward(scan(text, lex), lex, dialect)
-
-
-# --- leaf table -------------------------------------------------------------
-
-def _leaf_table(lex: Lexicon, dialect: str) -> dict:
-    """lexeme -> (entry, item, info pairs) of every leaf that translates the
-    same wherever it stands: Latin letters, operator and relation symbols,
-    and the lexicon's Greek letters, constants and operators (\\idt).  The
-    entry is a macro's, None for any other leaf.  Each item is built once, by
-    the walk itself; a leaf without a template in the dialect is left out, so
-    each occurrence still raises NoDirectTranslation.  Every translation
-    shares these items: no stage may change a cached ``_Unit``."""
-    # the walk reads a macro term's entry, not which macro kind it has; the
-    # symbols come last, so a side-file name without a backslash that spells
-    # one cannot displace it
-    leaves = [(name, _MACRO, entry) for name, entry in lex.names.items()
-              if entry.role != "function"]
-    leaves += [(lexeme, kind, None) for lexeme, kind in LEADS.items()
-               if kind is _LETTER or kind is _OPERATOR or kind is _RELATION]
-    ctx = _Context(lex, dialect, {})
-    table = {}
-    for lexeme, kind, entry in leaves:
-        ctx.infos = []
-        term = MathTerm(lexeme, kind, 0, entry and [entry])
-        try:
-            (item,), _ = _build_items([PomTree(term)], ctx)
-        except NoDirectTranslation:
-            continue
-        table[lexeme] = (entry, item, tuple(ctx.infos))
-    return table
 
 
 # --- sequence translation ---------------------------------------------------
@@ -154,26 +124,25 @@ def _build_items(children: List[PomTree], ctx: _Context) -> Tuple[List[tuple], b
         term = node.term
         if term is None:  # a group
             inner = _translate_sequence(node.children, ctx)
-            if node.delimiter_class is not _PAREN and _ATOMIC_RE.match(inner):
-                items.append(("val", _Unit(inner, "atom")))
-            else:
-                items.append(("val", _Unit(f"({inner})", "group")))
+            if node.delimiter_class is _PAREN or not _ATOMIC_RE.match(inner):
+                inner = f"({inner})"
+            items.append(("val", _Unit(inner, "atom")))
             i += 1
             continue
+        entry = term.tentative_features[0] if term.tentative_features else None
         leaf = leaf_of(term.lexeme)
-        # a macro's cached item serves only the entry it was built from
-        if leaf is not None and leaf[0] is (term.tentative_features[0]
-                                            if term.tentative_features else None):
+        # a macro's stored item serves only the entry it was built from
+        if leaf is not None and leaf[0] is entry:
             items.append(leaf[1])
             if leaf[2]:
                 ctx.infos += leaf[2]
             i += 1
             continue
-        kind = term.kind
-        if kind is _MACRO or kind is _GREEK:
-            item, i = _translate_macro(children, i, ctx)
+        if entry is not None and entry.role == "function":
+            item, i = _translate_macro(children, i, entry, ctx)
             items.append(item)
             continue
+        kind = term.kind
         if kind is _DIGITS:
             text = term.lexeme
             # re-fuse decimal literals split by the shallow first scan
@@ -191,54 +160,67 @@ def _build_items(children: List[PomTree], ctx: _Context) -> Tuple[List[tuple], b
         elif kind is _UNDERSCORE:
             items.append(("subscript", None))
             has_scripts = True
-        elif kind is _LETTER:
-            suggestion = ctx.lex.letter_suggestions.get(term.lexeme)
-            if suggestion:
-                ctx.add_info("constant-suggestion",
-                             f"letter '{term.lexeme}' may denote the constant "
-                             f"{suggestion}; it is translated as a plain letter")
-            items.append(("val", _Unit(term.lexeme, "atom")))
-        elif kind is _OPERATOR:
-            lex = term.lexeme
-            items.append(("op", ctx.product() if lex == "*" else lex))
-        elif kind is _RELATION:
-            items.append(("op", " = " if term.lexeme == "=" else term.lexeme))
-        elif kind is _AT:
-            raise TranslationError(f"stray at-marker at position {term.position}")
         else:
-            raise TranslationError(f"cannot translate reserved symbol {term.lexeme!r}")
+            items.append(_leaf(term, entry, ctx))
         i += 1
     return items, has_scripts
 
 
-def _translate_macro(children: List[PomTree], i: int, ctx: _Context) -> Tuple[tuple, int]:
-    term = children[i].term
-    name = term.lexeme
-    if not term.tentative_features:
-        raise UnknownMacro(name)
-    entry = term.tentative_features[0]
-
-    if entry.role == "operator":
-        # \idt: multiplication with no presentation appearance
-        return ("op", _template(entry, name, ctx.dialect)), i + 1
-
-    if entry.role == "greek-letter":
-        text = _template(entry, name, ctx.dialect)
-        suggestion = ctx.lex.command_suggestions.get(name)
+def _leaf(term: MathTerm, entry: Optional[LexiconEntry], ctx: _Context) -> tuple:
+    """The item of a leaf that translates the same wherever it stands: a
+    Latin letter, an operator or relation symbol, or a Greek letter,
+    constant or operator (\\idt) macro.  Its first occurrence stores the
+    item, its entry and its info pairs in the leaf table, where every later
+    translation shares them: no stage may change a stored ``_Unit``.  A leaf
+    that does not translate raises and is never stored, and neither is an
+    entry of a tree scanned with another lexicon: the table holds only the
+    lexicon's names and the one-character symbols that translations met."""
+    lexeme = term.lexeme
+    kind = term.kind
+    first = len(ctx.infos)
+    if entry is not None:
+        text = _template(entry, lexeme, ctx.dialect)
+        if entry.role == "operator":
+            # \idt: multiplication with no presentation appearance
+            item = ("op", text)
+        elif entry.role == "greek-letter":
+            suggestion = ctx.lex.command_suggestions.get(lexeme)
+            if suggestion:
+                ctx.add_info("constant-suggestion",
+                             f"command '{lexeme}' may denote the constant "
+                             f"{suggestion}; it is translated as a Greek letter")
+            item = ("val", _Unit(text, "atom"))
+        else:  # a constant
+            ctx.note_entry(entry)
+            item = ("val", _Unit(text, "atom" if _ATOMIC_RE.match(text) else "other"))
+    elif kind is _LETTER:
+        suggestion = ctx.lex.letter_suggestions.get(lexeme)
         if suggestion:
             ctx.add_info("constant-suggestion",
-                         f"command '{name}' may denote the constant {suggestion};"
-                         f" it is translated as a Greek letter")
-        return ("val", _Unit(text, "atom")), i + 1
+                         f"letter '{lexeme}' may denote the constant "
+                         f"{suggestion}; it is translated as a plain letter")
+        item = ("val", _Unit(lexeme, "atom"))
+    elif kind is _OPERATOR:
+        item = ("op", ctx.product() if lexeme == "*" else lexeme)
+    elif kind is _RELATION:
+        item = ("op", " = " if lexeme == "=" else lexeme)
+    elif kind is _AT:
+        raise TranslationError(f"stray at-marker at position {term.position}")
+    elif kind is _MACRO:
+        raise UnknownMacro(lexeme)
+    else:
+        raise TranslationError(f"cannot translate reserved symbol {lexeme!r}")
+    if entry is None or ctx.lex.names.get(lexeme) is entry:
+        ctx.leaves.setdefault(lexeme, (entry, item, tuple(ctx.infos[first:])))
+    return item
 
-    if entry.role == "constant":
-        template = _template(entry, name, ctx.dialect)
-        ctx.note_entry(entry)
-        kind = "atom" if _ATOMIC_RE.match(template) else "other"
-        return ("val", _Unit(template, kind)), i + 1
 
-    # function role: \sqrt's optional [order], the parameter groups, an @ run
-    # of a length the entry lists, then the variable groups
+def _translate_macro(children: List[PomTree], i: int, entry: LexiconEntry,
+                     ctx: _Context) -> Tuple[tuple, int]:
+    """A function macro's item, and the index after its last argument:
+    \\sqrt's optional [order], the parameter groups, an @ run of a length the
+    entry lists, then the variable groups."""
+    name = children[i].term.lexeme
     j = i + 1
     order = None
     if name == "\\sqrt" and j < len(children) \
@@ -323,10 +305,10 @@ def _power_base(unit: _Unit) -> str:
 
 
 def _power_exponent(unit: _Unit) -> str:
-    """An exponent: bracketed unless it is an atom or a group."""
+    """An exponent: bracketed unless it is an atom."""
     if unit.kind == "other":
         return f"({unit.text})"
-    return _power_base(unit)  # an atom, a group or a bracketed fraction
+    return _power_base(unit)  # an atom or a bracketed fraction
 
 
 # --- assembly ---------------------------------------------------------------

@@ -138,7 +138,7 @@ class Lexicon:
         # builds them on first use so loading a lexicon does not pay for them
         self.reverse_tables = None
         # dialect -> forward's table of the leaves it writes the same way at
-        # every occurrence, built on first use like the reverse tables
+        # every occurrence, each stored when a translation first meets it
         self.leaf_tables = None
 
     def lookup(self, name: str) -> Optional[LexiconEntry]:

@@ -102,10 +102,9 @@ _DELIM_CLASSES = {
 }
 
 # a token's first character -> its term kind, or what the scan does with it;
-# whitespace and comments are absent, so the scan skips them.  Forward reads
-# the one-character leaves it may write from here.
+# whitespace and comments are absent, so the scan skips them
 _BACKSLASH, _OPEN, _CLOSE = "backslash", "open", "close"
-LEADS = {
+_LEADS = {
     **dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ",
                     TermKind.LATIN_LETTER),
     **dict.fromkeys("0123456789", TermKind.DIGIT_SEQUENCE),
@@ -143,7 +142,7 @@ def scan(text: str, kb=None) -> PomTree:
     if kb is None:
         kb = load_default()
 
-    lead = LEADS.get
+    lead = _LEADS.get
     siblings: List[PomTree] = []  # of the innermost open group, or the root
     # (enclosing siblings, open lexeme, open position) per open group
     stack = []
@@ -158,7 +157,7 @@ def scan(text: str, kb=None) -> PomTree:
             elif lexeme == "\\left" or lexeme == "\\right":
                 # \left<delim> ... \right<delim> forms a paren-class group
                 for dlex, dpos in tokens_left:
-                    if dlex[0] in LEADS:
+                    if dlex[0] in _LEADS:
                         break
                 else:
                     raise UnbalancedDelimiters(pos, f"{lexeme} without a delimiter")

@@ -131,9 +131,30 @@ def test_maple_trees_up_to_the_height_limit_run_every_stage(lex, capsys):
         assert inert._height(parse_maple(text)) == h
         run_every_stage(text, lex)
         assert main(["inert", "--", taller]) == EXIT_PARSE
-    # exactly one level over the limit
-    with pytest.raises(MapleTooDeep):
-        parse_maple("x" + "/x*x" * (h - 1))
+    # exactly one level over the limit, and a chain that nests no level
+    for taller in ("x" + "/x*x" * (h - 1), "x" + "/x*x" * 300):
+        with pytest.raises(MapleTooDeep, match=f"expected a tree at most {h} "
+                           "levels tall"):
+            parse_maple(taller)
+
+
+def wrapped(n):
+    """``t = x`` wrapped n times as ``x-x*1/sin(t)^x``: each wrap adds 7
+    tree levels but only about one parser nesting level."""
+    text = "x"
+    for _ in range(n):
+        text = f"x-x*1/sin({text})^x"
+    return text
+
+
+def test_trees_that_only_nest_are_bounded_by_their_height(lex, capsys):
+    # 37 wraps nest the parser about 38 levels, well within MAX_NESTING, and
+    # are refused for the height alone: parse depth does not bound height
+    assert inert._height(parse_maple(wrapped(36))) == 252
+    run_every_stage(wrapped(36), lex)
+    with pytest.raises(MapleTooDeep, match="levels tall") as refused:
+        parse_maple(wrapped(37))
+    assert refused.value.limit == inert.MAX_HEIGHT
 
 
 def test_latex_nesting_up_to_the_limit_translates(lex):

@@ -217,3 +217,36 @@ def test_guard_sees_unused_imports():
               "x = os.path.join\n")
     assert unused_imports(source, ["dumps"]) == [(3, "itemgetter"),
                                                  (6, "read_json")]
+
+
+# --- scan trees ------------------------------------------------------------------
+
+def scan_node_calls(source: str) -> list:
+    """(line, name) for each call of ``MathTerm`` or ``PomTree``, by bare or
+    dotted name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else \
+                getattr(func, "attr", None)
+            if called in ("MathTerm", "PomTree"):
+                found.append((node.lineno, called))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(Path(texcas.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_the_scanner_builds_scan_trees(path):
+    calls = scan_node_calls(path.read_text(encoding="utf-8"))
+    assert bool(calls) == (path.name == "scanner.py"), calls
+
+
+def test_guard_sees_scan_tree_calls():
+    source = ("from texcas import scanner\n"
+              "from texcas.scanner import MathTerm, PomTree\n"
+              "leaf = PomTree(MathTerm('x', None))\n"
+              "tree = scanner.PomTree(children=[leaf])\n"
+              "kind = PomTree.is_leaf\n")
+    assert sorted(scan_node_calls(source)) == [(3, "MathTerm"), (3, "PomTree"),
+                                               (4, "PomTree")]

@@ -20,6 +20,7 @@ refuse such a count.
 """
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from test_lexicon_sources import extended  # noqa: F401  (a fixture)
 from texcas.backward import build_reverse_rules
 from texcas.corpus import read_corpus
 from texcas.errors import (MalformedList, NoDirectTranslation, TexcasError,
-                           UnknownMacro)
+                           TranslationError, UnknownMacro)
 from texcas.forward import translate_forward, translate_string
 from texcas.inert import INTPOS, InertForm, from_nested_list, render_maple
 from texcas.lexicon import DIALECTS, Lexicon, seed_path
@@ -103,6 +104,42 @@ def test_a_fresh_lexicons_first_translation_makes_only_the_scans_lookups(
     assert lookups == ["\\JacobiP", "\\alpha", "\\beta", "\\cos", "\\Theta"]
     assert set(fresh.leaf_tables) == set(DIALECTS)
     assert result == translate_string(CRITERION_1, lex, "maple")
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_the_leaf_table_fill_order_does_not_matter(lex, seed):
+    golden = read_golden("translate_generated_golden.json")
+    random.Random(seed).shuffle(golden)
+    fresh = Lexicon.from_json(lex.to_json())
+    assert [{"text": row["text"], **forward_row(row["text"], fresh)}
+            for row in golden] == golden
+
+
+def test_the_leaf_table_holds_only_the_leaves_met(lex):
+    fresh = Lexicon.from_json(lex.to_json())
+    translate_string(r"\alpha+x", fresh, "maple")
+    table = fresh.leaf_tables["maple"]
+    assert set(table) == {"\\alpha", "+", "x"}
+    stored = dict(table)
+    # an unknown macro, a reserved symbol and a stray marker raise wherever
+    # they stand; another lexicon's entries neither displace a stored one
+    # nor fill an empty slot
+    for text, error in ((r"\nosuch@{x}", UnknownMacro), ("x&x", TranslationError),
+                        ("x@x", TranslationError)):
+        for _ in range(2):
+            with pytest.raises(error):
+                translate_string(text, fresh, "maple")
+    translate_forward(scan(r"\alpha+\cpi", respelled(lex)), fresh, "maple")
+    assert table == stored
+    assert all(table[k] is stored[k] for k in stored)
+    # a leaf without a template in the dialect is not stored
+    doc = lex.to_json()
+    del doc["builtins"]["\\idt"]["translations"]["mathematica"]
+    partial = Lexicon.from_json(doc)
+    for _ in range(2):
+        with pytest.raises(NoDirectTranslation):
+            translate_string("x*x", partial, "mathematica")
+    assert set(partial.leaf_tables["mathematica"]) == {"x"}
 
 
 def respelled(lex):
