@@ -94,8 +94,7 @@ def translate_forward(tree: PomTree, lex: Lexicon, dialect: str) -> TranslationR
     if lex.leaf_tables is None:
         lex.leaf_tables = {name: {} for name in DIALECTS}
     ctx = _Context(lex, dialect)
-    children = tree.children if tree.is_sequence else [tree]
-    output = _translate_sequence(children, ctx)
+    output = _translate_sequence(tree.children, ctx)
     return TranslationResult(output=output, infos=unique_infos(ctx.infos))
 
 
@@ -105,14 +104,14 @@ def translate_string(text: str, lex: Lexicon, dialect: str) -> TranslationResult
 
 # --- sequence translation ---------------------------------------------------
 
-def _translate_sequence(children: List[PomTree], ctx: _Context) -> str:
+def _translate_sequence(children: List[PomTree | MathTerm], ctx: _Context) -> str:
     items, has_scripts = _build_items(children, ctx)
     if has_scripts:
         _resolve_scripts(items, ctx)
     return _assemble(items, ctx)
 
 
-def _build_items(children: List[PomTree], ctx: _Context) -> Tuple[List[tuple], bool]:
+def _build_items(children: List[PomTree | MathTerm], ctx: _Context) -> Tuple[List[tuple], bool]:
     """The sequence's items, and whether any is a caret or underscore."""
     items: List[tuple] = []
     has_scripts = False
@@ -121,16 +120,15 @@ def _build_items(children: List[PomTree], ctx: _Context) -> Tuple[List[tuple], b
     n = len(children)
     while i < n:
         node = children[i]
-        term = node.term
-        if term is None:  # a group
+        if not node.is_leaf:  # a group
             inner = _translate_sequence(node.children, ctx)
             if node.delimiter_class is _PAREN or not _ATOMIC_RE.match(inner):
                 inner = f"({inner})"
             items.append(("val", _Unit(inner, "atom")))
             i += 1
             continue
-        entry = term.tentative_features[0] if term.tentative_features else None
-        leaf = leaf_of(term.lexeme)
+        entry = node.entry
+        leaf = leaf_of(node.lexeme)
         # a macro's stored item serves only the entry it was built from
         if leaf is not None and leaf[0] is entry:
             items.append(leaf[1])
@@ -142,14 +140,13 @@ def _build_items(children: List[PomTree], ctx: _Context) -> Tuple[List[tuple], b
             item, i = _translate_macro(children, i, entry, ctx)
             items.append(item)
             continue
-        kind = term.kind
+        kind = node.kind
         if kind is _DIGITS:
-            text = term.lexeme
+            text = node.lexeme
             # re-fuse decimal literals split by the shallow first scan
             if i + 2 < n:
-                point = children[i + 1].term
-                frac = children[i + 2].term
-                if point is not None and point.lexeme == "." and frac is not None \
+                point, frac = children[i + 1], children[i + 2]
+                if point.is_leaf and point.lexeme == "." and frac.is_leaf \
                         and frac.kind is _DIGITS:
                     text = f"{text}.{frac.lexeme}"
                     i += 2
@@ -161,7 +158,7 @@ def _build_items(children: List[PomTree], ctx: _Context) -> Tuple[List[tuple], b
             items.append(("subscript", None))
             has_scripts = True
         else:
-            items.append(_leaf(term, entry, ctx))
+            items.append(_leaf(node, entry, ctx))
         i += 1
     return items, has_scripts
 
@@ -215,33 +212,32 @@ def _leaf(term: MathTerm, entry: Optional[LexiconEntry], ctx: _Context) -> tuple
     return item
 
 
-def _translate_macro(children: List[PomTree], i: int, entry: LexiconEntry,
+def _translate_macro(children: List[PomTree | MathTerm], i: int, entry: LexiconEntry,
                      ctx: _Context) -> Tuple[tuple, int]:
     """A function macro's item, and the index after its last argument:
     \\sqrt's optional [order], the parameter groups, an @ run of a length the
     entry lists, then the variable groups."""
-    name = children[i].term.lexeme
+    name = children[i].lexeme
     j = i + 1
     order = None
-    if name == "\\sqrt" and j < len(children) \
-            and children[j].delimiter_class is _OPTIONAL:
+    if name == "\\sqrt" and _is_group(children, j, _OPTIONAL):
         order = _translate_sequence(children[j].children, ctx)
         j += 1
     args: List[str] = []
     for _ in range(entry.num_params):
-        if j >= len(children) or not _is_curly(children[j]):
+        if not _is_group(children, j, _CURLY):
             raise ArityMismatch(name, entry.arity, len(args))
         args.append(_translate_sequence(children[j].children, ctx))
         j += 1
     if entry.num_vars > 0:
-        at = children[j].term if j < len(children) else None
-        ats = len(at.lexeme) if at is not None and at.kind is _AT else 0
+        at = children[j] if j < len(children) else None
+        ats = len(at.lexeme) if at is not None and at.is_leaf and at.kind is _AT else 0
         if ats not in entry.at_variants:
             raise ArityMismatch(name, entry.arity, len(args))
         if ats:
             j += 1  # every listed @-variant translates identically
         for _ in range(entry.num_vars):
-            if j >= len(children) or not _is_curly(children[j]):
+            if not _is_group(children, j, _CURLY):
                 raise ArityMismatch(name, entry.arity, len(args))
             args.append(_translate_sequence(children[j].children, ctx))
             j += 1
@@ -253,7 +249,8 @@ def _translate_macro(children: List[PomTree], i: int, entry: LexiconEntry,
         template = _template(ctx.lex.lookup("\\root"), name, ctx.dialect)
     ctx.note_entry(entry)
     text = fill(template, args)
-    if name != "\\frac":
+    # only a template that brackets its own operands is written as a fraction
+    if name != "\\frac" or not _BARE_RE.search(template):
         return ("val", _Unit(text, "other")), j
     # a fraction of atoms has a compact form, without the bare brackets
     compact = text
@@ -271,8 +268,11 @@ def _template(entry: Optional[LexiconEntry], name: str, dialect: str) -> str:
     return template
 
 
-def _is_curly(node: PomTree) -> bool:
-    return node.delimiter_class is _CURLY
+def _is_group(children: List[PomTree | MathTerm], j: int,
+              delimiter_class: DelimiterClass) -> bool:
+    """Whether ``children[j]`` is a group of that delimiter class."""
+    return j < len(children) and not children[j].is_leaf \
+        and children[j].delimiter_class is delimiter_class
 
 
 # --- caret / subscript resolution -------------------------------------------
@@ -325,10 +325,12 @@ def _assemble(items: List[tuple], ctx: _Context) -> str:
         implicit = prev_value
         text = unit.text
         if unit.kind == "frac":
-            # a fraction alone or beside a value is written compactly
+            # a fraction alone is written compactly, and bracketed so beside
+            # a value or as a divisor
             if len(items) == 1:
                 text = unit.compact
-            elif implicit or (k + 1 < len(items) and items[k + 1][0] == "val"):
+            elif implicit or (k + 1 < len(items) and items[k + 1][0] == "val") \
+                    or (k > 0 and items[k - 1] == ("op", "/")):
                 text = f"({unit.compact})"
         if implicit:
             parts.append(ctx.product())

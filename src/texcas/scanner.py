@@ -35,17 +35,18 @@ class TermKind(Enum):
 
 
 class MathTerm(Record):
-    __slots__ = ("lexeme", "kind", "position", "tentative_features")
+    """A leaf of the scan tree: one token, and for a known macro its lexicon
+    entry (``None`` for an unknown macro or a term that is no macro)."""
+
+    __slots__ = ("lexeme", "kind", "position", "entry")
+    is_leaf = True
 
     def __init__(self, lexeme: str, kind: TermKind, position: int = 0,
-                 tentative_features: Optional[List[LexiconEntry]] = None):
+                 entry: Optional[LexiconEntry] = None):
         self.lexeme = lexeme
         self.kind = kind
         self.position = position
-        # the macro's lexicon entry: one, or none for an unknown macro or a
-        # term that is no macro
-        self.tentative_features = ([] if tentative_features is None
-                                   else tentative_features)
+        self.entry = entry
 
 
 class DelimiterClass(Enum):
@@ -55,31 +56,19 @@ class DelimiterClass(Enum):
 
 
 class PomTree(Record):
-    """Either a leaf term, a delimited group, or a sequence of siblings."""
+    """A delimited group, or the root sequence (``delimiter_class`` None);
+    its children are terms and groups."""
 
-    __slots__ = ("term", "delimiter_class", "children", "open_lexeme", "close_lexeme")
+    __slots__ = ("delimiter_class", "children", "open_lexeme", "close_lexeme")
+    is_leaf = False
 
-    def __init__(self, term: Optional[MathTerm] = None,
-                 delimiter_class: Optional[DelimiterClass] = None,
-                 children: Optional[List[PomTree]] = None,
+    def __init__(self, delimiter_class: Optional[DelimiterClass] = None,
+                 children: Optional[List[PomTree | MathTerm]] = None,
                  open_lexeme: str = "", close_lexeme: str = ""):
-        self.term = term
         self.delimiter_class = delimiter_class
         self.children = children
         self.open_lexeme = open_lexeme
         self.close_lexeme = close_lexeme
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.term is not None
-
-    @property
-    def is_group(self) -> bool:
-        return self.delimiter_class is not None
-
-    @property
-    def is_sequence(self) -> bool:
-        return self.term is None and self.delimiter_class is None
 
 
 # no group and no catch-all: findall returns the token strings, and a
@@ -122,9 +111,11 @@ def scan(text: str, kb=None) -> PomTree:
     ``kb`` is a Lexicon (or anything with a ``lookup`` method; default: the
     seed lexicon).  One ``findall`` tokenizes; a character with no token is
     found by a rescan and reported before any delimiter error.  One loop
-    classifies each token by its first character and builds the tree, looking
-    each macro occurrence up once: a known macro's term carries its entry as
-    its tentative feature, which forward reads, and a Greek-letter entry
+    classifies each token by its first character and builds the tree, one
+    node per token: each term is a ``MathTerm`` child of the root sequence or
+    of its delimited group, both ``PomTree``s.  Each macro occurrence is
+    looked up once: a known macro's term carries its lexicon entry
+    (``MathTerm.entry``), which forward reads, and a Greek-letter entry
     decides the Greek command kind.  Unknown macros are still tokenized.
     """
     tokens = _TOKEN_RE.findall(text)
@@ -143,7 +134,7 @@ def scan(text: str, kb=None) -> PomTree:
         kb = load_default()
 
     lead = _LEADS.get
-    siblings: List[PomTree] = []  # of the innermost open group, or the root
+    siblings: List[PomTree | MathTerm] = []  # of the innermost open group, or the root
     # (enclosing siblings, open lexeme, open position) per open group
     stack = []
     tokens_left = zip(tokens, starts)
@@ -153,7 +144,7 @@ def scan(text: str, kb=None) -> PomTree:
             continue
         if kind is _BACKSLASH:
             if lexeme == "\\\\":
-                siblings.append(PomTree(MathTerm(lexeme, _RESERVED, pos)))
+                siblings.append(MathTerm(lexeme, _RESERVED, pos))
             elif lexeme == "\\left" or lexeme == "\\right":
                 # \left<delim> ... \right<delim> forms a paren-class group
                 for dlex, dpos in tokens_left:
@@ -177,16 +168,14 @@ def scan(text: str, kb=None) -> PomTree:
                     expected = _DELIM_PAIRS[open_lex[-1]]
                     if dlex != expected:
                         raise UnbalancedDelimiters(dpos, f"expected \\right{expected}")
-                    parent.append(PomTree(None, _PAREN, siblings,
-                                          open_lex, "\\right" + dlex))
+                    parent.append(PomTree(_PAREN, siblings, open_lex,
+                                          "\\right" + dlex))
                     siblings = parent
             else:
                 entry = kb.lookup(lexeme)
-                if entry is None:
-                    siblings.append(PomTree(MathTerm(lexeme, _MACRO, pos)))
-                else:
-                    kind = _GREEK if entry.role == "greek-letter" else _MACRO
-                    siblings.append(PomTree(MathTerm(lexeme, kind, pos, [entry])))
+                kind = (_GREEK if entry is not None and entry.role == "greek-letter"
+                        else _MACRO)
+                siblings.append(MathTerm(lexeme, kind, pos, entry))
         elif kind is _OPEN:
             stack.append((siblings, lexeme, pos))
             if len(stack) > MAX_NESTING:
@@ -200,11 +189,11 @@ def scan(text: str, kb=None) -> PomTree:
                 raise UnbalancedDelimiters(pos, f"{lexeme!r} closes a \\left group")
             if _DELIM_PAIRS[open_lex] != lexeme:
                 raise UnbalancedDelimiters(pos, f"expected {_DELIM_PAIRS[open_lex]!r}")
-            parent.append(PomTree(None, _DELIM_CLASSES[open_lex], siblings,
+            parent.append(PomTree(_DELIM_CLASSES[open_lex], siblings,
                                   open_lex, lexeme))
             siblings = parent
         else:
-            siblings.append(PomTree(MathTerm(lexeme, kind, pos)))
+            siblings.append(MathTerm(lexeme, kind, pos))
 
     if stack:
         _, open_lex, open_pos = stack[-1]
@@ -217,11 +206,9 @@ def scan(text: str, kb=None) -> PomTree:
 def serialize(tree: PomTree) -> str:
     """Reproduce the scanned source (whitespace between terms is dropped)."""
     if tree.is_leaf:
-        return tree.term.lexeme
-    inner = "".join(serialize(child) for child in tree.children)
-    if tree.is_group:
-        return tree.open_lexeme + inner + tree.close_lexeme
-    return inner
+        return tree.lexeme
+    return (tree.open_lexeme + "".join(map(serialize, tree.children))
+            + tree.close_lexeme)
 
 
 def normalize_whitespace(text: str) -> str:

@@ -1,11 +1,19 @@
 """Forward translation tests: golden outputs, advisory policy, dialect rules."""
 
+from fractions import Fraction
+from functools import reduce
+from operator import truediv
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from texcas.errors import (ArityMismatch, NoDirectTranslation,
                            TranslationError, UnknownMacro)
 from texcas.forward import translate_string
+from texcas.inert import INTPOS, RATIONAL, parse_maple
 from texcas.lexicon import DIALECTS, Lexicon
+from texcas.verify import SEMANTIC_LATEX, round_trip, simplify_light
 
 
 def maple(text, lex):
@@ -136,6 +144,50 @@ class TestStructure:
 
     def test_decimal_refusion(self, lex):
         assert maple("3.5", lex).output == "3.5"
+
+    def test_fraction_as_divisor_is_bracketed(self, lex):
+        # a/(b)/(c) would read as a/(bc)
+        assert maple(r"a/\frac{b}{c}", lex).output == "a/(b/c)"
+        assert mma(r"a/\frac{b}{c}", lex).output == "a/(b/c)"
+        assert maple(r"a/\frac{b+1}{c}", lex).output == "a/((b+1)/(c))"
+        assert maple(r"\frac{a}{b}/c", lex).output == "(a)/(b)/c"
+        report = round_trip(r"a/\frac{b}{c}", SEMANTIC_LATEX, lex)
+        assert report.fixed_point_reached
+        assert [step.text for step in report.steps
+                if step.side == SEMANTIC_LATEX][-1] == r"\frac{a}{\frac{b}{c}}"
+
+
+# --- values: digits, infix / and \frac ----------------------------------------
+
+def _chain(terms):
+    """Terms joined by infix /, with the value of that left-associative text."""
+    return st.lists(terms, min_size=1, max_size=3).map(lambda chain: (
+        "/".join(text for text, _ in chain),
+        reduce(truediv, (value for _, value in chain))))
+
+
+_digits = st.integers(1, 9).map(lambda d: (str(d), Fraction(d)))
+_quotients = _chain(st.recursive(_digits, lambda terms: st.tuples(
+    _chain(terms), _chain(terms)).map(lambda pair: (
+        f"\\frac{{{pair[0][0]}}}{{{pair[1][0]}}}", pair[0][1] / pair[1][1])),
+    max_leaves=8))
+
+
+def _exact(tree) -> Fraction:
+    """The value of a simplified positive rational."""
+    if tree.tag == RATIONAL:
+        num, den = tree.children
+        return Fraction(num.payload, den.payload)
+    assert tree.tag == INTPOS, tree
+    return Fraction(tree.payload)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_quotients)
+def test_maple_output_keeps_the_value_of_quotients(lex, quotient):
+    text, value = quotient
+    output = maple(text, lex).output
+    assert _exact(simplify_light(parse_maple(output))) == value, (text, output)
 
 
 class TestErrors:

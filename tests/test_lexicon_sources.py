@@ -115,9 +115,9 @@ def test_new_macro_translates_both_ways(extended, lex):
 
 
 def test_new_greek_letter_is_scanned_and_translated(extended, lex):
-    assert scan("\\digamma", extended).children[0].term.kind is \
+    assert scan("\\digamma", extended).children[0].kind is \
         TermKind.GREEK_LETTER_COMMAND
-    assert scan("\\digamma", lex).children[0].term.kind is TermKind.MACRO_COMMAND
+    assert scan("\\digamma", lex).children[0].kind is TermKind.MACRO_COMMAND
     assert translate_string("\\digamma", extended, "maple").output == "digamma"
     assert translate_string("\\digamma", extended, "mathematica").output == \
         "\\[Digamma]"
@@ -162,6 +162,15 @@ def test_frac_renders_its_lexicon_template(lex, tmp_path):
     assert translate_string("\\frac{a}{b}", divide, "maple").output == \
         "divide(a,b)"
     assert translate_string("\\frac{a}{b}", lex, "maple").output == "a/b"
+    # a call is one operand already: no brackets beside a value, as a base
+    # or as a divisor; the seed template still brackets the first two
+    outputs = {text: translate_string(text, divide, "maple").output
+               for text in ("2\\frac{a}{b}", "\\frac{a}{b}^2", "a/\\frac{b}{c}")}
+    assert outputs == {"2\\frac{a}{b}": "2*divide(a,b)",
+                       "\\frac{a}{b}^2": "divide(a,b)^2",
+                       "a/\\frac{b}{c}": "a/divide(b,c)"}
+    assert translate_string("2\\frac{a}{b}", lex, "maple").output == "2*(a/b)"
+    assert translate_string("\\frac{a}{b}^2", lex, "maple").output == "((a)/(b))^2"
 
 
 def test_every_product_renders_the_idt_template(lex, tmp_path):

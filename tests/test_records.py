@@ -28,8 +28,8 @@ SIGNATURES = {
     ConstantRecord: {"entry": REQUIRED, "plain_letter_alias": None,
                      "advisory": None, "suggest_for": None},
     MathTerm: {"lexeme": REQUIRED, "kind": REQUIRED, "position": 0,
-               "tentative_features": FRESH_LIST},
-    PomTree: {"term": None, "delimiter_class": None, "children": None,
+               "entry": None},
+    PomTree: {"delimiter_class": None, "children": None,
               "open_lexeme": "", "close_lexeme": ""},
     InfoMessage: {"kind": REQUIRED, "text": REQUIRED},
     TranslationResult: {"output": REQUIRED, "infos": FRESH_LIST},

@@ -90,7 +90,7 @@ def _classify(lexeme: str, tag: str, pos: int, kb) -> MathTerm:
             return MathTerm(lexeme, TermKind.MACRO_COMMAND, pos)
         kind = (TermKind.GREEK_LETTER_COMMAND if entry.role == "greek-letter"
                 else TermKind.MACRO_COMMAND)
-        return MathTerm(lexeme, kind, pos, [entry])
+        return MathTerm(lexeme, kind, pos, entry)
     if lexeme in _RELATION_CHARS:
         return MathTerm(lexeme, TermKind.RELATION_SYMBOL, pos)
     return MathTerm(lexeme, _KINDS[tag], pos)
@@ -147,7 +147,7 @@ def reference_scan(text: str, kb) -> PomTree:
                 delimiter_class=_DELIM_CLASSES[open_lex], children=children,
                 open_lexeme=open_lex, close_lexeme=lexeme))
         else:
-            stack[-1][0].append(PomTree(term=_classify(lexeme, tag, pos, kb)))
+            stack[-1][0].append(_classify(lexeme, tag, pos, kb))
         i += 1
 
     if len(stack) != 1:

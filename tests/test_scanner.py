@@ -1,55 +1,66 @@
 """First-scan tokenizer tests: term classification, grouping, lexical fidelity."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from texcas.errors import (EmptyInput, ScanError, UnbalancedDelimiters,
                            UnsupportedSymbol)
-from texcas.scanner import (DelimiterClass, TermKind, normalize_whitespace,
-                            scan, serialize)
+from texcas.scanner import (DelimiterClass, MathTerm, PomTree, TermKind,
+                            normalize_whitespace, scan, serialize)
 
 
 def leaves(tree):
     if tree.is_leaf:
-        return [tree.term]
+        return [tree]
     return [t for c in tree.children for t in leaves(c)]
+
+
+def nodes(tree):
+    """Every node of the tree, the root first."""
+    yield tree
+    if not tree.is_leaf:
+        for child in tree.children:
+            yield from nodes(child)
 
 
 class TestClassification:
     def test_fraction_scans_to_macro_and_two_curly_groups(self):
         tree = scan(r"\frac{1}{2}")
-        assert tree.is_sequence and len(tree.children) == 3
+        assert not tree.is_leaf and tree.delimiter_class is None
+        assert len(tree.children) == 3
         macro, num, den = tree.children
-        assert macro.term.lexeme == "\\frac"
-        assert macro.term.kind is TermKind.MACRO_COMMAND
+        assert macro.lexeme == "\\frac"
+        assert macro.kind is TermKind.MACRO_COMMAND
         assert num.delimiter_class is DelimiterClass.CURLY
         assert den.delimiter_class is DelimiterClass.CURLY
-        assert num.children[0].term.lexeme == "1"
-        assert den.children[0].term.lexeme == "2"
+        assert num.children[0].lexeme == "1"
+        assert den.children[0].lexeme == "2"
 
     def test_single_letter(self):
         tree = scan("x")
         assert len(tree.children) == 1
-        assert tree.children[0].term.kind is TermKind.LATIN_LETTER
+        assert tree.children[0].kind is TermKind.LATIN_LETTER
 
     def test_radical_plus_fraction_structure(self):
         # root sequence: \sqrt, optional [3], {x ^ 3}, +, \frac, {y}, {2}
         tree = scan(r"\sqrt[3]{x^3} + \frac{y}{2}")
         kids = tree.children
-        assert kids[0].term.lexeme == "\\sqrt"
+        assert kids[0].lexeme == "\\sqrt"
         assert kids[1].delimiter_class is DelimiterClass.BRACKET_OPTIONAL
         assert kids[2].delimiter_class is DelimiterClass.CURLY
-        inner = [c.term.lexeme for c in kids[2].children]
+        inner = [c.lexeme for c in kids[2].children]
         assert inner == ["x", "^", "3"]
-        assert kids[3].term.lexeme == "+"
-        assert kids[4].term.lexeme == "\\frac"
+        assert kids[3].lexeme == "+"
+        assert kids[4].lexeme == "\\frac"
         assert kids[5].delimiter_class is DelimiterClass.CURLY
         assert kids[6].delimiter_class is DelimiterClass.CURLY
 
     def test_caret_scans_flat_not_binary(self):
         tree = scan("x^3")
-        assert [c.term.kind for c in tree.children] == [
+        assert [c.kind for c in tree.children] == [
             TermKind.LATIN_LETTER, TermKind.CARET, TermKind.DIGIT_SEQUENCE]
         # caret and underscore terms never own children
         for term in leaves(tree):
@@ -58,37 +69,37 @@ class TestClassification:
 
     def test_greek_command_kind(self):
         tree = scan(r"\Theta\alpha")
-        kinds = [c.term.kind for c in tree.children]
+        kinds = [c.kind for c in tree.children]
         assert kinds == [TermKind.GREEK_LETTER_COMMAND] * 2
 
     def test_at_marker_runs_fuse(self):
         for marker, count in (("@", 1), ("@@", 2), ("@@@", 3)):
             tree = scan(rf"\sin{marker}{{z}}")
-            at = tree.children[1].term
+            at = tree.children[1]
             assert at.kind is TermKind.AT_MARKER
             assert len(at.lexeme) == count
 
     def test_digit_sequence_is_maximal_run(self):
         tree = scan("123x")
-        assert [c.term.lexeme for c in tree.children] == ["123", "x"]
+        assert [c.lexeme for c in tree.children] == ["123", "x"]
 
     def test_decimal_scans_as_three_terms(self):
         tree = scan("3.5")
-        assert [c.term.lexeme for c in tree.children] == ["3", ".", "5"]
+        assert [c.lexeme for c in tree.children] == ["3", ".", "5"]
 
     def test_comment_skipped(self):
         assert serialize(scan("x % trailing note\n+y")) == "x+y"
 
     def test_known_macro_gets_tentative_features(self, lex):
         tree = scan(r"\sin@{z}", lex)
-        features = tree.children[0].term.tentative_features
-        assert features and features[0].role == "function"
+        entry = tree.children[0].entry
+        assert entry is not None and entry.role == "function"
 
     def test_unknown_macro_still_tokenizes(self, lex):
         tree = scan(r"\nosuchmacro", lex)
-        term = tree.children[0].term
+        term = tree.children[0]
         assert term.kind is TermKind.MACRO_COMMAND
-        assert term.tentative_features == []
+        assert term.entry is None
 
 
 class TestErrors:
@@ -181,6 +192,26 @@ class TestProperties:
                 assert term.lexeme.startswith("\\")
             if term.kind is TermKind.AT_MARKER:
                 assert 1 <= len(term.lexeme) <= 3
+
+    @given(_inputs)
+    @settings(max_examples=100, deadline=None)
+    def test_one_node_per_token(self, lex, text):
+        """Each term token is one MathTerm leaf, carrying its macro's entry
+        or None, and each delimited group one PomTree, which holds no term."""
+        if not normalize_whitespace(text):
+            return
+        found = list(nodes(scan(text, lex)))
+        terms = re.findall(r"\\[a-zA-Z]+|@{1,3}|[0-9]+|[^\s{}\[\]()]", text)
+        groups = sum(map(text.count, "{[("))
+        assert len(found) == 1 + groups + len(terms)
+        for node in found:
+            assert not hasattr(node, "term")
+            if node.is_leaf:
+                assert type(node) is MathTerm
+                assert node.entry is (lex.lookup(node.lexeme)
+                                      if node.lexeme.startswith("\\") else None)
+            else:
+                assert type(node) is PomTree
 
 
 @pytest.mark.parametrize("text", [

@@ -218,9 +218,8 @@ def test_a_leaf_without_a_template_is_refused_where_it_stands(lex):
 
 
 def test_scan_attaches_the_entry_itself(lex):
-    term = scan(r"\sin@{z}", lex).children[0].term
-    assert len(term.tentative_features) == 1
-    assert term.tentative_features[0] is lex.lookup(r"\sin")
+    term = scan(r"\sin@{z}", lex).children[0]
+    assert term.entry is lex.lookup(r"\sin")
 
 
 def test_forward_translates_with_the_scanned_entries(extended):  # noqa: F811
