@@ -34,6 +34,7 @@ _MACRO, _LETTER = TermKind.MACRO_COMMAND, TermKind.LATIN_LETTER
 _DIGITS = TermKind.DIGIT_SEQUENCE
 _OPERATOR, _RELATION = TermKind.OPERATOR_SYMBOL, TermKind.RELATION_SYMBOL
 _CARET, _UNDERSCORE, _AT = TermKind.CARET, TermKind.UNDERSCORE, TermKind.AT_MARKER
+_SCRIPTS = (_CARET, _UNDERSCORE)
 _CURLY, _OPTIONAL, _PAREN = (DelimiterClass.CURLY, DelimiterClass.BRACKET_OPTIONAL,
                              DelimiterClass.PAREN)
 
@@ -105,62 +106,43 @@ def translate_string(text: str, lex: Lexicon, dialect: str) -> TranslationResult
 # --- sequence translation ---------------------------------------------------
 
 def _translate_sequence(children: List[PomTree | MathTerm], ctx: _Context) -> str:
-    items, has_scripts = _build_items(children, ctx)
-    if has_scripts:
-        _resolve_scripts(items, ctx)
+    """The sequence's items, each read with the scripts that follow it."""
+    items: List[tuple] = []
+    i, n = 0, len(children)
+    while i < n:
+        item, i = _item(children, i, ctx)
+        if i < n and children[i].is_leaf and children[i].kind in _SCRIPTS:
+            item, i = _scripted(item, children, i, ctx)
+        items.append(item)
     return _assemble(items, ctx)
 
 
-def _build_items(children: List[PomTree | MathTerm], ctx: _Context) -> Tuple[List[tuple], bool]:
-    """The sequence's items, and whether any is a caret or underscore."""
-    items: List[tuple] = []
-    has_scripts = False
-    leaf_of = ctx.leaves.get
-    i = 0
-    n = len(children)
-    while i < n:
-        node = children[i]
-        if not node.is_leaf:  # a group
-            inner = _translate_sequence(node.children, ctx)
-            if node.delimiter_class is _PAREN or not _ATOMIC_RE.match(inner):
-                inner = f"({inner})"
-            items.append(("val", _Unit(inner, "atom")))
-            i += 1
-            continue
-        entry = node.entry
-        leaf = leaf_of(node.lexeme)
-        # a macro's stored item serves only the entry it was built from
-        if leaf is not None and leaf[0] is entry:
-            items.append(leaf[1])
-            if leaf[2]:
-                ctx.infos += leaf[2]
-            i += 1
-            continue
-        if entry is not None and entry.role == "function":
-            item, i = _translate_macro(children, i, entry, ctx)
-            items.append(item)
-            continue
-        kind = node.kind
-        if kind is _DIGITS:
-            text = node.lexeme
-            # re-fuse decimal literals split by the shallow first scan
-            if i + 2 < n:
-                point, frac = children[i + 1], children[i + 2]
-                if point.is_leaf and point.lexeme == "." and frac.is_leaf \
-                        and frac.kind is _DIGITS:
-                    text = f"{text}.{frac.lexeme}"
-                    i += 2
-            items.append(("val", _Unit(text, "atom")))
-        elif kind is _CARET:
-            items.append(("caret", None))
-            has_scripts = True
-        elif kind is _UNDERSCORE:
-            items.append(("subscript", None))
-            has_scripts = True
-        else:
-            items.append(_leaf(node, entry, ctx))
-        i += 1
-    return items, has_scripts
+def _item(children: List[PomTree | MathTerm], i: int, ctx: _Context) -> Tuple[tuple, int]:
+    """The item that starts at ``children[i]``, and the index after it: a
+    value ``("val", _Unit)``, a product or quotient operator
+    ``("prod", text)``, or another operator or a relation ``("op", text)``."""
+    node = children[i]
+    if not node.is_leaf:  # a group
+        inner = _translate_sequence(node.children, ctx)
+        if node.delimiter_class is _PAREN or not _ATOMIC_RE.match(inner):
+            inner = f"({inner})"
+        return ("val", _Unit(inner, "atom")), i + 1
+    entry = node.entry
+    leaf = ctx.leaves.get(node.lexeme)
+    # a macro's stored item serves only the entry it was built from
+    if leaf is not None and leaf[0] is entry:
+        if leaf[2]:
+            ctx.infos += leaf[2]
+        return leaf[1], i + 1
+    if entry is not None and entry.role == "function":
+        return _translate_macro(children, i, entry, ctx)
+    if node.kind is not _DIGITS:
+        return _leaf(node, entry, ctx), i + 1
+    # re-fuse decimal literals split by the shallow first scan
+    if _is_leaf(children, i + 2, _DIGITS) and children[i + 1].is_leaf \
+            and children[i + 1].lexeme == ".":
+        return ("val", _Unit(f"{node.lexeme}.{children[i + 2].lexeme}", "atom")), i + 3
+    return ("val", _Unit(node.lexeme, "atom")), i + 1
 
 
 def _leaf(term: MathTerm, entry: Optional[LexiconEntry], ctx: _Context) -> tuple:
@@ -179,7 +161,7 @@ def _leaf(term: MathTerm, entry: Optional[LexiconEntry], ctx: _Context) -> tuple
         text = _template(entry, lexeme, ctx.dialect)
         if entry.role == "operator":
             # \idt: multiplication with no presentation appearance
-            item = ("op", text)
+            item = ("prod", text)
         elif entry.role == "greek-letter":
             suggestion = ctx.lex.command_suggestions.get(lexeme)
             if suggestion:
@@ -197,12 +179,14 @@ def _leaf(term: MathTerm, entry: Optional[LexiconEntry], ctx: _Context) -> tuple
                          f"letter '{lexeme}' may denote the constant "
                          f"{suggestion}; it is translated as a plain letter")
         item = ("val", _Unit(lexeme, "atom"))
-    elif kind is _OPERATOR:
-        item = ("op", ctx.product() if lexeme == "*" else lexeme)
+    elif kind is _OPERATOR:  # * and /, like \idt, join the factors of a product
+        item = ("prod" if lexeme in "*/" else "op", ctx.product() if lexeme == "*" else lexeme)
     elif kind is _RELATION:
         item = ("op", " = " if lexeme == "=" else lexeme)
     elif kind is _AT:
         raise TranslationError(f"stray at-marker at position {term.position}")
+    elif kind in _SCRIPTS:  # where no value stands before it to take it
+        raise TranslationError("script symbol without base or argument")
     elif kind is _MACRO:
         raise UnknownMacro(lexeme)
     else:
@@ -224,24 +208,17 @@ def _translate_macro(children: List[PomTree | MathTerm], i: int, entry: LexiconE
         order = _translate_sequence(children[j].children, ctx)
         j += 1
     args: List[str] = []
-    for _ in range(entry.num_params):
+    for k in range(entry.arity):
+        if k == entry.num_params:  # the @ run before the variable groups
+            ats = len(children[j].lexeme) if _is_leaf(children, j, _AT) else 0
+            if ats not in entry.at_variants:
+                raise ArityMismatch(name, entry.arity, k)
+            if ats:
+                j += 1  # every listed @-variant translates identically
         if not _is_group(children, j, _CURLY):
-            raise ArityMismatch(name, entry.arity, len(args))
+            raise ArityMismatch(name, entry.arity, k)
         args.append(_translate_sequence(children[j].children, ctx))
         j += 1
-    if entry.num_vars > 0:
-        at = children[j] if j < len(children) else None
-        ats = len(at.lexeme) if at is not None and at.is_leaf and at.kind is _AT else 0
-        if ats not in entry.at_variants:
-            raise ArityMismatch(name, entry.arity, len(args))
-        if ats:
-            j += 1  # every listed @-variant translates identically
-        for _ in range(entry.num_vars):
-            if not _is_group(children, j, _CURLY):
-                raise ArityMismatch(name, entry.arity, len(args))
-            args.append(_translate_sequence(children[j].children, ctx))
-            j += 1
-
     if order is None:
         template = _template(entry, name, ctx.dialect)
     else:  # \sqrt[n]{x} is \root{x}{n}
@@ -275,40 +252,54 @@ def _is_group(children: List[PomTree | MathTerm], j: int,
         and children[j].delimiter_class is delimiter_class
 
 
-# --- caret / subscript resolution -------------------------------------------
-
-def _resolve_scripts(items: List[tuple], ctx: _Context) -> None:
-    """Splice each script with its base and argument, rightmost first, in
-    one right-to-left pass: a splice leaves the items left of it in place."""
-    for k in range(len(items) - 1, -1, -1):
-        tag = items[k][0]
-        if tag != "caret" and tag != "subscript":
-            continue
-        if k == 0 or k == len(items) - 1 \
-                or items[k - 1][0] != "val" or items[k + 1][0] != "val":
-            raise TranslationError("script symbol without base or argument")
-        base = items[k - 1][1]
-        arg = items[k + 1][1]
-        if tag == "caret":
-            text = f"{_power_base(base)}^{_power_exponent(arg)}"
-        else:
-            text = fill(DIALECTS[ctx.dialect], [_power_base(base), arg.text])
-        items[k - 1:k + 2] = [("val", _Unit(text, "other"))]
+def _is_leaf(children: List[PomTree | MathTerm], j: int, kind: TermKind) -> bool:
+    """Whether ``children[j]`` is a term of that kind."""
+    return j < len(children) and children[j].is_leaf and children[j].kind is kind
 
 
-def _power_base(unit: _Unit) -> str:
-    """A script's base: never a spliced unit, as scripts resolve rightmost
-    first."""
-    if unit.kind == "frac":
-        return f"({unit.text})"
-    return unit.text
+# --- scripts ----------------------------------------------------------------
+
+def _scripted(base: tuple, children: List[PomTree | MathTerm], i: int,
+              ctx: _Context) -> Tuple[tuple, int]:
+    """The item ``base`` with the scripts from ``children[i]`` on, and the
+    index after them.  Subscripts attach in turn.  A caret's argument takes
+    the carets after it, so ``x^y^z`` is ``x^(y^z)``, and a subscript right
+    after a superscript joins the same base, as TeX typesets ``x^{2}_{1}``
+    as ``x_{1}^{2}``: both are ``x[1]^2``."""
+    while _is_leaf(children, i, _UNDERSCORE):
+        arg, i = _argument(children, i + 1, ctx)
+        base = _script(base, _UNDERSCORE, arg, ctx)
+    if not _is_leaf(children, i, _CARET):
+        return base, i
+    exponent, i = _argument(children, i + 1, ctx)
+    if _is_leaf(children, i, _CARET):
+        exponent, i = _scripted(exponent, children, i, ctx)
+    if _is_leaf(children, i, _UNDERSCORE):
+        arg, i = _argument(children, i + 1, ctx)
+        base = _script(base, _UNDERSCORE, arg, ctx)
+    return _script(base, _CARET, exponent, ctx), i
 
 
-def _power_exponent(unit: _Unit) -> str:
-    """An exponent: bracketed unless it is an atom."""
-    if unit.kind == "other":
-        return f"({unit.text})"
-    return _power_base(unit)  # an atom or a bracketed fraction
+def _argument(children: List[PomTree | MathTerm], i: int,
+              ctx: _Context) -> Tuple[Optional[tuple], int]:
+    """A script's argument, the item at ``children[i]`` (``None`` past the
+    end), and the index after it."""
+    return _item(children, i, ctx) if i < len(children) else (None, i)
+
+
+def _script(base: tuple, kind: TermKind, arg: Optional[tuple], ctx: _Context) -> tuple:
+    """The item ``base`` with a script of that kind whose argument is the
+    item ``arg``: a fraction is bracketed as a base, all but an atom as an
+    exponent."""
+    if base[0] != "val" or arg is None or arg[0] != "val":
+        raise TranslationError("script symbol without base or argument")
+    base, arg = base[1], arg[1]
+    text = f"({base.text})" if base.kind == "frac" else base.text
+    if kind is _UNDERSCORE:
+        text = fill(DIALECTS[ctx.dialect], [text, arg.text])
+    else:
+        text = f"{text}^{arg.text}" if arg.kind == "atom" else f"{text}^({arg.text})"
+    return ("val", _Unit(text, "other"))
 
 
 # --- assembly ---------------------------------------------------------------
@@ -317,7 +308,7 @@ def _assemble(items: List[tuple], ctx: _Context) -> str:
     parts: List[str] = []
     prev_value = False
     for k, (tag, payload) in enumerate(items):
-        if tag == "op":
+        if tag != "val":
             parts.append(payload)
             prev_value = False
             continue
@@ -330,8 +321,12 @@ def _assemble(items: List[tuple], ctx: _Context) -> str:
             if len(items) == 1:
                 text = unit.compact
             elif implicit or (k + 1 < len(items) and items[k + 1][0] == "val") \
-                    or (k > 0 and items[k - 1] == ("op", "/")):
+                    or (k > 0 and items[k - 1] == ("prod", "/")):
                 text = f"({unit.compact})"
+        if k > 1 and items[k - 2][0] == "prod" and items[k - 1] in (("op", "-"), ("op", "+")):
+            # a sign after a product or quotient binds only this value
+            parts[-1] = f"({parts[-1]}"
+            text = f"{text})"
         if implicit:
             parts.append(ctx.product())
         parts.append(text)

@@ -1,8 +1,7 @@
 """Forward translation tests: golden outputs, advisory policy, dialect rules."""
 
 from fractions import Fraction
-from functools import reduce
-from operator import truediv
+from operator import mul, truediv
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 from texcas.errors import (ArityMismatch, NoDirectTranslation,
                            TranslationError, UnknownMacro)
 from texcas.forward import translate_string
-from texcas.inert import INTPOS, RATIONAL, parse_maple
+from texcas.inert import INTNEG, INTPOS, RATIONAL, int_value, parse_maple
 from texcas.lexicon import DIALECTS, Lexicon
 from texcas.verify import SEMANTIC_LATEX, round_trip, simplify_light
 
@@ -127,6 +126,52 @@ class TestStructure:
         assert maple("x_{1}", lex).output == "x[1]"
         assert mma("x_{1}", lex).output == "Subscript[x, 1]"
 
+    @pytest.mark.parametrize("text,maple_out,mma_out", [
+        ("x_{1}^{2}", "x[1]^2", "Subscript[x, 1]^2"),
+        # a subscript right after a superscript joins the same base
+        ("x^{2}_{1}", "x[1]^2", "Subscript[x, 1]^2"),
+        ("x^y_{1}", "x[1]^y", "Subscript[x, 1]^y"),
+        ("x_{i}^{n+1}", "x[i]^(n+1)", "Subscript[x, i]^(n+1)"),
+        # subscripts attach in turn
+        ("x_a_b", "x[a][b]", "Subscript[Subscript[x, a], b]"),
+    ])
+    def test_scripts_attach_to_the_value_before_them(self, lex, text, maple_out,
+                                                     mma_out):
+        assert maple(text, lex).output == maple_out
+        assert mma(text, lex).output == mma_out
+
+    @pytest.mark.parametrize("text", ["x^", "^2", "x_1^", "x^^2", "+^2", "x^+",
+                                      "x^a_b^c"])
+    def test_a_script_needs_a_base_and_an_argument(self, lex, text):
+        with pytest.raises(TranslationError, match="script symbol without base"):
+            maple(text, lex)
+
+    @pytest.mark.parametrize("text,maple_out,mma_out", [
+        ("a*-b", "a*(-b)", "a (-b)"),
+        ("a*+b", "a*(+b)", "a (+b)"),
+        (r"a\idt -b", "a*(-b)", "a (-b)"),
+        (r"2/-\frac{1}{2}", "2/(-(1)/(2))", "2/(-(1)/(2))"),
+        ("a+-b", "a+-b", "a+-b"),
+    ])
+    def test_a_sign_after_a_product_binds_the_next_value(self, lex, text,
+                                                         maple_out, mma_out):
+        assert maple(text, lex).output == maple_out
+        assert mma(text, lex).output == mma_out
+
+    def test_a_sign_after_a_quotient_keeps_the_value(self, lex):
+        # 2/-(1)/(2) would read as -1
+        value = simplify_light(parse_maple(maple(r"2/-\frac{1}{2}", lex).output))
+        assert value.tag == INTNEG and value.payload == 4
+
+    def test_a_sign_needs_no_product_template(self, lex):
+        doc = lex.to_json()
+        del doc["builtins"]["\\idt"]["translations"]["mathematica"]
+        partial = Lexicon.from_json(doc)
+        assert mma("a+-b", partial).output == "a+-b"
+        assert mma("a/-b", partial).output == "a/(-b)"
+        with pytest.raises(NoDirectTranslation):
+            mma("a*-b", partial)
+
     def test_at_variants_translate_identically(self, lex):
         # the @ counts an entry lists translate alike; any other is refused
         outputs = {maple(rf"\sin{at}{{z}}", lex).output for at in ("@", "@@")}
@@ -157,13 +202,26 @@ class TestStructure:
                 if step.side == SEMANTIC_LATEX][-1] == r"\frac{a}{\frac{b}{c}}"
 
 
-# --- values: digits, infix / and \frac ----------------------------------------
+# --- values: digits, infix / and *, a sign and \frac ---------------------------
+
+def _signed(term):
+    """A term, or the term with a unary minus, which binds that term alone."""
+    return st.tuples(st.booleans(), term).map(lambda pair: (
+        (f"-{pair[1][0]}", -pair[1][1]) if pair[0] else pair[1]))
+
 
 def _chain(terms):
-    """Terms joined by infix /, with the value of that left-associative text."""
-    return st.lists(terms, min_size=1, max_size=3).map(lambda chain: (
-        "/".join(text for text, _ in chain),
-        reduce(truediv, (value for _, value in chain))))
+    """Signed terms joined by infix / and *, with the value of that
+    left-associative text."""
+    steps = st.tuples(st.sampled_from([("/", truediv), ("*", mul)]), _signed(terms))
+    return st.tuples(_signed(terms), st.lists(steps, max_size=2)).map(_join)
+
+
+def _join(chain):
+    (text, value), steps = chain
+    for (op, apply), (term, term_value) in steps:
+        text, value = text + op + term, apply(value, term_value)
+    return text, value
 
 
 _digits = st.integers(1, 9).map(lambda d: (str(d), Fraction(d)))
@@ -174,12 +232,12 @@ _quotients = _chain(st.recursive(_digits, lambda terms: st.tuples(
 
 
 def _exact(tree) -> Fraction:
-    """The value of a simplified positive rational."""
+    """The value of a simplified nonzero rational."""
     if tree.tag == RATIONAL:
         num, den = tree.children
-        return Fraction(num.payload, den.payload)
-    assert tree.tag == INTPOS, tree
-    return Fraction(tree.payload)
+        return Fraction(int_value(num), den.payload)
+    assert tree.tag in (INTPOS, INTNEG), tree
+    return Fraction(int_value(tree))
 
 
 @settings(max_examples=200, deadline=None)
