@@ -34,7 +34,7 @@ _MACRO, _LETTER = TermKind.MACRO_COMMAND, TermKind.LATIN_LETTER
 _DIGITS = TermKind.DIGIT_SEQUENCE
 _OPERATOR, _RELATION = TermKind.OPERATOR_SYMBOL, TermKind.RELATION_SYMBOL
 _CARET, _UNDERSCORE, _AT = TermKind.CARET, TermKind.UNDERSCORE, TermKind.AT_MARKER
-_SCRIPTS = (_CARET, _UNDERSCORE)
+_SIGNS = (("op", "-"), ("op", "+"))
 _CURLY, _OPTIONAL, _PAREN = (DelimiterClass.CURLY, DelimiterClass.BRACKET_OPTIONAL,
                              DelimiterClass.PAREN)
 
@@ -111,8 +111,7 @@ def _translate_sequence(children: List[PomTree | MathTerm], ctx: _Context) -> st
     i, n = 0, len(children)
     while i < n:
         item, i = _item(children, i, ctx)
-        if i < n and children[i].is_leaf and children[i].kind in _SCRIPTS:
-            item, i = _scripted(item, children, i, ctx)
+        item, i = _scripted(item, children, i, ctx)
         items.append(item)
     return _assemble(items, ctx)
 
@@ -185,7 +184,7 @@ def _leaf(term: MathTerm, entry: Optional[LexiconEntry], ctx: _Context) -> tuple
         item = ("op", " = " if lexeme == "=" else lexeme)
     elif kind is _AT:
         raise TranslationError(f"stray at-marker at position {term.position}")
-    elif kind in _SCRIPTS:  # where no value stands before it to take it
+    elif kind is _CARET or kind is _UNDERSCORE:  # with no value before it or no argument
         raise TranslationError("script symbol without base or argument")
     elif kind is _MACRO:
         raise UnknownMacro(lexeme)
@@ -208,17 +207,24 @@ def _translate_macro(children: List[PomTree | MathTerm], i: int, entry: LexiconE
         order = _translate_sequence(children[j].children, ctx)
         j += 1
     args: List[str] = []
-    for k in range(entry.arity):
-        if k == entry.num_params:  # the @ run before the variable groups
-            ats = len(children[j].lexeme) if _is_leaf(children, j, _AT) else 0
-            if ats not in entry.at_variants:
-                raise ArityMismatch(name, entry.arity, k)
-            if ats:
-                j += 1  # every listed @-variant translates identically
+    for _ in range(entry.num_params):
         if not _is_group(children, j, _CURLY):
-            raise ArityMismatch(name, entry.arity, k)
+            raise ArityMismatch(name, entry.arity, len(args))
         args.append(_translate_sequence(children[j].children, ctx))
         j += 1
+    if entry.num_vars > 0:
+        at = children[j] if j < len(children) else None
+        ats = len(at.lexeme) if at is not None and at.is_leaf and at.kind is _AT else 0
+        if ats not in entry.at_variants:
+            raise ArityMismatch(name, entry.arity, len(args))
+        if ats:
+            j += 1  # every listed @-variant translates identically
+        for _ in range(entry.num_vars):
+            if not _is_group(children, j, _CURLY):
+                raise ArityMismatch(name, entry.arity, len(args))
+            args.append(_translate_sequence(children[j].children, ctx))
+            j += 1
+
     if order is None:
         template = _template(entry, name, ctx.dialect)
     else:  # \sqrt[n]{x} is \root{x}{n}
@@ -262,36 +268,29 @@ def _is_leaf(children: List[PomTree | MathTerm], j: int, kind: TermKind) -> bool
 def _scripted(base: tuple, children: List[PomTree | MathTerm], i: int,
               ctx: _Context) -> Tuple[tuple, int]:
     """The item ``base`` with the scripts from ``children[i]`` on, and the
-    index after them.  Subscripts attach in turn.  A caret's argument takes
-    the carets after it, so ``x^y^z`` is ``x^(y^z)``, and a subscript right
-    after a superscript joins the same base, as TeX typesets ``x^{2}_{1}``
-    as ``x_{1}^{2}``: both are ``x[1]^2``."""
-    while _is_leaf(children, i, _UNDERSCORE):
-        arg, i = _argument(children, i + 1, ctx)
-        base = _script(base, _UNDERSCORE, arg, ctx)
-    if not _is_leaf(children, i, _CARET):
-        return base, i
-    exponent, i = _argument(children, i + 1, ctx)
-    if _is_leaf(children, i, _CARET):
-        exponent, i = _scripted(exponent, children, i, ctx)
-    if _is_leaf(children, i, _UNDERSCORE):
-        arg, i = _argument(children, i + 1, ctx)
-        base = _script(base, _UNDERSCORE, arg, ctx)
-    return _script(base, _CARET, exponent, ctx), i
+    index after them.  Subscripts attach in turn, before and after the one
+    superscript, as TeX typesets ``x^{2}_{1}`` like ``x_{1}^{2}``: ``x[1]^2``.
+    A caret's argument takes the carets after it: ``x^y^z`` is ``x^(y^z)``.
+    A last script symbol, with no argument, is left to the caller to refuse."""
+    exponent = None
+    while i + 1 < len(children) and children[i].is_leaf:
+        if children[i].kind is _UNDERSCORE:
+            arg, i = _item(children, i + 1, ctx)
+            base = _script(base, _UNDERSCORE, arg, ctx)
+        elif children[i].kind is _CARET and exponent is None:
+            exponent, i = _item(children, i + 1, ctx)
+            if _is_leaf(children, i, _CARET):
+                exponent, i = _scripted(exponent, children, i, ctx)
+        else:
+            break
+    return (base if exponent is None else _script(base, _CARET, exponent, ctx)), i
 
 
-def _argument(children: List[PomTree | MathTerm], i: int,
-              ctx: _Context) -> Tuple[Optional[tuple], int]:
-    """A script's argument, the item at ``children[i]`` (``None`` past the
-    end), and the index after it."""
-    return _item(children, i, ctx) if i < len(children) else (None, i)
-
-
-def _script(base: tuple, kind: TermKind, arg: Optional[tuple], ctx: _Context) -> tuple:
+def _script(base: tuple, kind: TermKind, arg: tuple, ctx: _Context) -> tuple:
     """The item ``base`` with a script of that kind whose argument is the
     item ``arg``: a fraction is bracketed as a base, all but an atom as an
     exponent."""
-    if base[0] != "val" or arg is None or arg[0] != "val":
+    if base[0] != "val" or arg[0] != "val":
         raise TranslationError("script symbol without base or argument")
     base, arg = base[1], arg[1]
     text = f"({base.text})" if base.kind == "frac" else base.text
@@ -307,7 +306,11 @@ def _script(base: tuple, kind: TermKind, arg: Optional[tuple], ctx: _Context) ->
 def _assemble(items: List[tuple], ctx: _Context) -> str:
     parts: List[str] = []
     prev_value = False
+    shut = ""  # the bracket opened before a sign, shut after its value
     for k, (tag, payload) in enumerate(items):
+        if shut and items[k] != ("op", "!"):  # its factorials stay inside
+            parts.append(shut)
+            shut = ""
         if tag != "val":
             parts.append(payload)
             prev_value = False
@@ -323,15 +326,15 @@ def _assemble(items: List[tuple], ctx: _Context) -> str:
             elif implicit or (k + 1 < len(items) and items[k + 1][0] == "val") \
                     or (k > 0 and items[k - 1] == ("prod", "/")):
                 text = f"({unit.compact})"
-        if k > 1 and items[k - 2][0] == "prod" and items[k - 1] in (("op", "-"), ("op", "+")):
+        if k > 1 and items[k - 2][0] == "prod" and items[k - 1] in _SIGNS:
             # a sign after a product or quotient binds only this value
             parts[-1] = f"({parts[-1]}"
-            text = f"{text})"
+            shut = ")"
         if implicit:
             parts.append(ctx.product())
         parts.append(text)
         prev_value = True
-    out = "".join(parts).strip()
+    out = ("".join(parts) + shut).strip()
     if not out:
         raise TranslationError("translation produced empty output")
     return out

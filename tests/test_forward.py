@@ -132,8 +132,10 @@ class TestStructure:
         ("x^{2}_{1}", "x[1]^2", "Subscript[x, 1]^2"),
         ("x^y_{1}", "x[1]^y", "Subscript[x, 1]^y"),
         ("x_{i}^{n+1}", "x[i]^(n+1)", "Subscript[x, i]^(n+1)"),
-        # subscripts attach in turn
+        # subscripts attach in turn, before and after the superscript
         ("x_a_b", "x[a][b]", "Subscript[Subscript[x, a], b]"),
+        ("x_b_c^a", "x[b][c]^a", "Subscript[Subscript[x, b], c]^a"),
+        ("x^a_b_c", "x[b][c]^a", "Subscript[Subscript[x, b], c]^a"),
     ])
     def test_scripts_attach_to_the_value_before_them(self, lex, text, maple_out,
                                                      mma_out):
@@ -152,6 +154,10 @@ class TestStructure:
         (r"a\idt -b", "a*(-b)", "a (-b)"),
         (r"2/-\frac{1}{2}", "2/(-(1)/(2))", "2/(-(1)/(2))"),
         ("a+-b", "a+-b", "a+-b"),
+        # the value's factorials stay inside the bracket: -(n!), not (-n)!
+        ("a*-n!", "a*(-n!)", "a (-n!)"),
+        (r"a\idt -n!!+c", "a*(-n!!)+c", "a (-n!!)+c"),
+        ("a/-n!", "a/(-n!)", "a/(-n!)"),
     ])
     def test_a_sign_after_a_product_binds_the_next_value(self, lex, text,
                                                          maple_out, mma_out):
