@@ -1,7 +1,7 @@
 """Complex numeric evaluation of inert trees (principal branches throughout).
 
-``compile_tree`` turns a tree into closures over columns of point values;
-``free_names`` lists the names a caller must bind, by the same constant rule.
+``compile_tree`` turns a tree into closures over columns of point values, in
+a walk that also collects the names a caller must bind, as ``free_names`` does.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from operator import mul, truediv
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from . import inert
 from .errors import NoEvaluator, UnknownSymbol
@@ -70,22 +70,28 @@ def compile_tree(tree: InertForm) -> Callable:
     UnknownSymbol / NoEvaluator when the closure runs (a function's arguments
     first), never at compile time; arithmetic errors propagate to the caller.
     """
-    column = _compile(tree)
+    return _compile_with_names(tree)[0]
+
+
+def _compile_with_names(tree: InertForm) -> Tuple[Callable, set]:
+    """``compile_tree``'s closure and ``free_names(tree)``, from one walk."""
+    names = set()
+    column = _compile(tree, names)
 
     def value_at(env, n=None):
         if n:
             return column(env, n)
         return column({name: (complex(v),) for name, v in env.items()}, 1)[0]
-    return value_at
+    return value_at, names
 
 
 # Each closure takes ``(columns, n)`` and returns n values; only compile_tree's
 # root reads a bare env.  No closure refers to itself, so a compiled tree is
-# freed without the cycle collector.
-def _compile(tree: InertForm) -> Callable:
+# freed without the cycle collector.  The free names go into ``names``.
+def _compile(tree: InertForm, names: set) -> Callable:
     tag = tree.tag
     if tag == inert.NAME:
-        return _compile_name(tree.payload)
+        return _compile_name(tree.payload, names)
     if tag in (inert.INTPOS, inert.INTNEG):
         return _literal(lambda: complex(inert.int_value(tree)))
     if tag == inert.FLOAT:
@@ -94,13 +100,13 @@ def _compile(tree: InertForm) -> Callable:
         p, q = tree.children
         return _literal(lambda: complex(Fraction(inert.int_value(p), q.payload)))
     if tag == inert.SUM:
-        terms = [_compile(c) for c in tree.children]
+        terms = [_compile(c, names) for c in tree.children]
         if not terms:
             return _literal(lambda: 0j)
         return lambda columns, n: [sum(values, 0j) for values in
                                    zip(*[f(columns, n) for f in terms])]
     if tag == inert.PROD:
-        factors = [_compile(c) for c in tree.children]
+        factors = [_compile(c, names) for c in tree.children]
 
         def product(columns, n):
             out = [1 + 0j] * n
@@ -109,18 +115,18 @@ def _compile(tree: InertForm) -> Callable:
             return out
         return product
     if tag == inert.DIVIDE:
-        num, den = (_compile(c) for c in tree.children)
+        num, den = (_compile(c, names) for c in tree.children)
         return lambda columns, n: list(map(truediv, num(columns, n),
                                            den(columns, n)))
     if tag == inert.POWER:
-        base_of, expo_of = (_compile(c) for c in tree.children)
+        base_of, expo_of = (_compile(c, names) for c in tree.children)
         return lambda columns, n: [
             0j if base == 0 and expo.real > 0 and abs(expo.imag) < 1e-300
             else base ** expo
             for base, expo in zip(base_of(columns, n), expo_of(columns, n))]
     if tag == inert.FUNCTION:
         fname = tree.children[0].payload
-        args = [_compile(c) for c in tree.children[1].children]
+        args = [_compile(c, names) for c in tree.children[1].children]
         fn = _FUNCTIONS.get((fname, len(args)))
 
         def call(columns, n):
@@ -129,6 +135,8 @@ def _compile(tree: InertForm) -> Callable:
                 raise NoEvaluator(fname)
             return list(map(fn, *values))
         return call
+
+    names.update(free_names(tree))  # names under a node that never runs
 
     def unsupported(columns, n):
         raise NoEvaluator(tag)
@@ -140,8 +148,10 @@ def _constant(name: str) -> Optional[complex]:
     return complex("inf") if name == "infinity" else CONSTANTS.get(name)
 
 
-def _compile_name(name: str) -> Callable:
+def _compile_name(name: str, names: set) -> Callable:
     fallback = _constant(name)
+    if fallback is None:
+        names.add(name)
 
     def lookup(columns, n):
         if name in columns:  # an env binding shadows a constant of the same name

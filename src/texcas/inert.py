@@ -311,7 +311,8 @@ def parse_maple(text: str) -> InertForm:
         raise MapleSyntaxError(0, "an expression")
     tokens.append(_EOF)
     tree = _Parser(text, tokens).parse()
-    if _height(tree) > MAX_HEIGHT:
+    # each level takes a token (EOF aside): a shorter text is never too tall
+    if len(tokens) > MAX_HEIGHT + 1 and _height(tree) > MAX_HEIGHT:
         raise MapleTooDeep(0, MAX_HEIGHT)
     return tree
 

@@ -23,7 +23,7 @@ from . import inert
 from .backward import backward_string
 from .errors import CheckOptionError, NoEvaluator, TexcasError, UnknownSymbol
 # evaluate stays importable here: perfbench/worker.py wraps verify.evaluate
-from .evaluator import compile_tree, evaluate, free_names  # noqa: F401
+from .evaluator import _compile_with_names, evaluate  # noqa: F401
 from .forward import translate_string
 from .inert import (DIVIDE, FLOAT, INTNEG, INTPOS, POWER, PROD,
                     RATIONAL, SUM, InertForm)
@@ -45,7 +45,7 @@ _MAX_FOLD_BITS = 2 ** 20
 # ordered: ``(tag, payload)`` for a leaf, ``(tag, payload, *child_keys)`` for
 # an inner node.  A float leaf's key holds ``(value, sign of value)``, so
 # terms in -0.0 and 0.0 are never collected.  ``simplify_light`` builds the
-# tree once, from the final key.
+# tree once, from the final key; ``check_equivalence`` tests the key itself.
 # an exact rational: int for an integer literal, Fraction otherwise
 Number = Union[int, Fraction]
 
@@ -255,14 +255,13 @@ def check_equivalence(lhs: InertForm, rhs: InertForm, vars: Sequence[str],
     alone."""
     check_options(tolerance, points)
     diff = _difference(lhs, rhs)
-    simplified = simplify_light(diff)
-    if is_zero(simplified):
+    if _simplify(diff) == (INTPOS, 0):
         return EquivalenceVerdict("symbolic-zero")
 
-    undeclared = free_names(diff).difference(vars)
+    value_at, names = _compile_with_names(diff)
+    undeclared = names.difference(vars)
     if undeclared:
         raise UnknownSymbol(min(undeclared))
-    value_at = compile_tree(diff)
 
     rows, columns = _sample_points(len(vars), points, seed)
     try:

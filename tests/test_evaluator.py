@@ -14,8 +14,8 @@ import pytest
 
 from texcas import inert
 from texcas.errors import NoEvaluator, UnknownSymbol
-from texcas.evaluator import (_FUNCTIONS, CONSTANTS, compile_tree, evaluate,
-                               free_names)
+from texcas.evaluator import (_FUNCTIONS, CONSTANTS, _compile_with_names,
+                               compile_tree, evaluate, free_names)
 from texcas.inert import InertForm, parse_maple
 
 from treegen import name, random_evaluable, random_tree
@@ -209,6 +209,27 @@ def test_an_unknown_symbol_is_a_free_name(builder):
         for raised in (unknown_symbol(compiled, {}),
                        unknown_symbol(compiled, {}, 2)):
             assert raised is None or raised in names, tree
+
+
+def names_under_unsupported_nodes():
+    """Trees whose names sit under nodes the evaluator does not run: an
+    equation, a range, a string with children, a bare argument list."""
+    x, y = name("x"), name("y")
+    return [InertForm(inert.EQUATION, children=[x, name("Pi")]),
+            InertForm(inert.RANGE, children=[name("alpha"), InertForm(
+                inert.SUM, children=[y, name("infinity")])]),
+            InertForm(inert.STRING, "s", [name("z")]),
+            InertForm(inert.EXPSEQ, children=[x, y]),
+            InertForm(inert.PROD, children=[x, InertForm(inert.FUNCTION, children=[
+                name("f"), InertForm(inert.EXPSEQ, children=[
+                    InertForm(inert.EQUATION, children=[y, name("beta")])])])])]
+
+
+@pytest.mark.parametrize("builder", [random_evaluable, random_tree])
+def test_compiling_collects_exactly_the_free_names(builder):
+    for tree in [*trees_with_constants(builder, 17),
+                 *names_under_unsupported_nodes()]:
+        assert _compile_with_names(tree)[1] == free_names(tree), tree
 
 
 def test_constants_are_not_free_names():

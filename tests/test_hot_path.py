@@ -55,9 +55,9 @@ def test_check_equivalence_compiles_each_node_once(monkeypatch, points):
     compiled = []
     real = evaluator._compile
 
-    def counting(tree):
+    def counting(tree, names):
         compiled.append(id(tree))
-        return real(tree)
+        return real(tree, names)
 
     monkeypatch.setattr(evaluator, "_compile", counting)
     lhs, rhs = parse_maple("sin(x)^2 + cos(x)^2"), parse_maple("1")

@@ -7,13 +7,15 @@ evaluation) recurses over trees the parser built, so the bound covers them.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from texcas import inert, scanner
 from texcas.backward import backward_string
 from texcas.cli import (EXIT_PARSE, EXIT_TRANSLATION, CorpusRecord,
                         main, run_corpus)
 from texcas.errors import (MalformedList, MapleSyntaxError, MapleTooDeep,
-                           ScanError, ScanTooDeep)
+                           ScanError, ScanTooDeep, TexcasError)
 from texcas.forward import translate_string
 from texcas.inert import from_nested_list, parse_maple, to_nested_list
 from texcas.scanner import scan
@@ -155,6 +157,42 @@ def test_trees_that_only_nest_are_bounded_by_their_height(lex, capsys):
     with pytest.raises(MapleTooDeep, match="levels tall") as refused:
         parse_maple(wrapped(37))
     assert refused.value.limit == inert.MAX_HEIGHT
+
+
+# each way a text grows its tree: divisors nested by brackets or signs,
+# signed exponents, calls, quotes, signs, and a product after a division
+_WRAPS = ["{a}/({t})", "{a}/-({t})", "{a}/-{t}", "{t}/-{a}", "{a}^-({t})",
+          "{a}^-{t}", "({t})/{a}*x", "{t}/{a}*{a}", "{a}-{t}", "f({t},{a})",
+          "sin({t})", "'{t}'", "-{t}", "+({t})", "1/({t})"]
+_atoms = st.sampled_from(["x", "y", "2", "0.5", "Pi", "'z'"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_atoms, st.lists(st.tuples(st.sampled_from(_WRAPS), _atoms), max_size=40))
+def test_a_tree_is_never_taller_than_its_text_has_tokens(text, wraps):
+    # parse_maple looks at the height only of a text longer than MAX_HEIGHT
+    # tokens; this bound is why a shorter one needs no look
+    for wrap, atom in wraps:
+        text = wrap.format(t=text, a=atom)
+    try:
+        tree = parse_maple(text)
+    except TexcasError:
+        return
+    assert inert._height(tree) <= len(inert._TOKEN_RE.findall(text)), text
+
+
+def test_only_a_text_of_more_than_max_height_tokens_is_measured(monkeypatch):
+    measured = []
+    real = inert._height
+    monkeypatch.setattr(inert, "_height",
+                        lambda tree: measured.append(tree) or real(tree))
+    h = inert.MAX_HEIGHT
+    # k names joined by "+" are 2k - 1 tokens; a leading sign is one more
+    for text, tokens in (("-" + "+".join(["x"] * (h // 2)), h),
+                         ("+".join(["x"] * (h // 2 + 1)), h + 1)):
+        assert len(inert._TOKEN_RE.findall(text)) == tokens
+        tree = parse_maple(text)
+        assert measured == ([tree] if tokens > h else [])
 
 
 def test_latex_nesting_up_to_the_limit_translates(lex):
