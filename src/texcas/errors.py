@@ -53,16 +53,17 @@ class SchemaError(LexiconError):
 
 
 class PlaceholderOutOfRange(LexiconError):
-    def __init__(self, macro, index):
+    def __init__(self, macro, index, file, line):
         self.macro = macro
         self.index = index
-        super().__init__(f"{macro}: placeholder ${index} exceeds declared arity")
+        super().__init__(f"{file}:{line}: {macro}: placeholder ${index} "
+                         "exceeds declared arity")
 
 
 class DuplicateMacro(LexiconError):
-    def __init__(self, name):
+    def __init__(self, name, file, line):
         self.name = name
-        super().__init__(f"duplicate macro {name}")
+        super().__init__(f"{file}:{line}: duplicate macro {name}")
 
 
 # --- forward translation --------------------------------------------------

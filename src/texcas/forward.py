@@ -207,23 +207,16 @@ def _translate_macro(children: List[PomTree | MathTerm], i: int, entry: LexiconE
         order = _translate_sequence(children[j].children, ctx)
         j += 1
     args: List[str] = []
-    for _ in range(entry.num_params):
+    for k in range(entry.arity):
+        if k == entry.num_params:  # the variables start after an @ run
+            ats = len(children[j].lexeme) if _is_leaf(children, j, _AT) else 0
+            if ats not in entry.at_variants:
+                raise ArityMismatch(name, entry.arity, len(args))
+            j += 1 if ats else 0  # every listed @-variant translates identically
         if not _is_group(children, j, _CURLY):
             raise ArityMismatch(name, entry.arity, len(args))
         args.append(_translate_sequence(children[j].children, ctx))
         j += 1
-    if entry.num_vars > 0:
-        at = children[j] if j < len(children) else None
-        ats = len(at.lexeme) if at is not None and at.is_leaf and at.kind is _AT else 0
-        if ats not in entry.at_variants:
-            raise ArityMismatch(name, entry.arity, len(args))
-        if ats:
-            j += 1  # every listed @-variant translates identically
-        for _ in range(entry.num_vars):
-            if not _is_group(children, j, _CURLY):
-                raise ArityMismatch(name, entry.arity, len(args))
-            args.append(_translate_sequence(children[j].children, ctx))
-            j += 1
 
     if order is None:
         template = _template(entry, name, ctx.dialect)

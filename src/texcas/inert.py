@@ -120,11 +120,11 @@ _UNSUPPORTED_KEYWORDS = {"proc", "module", "table", "array", "Array", "Matrix",
 # may nest this deep: the parser recurses five frames per parenthesis, quote
 # or call argument, and one per sign or exponent.
 MAX_NESTING = 64
-# A parsed tree may be this tall.  Divisions and products in turn (x/x*x/x)
-# grow a tree without nesting the parser, and every later stage (preprocess,
-# rendering, backward translation, simplification, compiled evaluation)
-# recurses about two frames per level, so the bound keeps them all within
-# Python's default recursion limit.
+# A parsed tree may be this tall.  A call or power inside a product inside a
+# sum (x-x*1/sin(t)^x) adds several tree levels per parser nesting level, and
+# every later stage (preprocess, rendering, backward translation,
+# simplification, compiled evaluation) recurses about two frames per level,
+# so the bound keeps them all within Python's default recursion limit.
 MAX_HEIGHT = 4 * MAX_NESTING
 
 
@@ -181,7 +181,8 @@ class _Parser:
         return left
 
     def sum_(self) -> InertForm:
-        """Terms joined by ``+``/``-``, each of factors joined by ``*``/``/``."""
+        """Terms joined by ``+``/``-``, each one flat product of the factors
+        joined by ``*``/``/``, with each divisor stored as its reciprocal."""
         tokens = self.tokens
         terms = []
         op = "+"
@@ -195,8 +196,10 @@ class _Parser:
                     rhs = self.unary()
                     if tok == "*":
                         factors.append(rhs)
+                    elif len(factors) == 1:  # (a*b)/c splices a*b, 1/c drops the 1
+                        factors = _factors(factors[0]) + [_reciprocal(rhs)]
                     else:
-                        factors = [_divide(factors, rhs)]
+                        factors.append(_reciprocal(rhs))
                     tok = tokens[self.i]
                 term = factors[0] if len(factors) == 1 \
                     else InertForm(PROD, children=factors)
@@ -273,18 +276,13 @@ class _Parser:
         self.i += 1
 
 
-def _divide(factors: List[InertForm], denominator: InertForm) -> InertForm:
-    """Maple's internal form of the product of ``factors`` over a denominator:
-    the factors times the denominator to the power -1, or ``x^(-k)`` for a
-    denominator ``x^k``."""
-    if denominator.tag == POWER and is_int_literal(denominator.children[1]):
-        flipped = InertForm(POWER, children=[
-            denominator.children[0],
-            intlit(-int_value(denominator.children[1]))])
-    else:
-        flipped = InertForm(POWER, children=[denominator, _MINUS_ONE])
-    factors = (_factors(factors[0]) if len(factors) == 1 else factors) + [flipped]
-    return factors[0] if len(factors) == 1 else InertForm(PROD, children=factors)
+def _reciprocal(t: InertForm) -> InertForm:
+    """Maple's internal form of ``1/t``: ``x^(-k)`` for ``t = x^k``, which is
+    ``x`` itself for k = -1, else ``t^(-1)``."""
+    if t.tag != POWER or not is_int_literal(t.children[1]):
+        return InertForm(POWER, children=[t, _MINUS_ONE])
+    k = -int_value(t.children[1])
+    return t.children[0] if k == 1 else InertForm(POWER, children=[t.children[0], intlit(k)])
 
 
 def _factors(t: InertForm) -> List[InertForm]:

@@ -245,7 +245,7 @@ def _check_placeholders(entry: LexiconEntry, file, line) -> None:
         for m in PLACEHOLDER_RE.finditer(template):
             idx = int(m.group(1))
             if not 0 <= idx < arity:
-                raise PlaceholderOutOfRange(entry.macro_name, idx)
+                raise PlaceholderOutOfRange(entry.macro_name, idx, file, line)
 
 
 # --- validation -----------------------------------------------------------
@@ -360,7 +360,7 @@ def compile_macro_csv(path) -> Dict[str, LexiconEntry]:
             if not name.startswith("\\"):
                 raise SchemaError(path, lineno, f"macro {name!r} must start with a backslash")
             if name in entries:
-                raise DuplicateMacro(name)
+                raise DuplicateMacro(name, path, lineno)
             record = {
                 "num_params": _cell_int(cells["num_params"]),
                 "num_vars": _cell_int(cells["num_vars"]),

@@ -116,6 +116,9 @@ class TestCompileLexicon:
         code = main(["compile-lexicon", "--csv", str(bad),
                      "--out", str(tmp_path / "out.json")])
         assert code == EXIT_SCHEMA
+        # one error line, which names the file and the repeated row's line
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {bad}:3: duplicate macro \\sin"]
 
     def test_empty_csv_with_header_compiles(self, tmp_path, capsys):
         empty = tmp_path / "macros.csv"

@@ -4,8 +4,11 @@ import cmath
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from texcas import inert
+from texcas.backward import backward_string
 from texcas.cli import EXIT_PARSE, main
 from texcas.corpus import CorpusRecord, run_corpus
 from texcas.errors import MalformedList, MapleSyntaxError, UnsupportedConstruct
@@ -23,6 +26,33 @@ from treegen import name, random_evaluable, random_tree
 def fn(fname, *args):
     return InertForm(FUNCTION, children=[name(fname),
                                          InertForm(EXPSEQ, children=list(args))])
+
+
+def power(base, k):
+    return InertForm(POWER, children=[base, intlit(k)])
+
+
+# a chain's operands: the tree of each and of its reciprocal
+_OPERANDS = {
+    "x": (name("x"), power(name("x"), -1)),
+    "2": (intlit(2), power(intlit(2), -1)),
+    "y^3": (power(name("y"), 3), power(name("y"), -3)),
+    "y^(-1)": (power(name("y"), -1), name("y")),
+    "(1/z)": (power(name("z"), -1), name("z")),
+    "(1/3)": (power(intlit(3), -1), intlit(3)),
+    "sin(x)": (fn("sin", name("x")), power(fn("sin", name("x")), -1)),
+    "(a+b)": (InertForm(SUM, children=[name("a"), name("b")]),
+              InertForm(POWER, children=[
+                  InertForm(SUM, children=[name("a"), name("b")]), intlit(-1)])),
+}
+# a first operand may also be a 1 or a product, which a division after it
+# drops or splices
+_FIRST = {text: tree for text, (tree, _) in _OPERANDS.items()}
+_FIRST.update({"1": intlit(1), "(a*b)": InertForm(PROD, children=[name("a"), name("b")])})
+
+
+def _factors(t):
+    return list(t.children) if t.tag == PROD else [] if t == intlit(1) else [t]
 
 
 class TestParsing:
@@ -79,6 +109,36 @@ class TestParsing:
         assert parse_maple("a/x^2") == InertForm(PROD, children=[
             name("a"),
             InertForm(POWER, children=[name("x"), InertForm(INTNEG, 2)])])
+
+    @pytest.mark.parametrize("text, expected", [
+        ("x/y*z", ["PROD", ["NAME", "x"], ["POWER", ["NAME", "y"], ["INTNEG", 1]],
+                   ["NAME", "z"]]),
+        ("a*b/c^2*d", ["PROD", ["NAME", "a"], ["NAME", "b"],
+                       ["POWER", ["NAME", "c"], ["INTNEG", 2]], ["NAME", "d"]]),
+        ("x/(1/y)", ["PROD", ["NAME", "x"], ["NAME", "y"]]),
+        ("1/(1/4)", ["INTPOS", 4]),
+    ])
+    def test_a_chain_is_one_flat_product(self, text, expected):
+        # Maple stores one n-ary product, and 1/(1/q) as q
+        assert to_nested_list(parse_maple(text)) == expected
+
+    @given(st.sampled_from(sorted(_FIRST)),
+           st.lists(st.tuples(st.sampled_from("*/"), st.sampled_from(sorted(_OPERANDS))),
+                    min_size=1, max_size=12))
+    def test_every_chain_is_one_product_of_its_operands(self, first, rest):
+        factors = [_FIRST[first]]
+        if rest[0][0] == "/":  # a division after a lone factor
+            factors = _factors(factors[0])
+        for op, operand in rest:
+            tree, reciprocal = _OPERANDS[operand]
+            factors.append(tree if op == "*" else reciprocal)
+        expected = factors[0] if len(factors) == 1 \
+            else InertForm(PROD, children=factors)
+        text = first + "".join(op + operand for op, operand in rest)
+        assert parse_maple(text) == expected
+
+    def test_a_divisor_one_over_q_comes_back_as_q(self, lex):
+        assert backward_string("x/(1/y)", lex).output == "x\\idt y"
 
     def test_negation_becomes_product_with_minus_one(self):
         assert parse_maple("-a") == \
@@ -308,10 +368,14 @@ class TestTotality:
         assert repr(InertForm(EXPSEQ)) == "EXPSEQ()"
 
     def test_repr_at_the_height_limit(self):
-        h = inert.MAX_HEIGHT
-        # a product per division and multiplication: PROD(...PROD(x, 1/x)...,
-        # x, 1/x), x)
-        tree = parse_maple("x" + "/x*x" * (h - 2))
-        reciprocal = "NAME('x'), POWER(NAME('x'), INTNEG(1))"
-        assert repr(tree) == "PROD(" * (h - 1) + reciprocal + ")" + \
-            (", " + reciprocal + ")") * (h - 3) + ", NAME('x'))"
+        # x-x*1/sin(t)^x adds 7 levels per wrap, sin(sin(x)) the last 4
+        text = "sin(sin(x))"
+        for _ in range(36):
+            text = f"x-x*1/sin({text})^x"
+        tree = parse_maple(text)
+        assert inert._height(tree) == inert.MAX_HEIGHT
+        sin = "FUNCTION(NAME('sin'), EXPSEQ("
+        wrap = "SUM(NAME('x'), PROD(INTNEG(1), PROD(NAME('x'), INTPOS(1), POWER(POWER("
+        unwrap = ")), NAME('x')), INTNEG(1)))))"
+        assert repr(tree) == (wrap + sin) * 36 + sin * 2 + "NAME('x')" + "))" * 2 \
+            + unwrap * 36

@@ -7,34 +7,81 @@ defect moves its case to an ordinary test and deletes the record.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from texcas.inert import parse_maple
-from texcas.verify import check_equivalence
+from texcas.backward import backward_string
+from texcas.errors import TexcasError
+from texcas.forward import translate_string
+from texcas.inert import nested_list_to_text, parse_maple, to_nested_list
+from texcas.verify import check_equivalence, round_trip
 
 RECORDS = json.loads((Path(__file__).parent / "data" / "known_defects.json")
                      .read_text(encoding="utf-8"))
 IDS = [r["id"] for r in RECORDS]
 
 
-def run(record):
-    assert record["entry"] == "check_equivalence"
+def _translation(result):
+    return {"output": result.output,
+            "infos": [[i.kind, i.text] for i in result.infos]}
+
+
+def run(record, lex):
+    """What the record's entry point gives for its input: the output, or
+    the error's type and message."""
     given = record["input"]
-    return check_equivalence(parse_maple(given["lhs"]), parse_maple(given["rhs"]),
-                             given["vars"])
+    entry = record["entry"]
+    if entry == "check_equivalence":
+        verdict = check_equivalence(parse_maple(given["lhs"]),
+                                    parse_maple(given["rhs"]), given["vars"])
+        return {"outcome": verdict.outcome, "reason": verdict.reason,
+                "max_abs_difference": verdict.max_abs_difference}
+    if entry == "round_trip":
+        report = round_trip(given["text"], given["side"], lex)
+        return {"terminated_reason": report.terminated_reason,
+                "steps": [step.text for step in report.steps]}
+    try:
+        if entry == "translate_string":
+            return _translation(translate_string(given["text"], lex, given["dialect"]))
+        if entry == "backward_string":
+            return _translation(backward_string(given["text"], lex))
+        assert entry == "parse_maple"
+        return {"output": nested_list_to_text(to_nested_list(parse_maple(given["text"])))}
+    except TexcasError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _parses(record, got):
+    """The entry reads its input, and a Maple text it writes parses."""
+    if "error" in got:
+        return False
+    try:
+        if record["entry"] == "translate_string":
+            parse_maple(got["output"])
+    except TexcasError:
+        return False
+    return True
+
+
+# the wanted properties by name, each of the record and what ``run`` gave
+WANTED = {
+    "outcome-in": lambda record, got: got["outcome"] in record["wanted_outcomes"],
+    "parses": _parses,
+    "raises": lambda record, got: "error" in got,
+    "fixed-point": lambda record, got: got["terminated_reason"] == "fixed-point",
+    "names-exclude": lambda record, got: not set(record["names"]).intersection(
+        re.findall(r"[A-Za-z_]\w*", got["output"])),
+}
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=IDS)
-def test_today_output_is_as_recorded(record):
-    verdict = run(record)
-    today = {"outcome": verdict.outcome, "reason": verdict.reason,
-             "max_abs_difference": verdict.max_abs_difference}
-    assert today == record["today"]
+def test_today_output_is_as_recorded(record, lex):
+    assert run(record, lex) == record["today"]
 
 
 @pytest.mark.xfail(strict=True, reason="a known defect, see the record")
 @pytest.mark.parametrize("record", RECORDS, ids=IDS)
-def test_wanted_property_holds(record):
-    assert run(record).outcome in record["wanted_outcomes"], record["wanted"]
+def test_wanted_property_holds(record, lex):
+    assert WANTED[record["property"]](record, run(record, lex)), record["wanted"]

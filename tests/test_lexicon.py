@@ -85,17 +85,20 @@ class TestSeedLexicon:
 
 class TestCompileErrors:
     def test_placeholder_out_of_range(self, tmp_path):
+        path = write_csv(tmp_path, [r"\cos,0,1,1,,cos($0),Cos[$0],",
+                                    r"\sin,0,1,1,,sin($1),Sin[$1],"])
         with pytest.raises(PlaceholderOutOfRange) as exc:
-            compile_macro_csv(write_csv(
-                tmp_path, [r"\sin,0,1,1,,sin($1),Sin[$1],"]))
+            compile_macro_csv(path)
         assert exc.value.index == 1
+        assert str(exc.value) == \
+            f"{path}:3: \\sin: placeholder $1 exceeds declared arity"
 
     def test_duplicate_macro(self, tmp_path):
-        with pytest.raises(DuplicateMacro):
-            compile_macro_csv(write_csv(tmp_path, [
-                r"\sin,0,1,1,,sin($0),Sin[$0],",
-                r"\sin,0,1,1,,sin($0),Sin[$0],",
-            ]))
+        path = write_csv(tmp_path, [r"\sin,0,1,1,,sin($0),Sin[$0],",
+                                    r"\sin,0,1,1,,sin($0),Sin[$0],"])
+        with pytest.raises(DuplicateMacro) as exc:
+            compile_macro_csv(path)
+        assert str(exc.value) == f"{path}:3: duplicate macro \\sin"
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "macros.csv"

@@ -6,8 +6,10 @@ remaining entry points on generated input.
 normalizer as they stood before tokenizing became one regex pass, the parser
 read a flat list of token strings and ``preprocess`` returned leaves as they
 are: a ``match`` call and a ``(kind, lexeme, pos)`` tuple per token,
-``peek``/``next`` calls per token and seven frames per atom.  On any text the
-parser must build the tree the reference builds with ``use_divide=False``
+``peek``/``next`` calls per token and seven frames per atom.  Since then
+the reference parser has changed in one way only, with the parser: a chain
+of ``*`` and ``/`` is one flat product, and a divisor ``1/q`` is stored as
+``q``, as Maple stores them.  On any text the parser must build the tree the reference builds with ``use_divide=False``
 (Maple's own form, the only one the parser builds now), with payloads of the
 same types, or raise the same exception type with the same message and
 position.  The one intended difference is a float literal whose double is
@@ -27,7 +29,9 @@ among ``render_maple`` of 150 ``treegen.random_tree`` and then 150
 row holds, for both ``use_divide`` values, the nested list of the parsed and
 of the preprocessed tree and the ``backward_string`` output and infos, or the
 error.  Its ``divide`` half was recorded again when the parser stopped
-building DIVIDE nodes and ``preprocess`` became one idempotent walk.
+building DIVIDE nodes and ``preprocess`` became one idempotent walk, and
+194 of its rows when the parser made each chain one flat product and read
+``1/(1/q)`` as ``q``.
 """
 
 import contextlib
@@ -99,8 +103,8 @@ def _maple_tokens(text: str):
 # Sub-expressions (parentheses, quotes, call arguments, signs and exponents)
 # may nest this deep: the parser recurses up to eight frames per level.
 MAX_NESTING = 64
-# A parsed tree may be this tall.  Chained divisions grow a tree without
-# nesting the parser, and every later stage (preprocess, rendering, backward
+# A parsed tree may be this tall.  Calls and powers inside products grow a
+# tree faster than they nest the parser, and every later stage (preprocess, rendering, backward
 # translation, simplification, compiled evaluation) recurses about two frames
 # per level, so the bound keeps them all within Python's default recursion
 # limit.
@@ -181,6 +185,8 @@ class _Parser:
                 lhs = factors[0] if len(factors) == 1 \
                     else InertForm(PROD, children=factors)
                 factors = [self._divide(lhs, rhs)]
+                if factors[0].tag == PROD and lhs != InertForm(INTPOS, 1):
+                    factors = factors[0].children  # Maple's one flat product
         if len(factors) == 1:
             return factors[0]
         return InertForm(PROD, children=factors)
@@ -188,9 +194,9 @@ class _Parser:
     def _divide(self, numerator: InertForm, denominator: InertForm) -> InertForm:
         # mirror Maple's internal form for power divisors; DIVIDE otherwise
         if denominator.tag == POWER and is_int_literal(denominator.children[1]):
-            flipped = InertForm(POWER, children=[
-                denominator.children[0],
-                intlit(-int_value(denominator.children[1]))])
+            base, k = denominator.children[0], -int_value(denominator.children[1])
+            # Maple stores 1/(1/q) as q
+            flipped = base if k == 1 else InertForm(POWER, children=[base, intlit(k)])
         elif not self.use_divide:
             flipped = InertForm(POWER, children=[denominator, InertForm(INTNEG, 1)])
         else:
@@ -400,8 +406,8 @@ def _assert_matches(text):
 
 def _divides_by_a_reciprocal(tree: InertForm) -> bool:
     """Whether a tree of DIVIDE form divides by ``1/q``.  The parser reads
-    ``p/(1/q)`` as Maple divides by ``q^(-1)``, as ``p*q^1``; ``preprocess``
-    turns no quotient into a power, so it keeps the DIVIDE form's quotient."""
+    ``p/(1/q)`` as Maple divides by ``q^(-1)``, as ``p*q``; ``preprocess``
+    turns no quotient into a product, so it keeps the DIVIDE form's quotient."""
     todo = [tree]
     while todo:
         t = todo.pop()
@@ -467,8 +473,8 @@ def test_parse_matches_the_reference(text):
     "2^3^4", "x^-y^z", "-" * MAX_NESTING + "x", "-" * (MAX_NESTING + 1) + "x",
     "(" * MAX_NESTING + "x" + ")" * MAX_NESTING,
     "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
-    # a chain of divisions is one product; a product per division and
-    # multiplication is a tree as tall as the limit, and one level taller
+    # a chain of divisions and multiplications is one flat product, however
+    # long
     "x" + "/x" * 256, "x" + "/x" * 257, "x" + "/x^2" * 300,
     "x" + "/x*x" * (MAX_HEIGHT - 2), "x" + "/x*x" * (MAX_HEIGHT - 1), "f()", "f(,)",
     "f(x,)", "f(x,y", "3..4", "3...4", ".5.5", "1.e", "1/2/3", "a*b/c^2*d",

@@ -37,24 +37,29 @@ def deep_maple(n):
             "'" * n + "x" + "'" * n]
 
 
-def nested_chain(levels, units):
-    """((x*x/x...)*x/x...)*x/x...: ``units`` times ``*x/x`` over ``levels``
-    parentheses, each adding a PROD level; a tree units + 1 tall."""
-    each, extra = divmod(units, levels)
-    text = "x"
-    for k in range(levels):
-        text = "(" + text + ")" + "*x/x" * (each + (extra if k == 0 else 0))
+# each wrap of t adds 7 or 6 tree levels but nests the parser about one level
+_WRAP_7 = "x-x*1/sin({t})^x"
+_WRAP_6 = "x-x/cos({t})"
+
+
+def wrapped(n, form=_WRAP_7, core="x"):
+    """``core`` wrapped n times in ``form``."""
+    text = core
+    for _ in range(n):
+        text = form.format(t=text)
     return text
 
 
 def tall_maple(h):
-    """Maple inputs, nested at most a few levels, whose trees are h tall.
-    A chain of divisions is one product; a division after a product, or a
-    product after a division, nests the product."""
-    return ["x" + "/x*x" * (h - 2),
-            "x" + "*x/x" * (h - 1),
-            nested_chain(16, h - 1),
-            nested_chain(max(1, (h - 1) // 16), h - 1)]
+    """Maple inputs whose trees are h tall: wraps, then a core of the levels
+    left, one for a sign and two for each call.  Past MAX_HEIGHT by far, they
+    nest the parser past MAX_NESTING too."""
+    texts = []
+    for form, levels in ((_WRAP_7, 7), (_WRAP_6, 6)):
+        n, r = divmod(h, levels)
+        core = "-" * (r % 2) + "sin(" * (r // 2) + "x" + ")" * (r // 2)
+        texts.append(wrapped(n, form, core))
+    return texts
 
 
 def deep_latex(n):
@@ -132,21 +137,20 @@ def test_maple_trees_up_to_the_height_limit_run_every_stage(lex, capsys):
     for text, taller in zip(tall_maple(h), tall_maple(h + 1)):
         assert inert._height(parse_maple(text)) == h
         run_every_stage(text, lex)
-        assert main(["inert", "--", taller]) == EXIT_PARSE
-    # exactly one level over the limit, and a chain that nests no level
-    for taller in ("x" + "/x*x" * (h - 1), "x" + "/x*x" * 300):
+        # exactly one level over the limit
         with pytest.raises(MapleTooDeep, match=f"expected a tree at most {h} "
                            "levels tall"):
             parse_maple(taller)
+        assert main(["inert", "--", taller]) == EXIT_PARSE
 
 
-def wrapped(n):
-    """``t = x`` wrapped n times as ``x-x*1/sin(t)^x``: each wrap adds 7
-    tree levels but only about one parser nesting level."""
-    text = "x"
-    for _ in range(n):
-        text = f"x-x*1/sin({text})^x"
-    return text
+@pytest.mark.parametrize("n", DEPTHS)
+def test_chains_of_products_and_divisions_are_one_flat_product(n, lex, capsys):
+    for text in ("x" + "/x*x" * n, "x" + "*x/x" * n):
+        tree = parse_maple(text)
+        assert tree.tag == inert.PROD and inert._height(tree) == 2
+        assert len(tree.children) == 2 * n + 1
+        run_every_stage(text, lex)
 
 
 def test_trees_that_only_nest_are_bounded_by_their_height(lex, capsys):
@@ -160,7 +164,8 @@ def test_trees_that_only_nest_are_bounded_by_their_height(lex, capsys):
 
 
 # each way a text grows its tree: divisors nested by brackets or signs,
-# signed exponents, calls, quotes, signs, and a product after a division
+# signed exponents, calls, quotes and signs; and chains of products and
+# divisions, which do not
 _WRAPS = ["{a}/({t})", "{a}/-({t})", "{a}/-{t}", "{t}/-{a}", "{a}^-({t})",
           "{a}^-{t}", "({t})/{a}*x", "{t}/{a}*{a}", "{a}-{t}", "f({t},{a})",
           "sin({t})", "'{t}'", "-{t}", "+({t})", "1/({t})"]
