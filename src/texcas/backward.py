@@ -127,15 +127,11 @@ class _Backward:
         return f"\\left({text}\\right)" if t.tag == inert.EQUATION else text
 
     def render_sum(self, t: InertForm) -> str:
-        parts = []
-        for k, c in enumerate(t.children):
-            piece = self.render_operand(c)
-            if c.tag == inert.SUM:
-                piece = f"({piece})"
-            if k > 0 and not piece.startswith("-"):
-                parts.append("+")
-            parts.append(piece)
-        return "".join(parts)
+        terms = []
+        for c in t.children:
+            term = self.render_operand(c)
+            terms.append(f"({term})" if c.tag == inert.SUM else term)
+        return inert.join_terms(terms)
 
     def render_prod(self, t: InertForm) -> str:
         children = t.children

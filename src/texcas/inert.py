@@ -278,7 +278,8 @@ class _Parser:
 
 def _reciprocal(t: InertForm) -> InertForm:
     """Maple's internal form of ``1/t``: ``x^(-k)`` for ``t = x^k``, which is
-    ``x`` itself for k = -1, else ``t^(-1)``."""
+    ``x`` itself for k = -1, else ``t^(-1)``.  It is also what a negative
+    integer power divides by, in ``preprocess`` and the renderer."""
     if t.tag != POWER or not is_int_literal(t.children[1]):
         return InertForm(POWER, children=[t, _MINUS_ONE])
     k = -int_value(t.children[1])
@@ -357,9 +358,7 @@ def _parts(t: InertForm) -> Optional[tuple]:
     """The normalized factors a product, negative integer power or DIVIDE
     node multiplies and divides by; None for any other node."""
     if t.tag == POWER and t.children[1].tag == INTNEG:
-        base, expo = preprocess(t.children[0]), t.children[1]
-        return [], [base if expo == _MINUS_ONE
-                    else InertForm(POWER, children=[base, _negate(expo)])]
+        return [], [preprocess(_reciprocal(t))]
     if t.tag == DIVIDE:  # the numerator's factors times 1/den, as parsed
         num, den = t.children
         over, under = _parts(num) or (_factors(preprocess(num)), [])
@@ -487,8 +486,19 @@ def float_text(x: float) -> str:
     return text if "." in text else text + ".0"
 
 
+def join_terms(terms: List[str]) -> str:
+    """Rendered sum terms in one text: a ``+`` goes before each term after
+    the first that has no sign of its own.  Both renderers join sums so."""
+    text = terms[0] if terms else ""
+    for term in terms[1:]:
+        text += term if term.startswith("-") else "+" + term
+    return text
+
+
 # precedence levels for canonical parenthesization
 _PREC = {EQUATION: 1, RANGE: 2, SUM: 3, PROD: 4, DIVIDE: 4, POWER: 6}
+# each two-operand node's separator and the precedence its operands render at
+_INFIX = {EQUATION: (" = ", 2), RANGE: ("..", 3), DIVIDE: ("/", 6), POWER: ("^", 7)}
 
 
 def _render(t: InertForm, parent_prec: int) -> str:
@@ -513,16 +523,7 @@ def _render(t: InertForm, parent_prec: int) -> str:
     if tag == EXPSEQ:
         return ", ".join(_render(c, 0) for c in t.children)
     if tag == SUM:
-        parts = []
-        for k, c in enumerate(t.children):
-            piece = _render(c, _PREC[SUM])
-            if k == 0:
-                parts.append(piece)
-            elif piece.startswith("-"):
-                parts.append(piece)
-            else:
-                parts.append("+" + piece)
-        text = "".join(parts)
+        text = join_terms([_render(c, _PREC[SUM]) for c in t.children])
         return f"({text})" if parent_prec > _PREC[SUM] else text
     if tag == PROD:
         children = t.children
@@ -534,9 +535,7 @@ def _render(t: InertForm, parent_prec: int) -> str:
         num_parts, den_parts = [], []
         for c in children:
             if c.tag == POWER and c.children[1].tag == INTNEG:  # x^(-n) as /x^n
-                base, expo = c.children
-                den_parts.append(_render(base if expo == _MINUS_ONE else InertForm(
-                    POWER, children=[base, _negate(expo)]), _PREC[POWER]))
+                den_parts.append(_render(_reciprocal(c), _PREC[POWER]))
             else:
                 num_parts.append(_render(c, _PREC[PROD]))
         text = sign + ("*".join(num_parts) or "1")
@@ -544,20 +543,9 @@ def _render(t: InertForm, parent_prec: int) -> str:
             text += "/" + d
         return f"({text})" if (parent_prec > _PREC[PROD]
                                or (sign and parent_prec >= _PREC[PROD])) else text
-    if tag == DIVIDE:
-        num, den = t.children
-        text = f"{_render(num, _PREC[POWER])}/{_render(den, _PREC[POWER])}"
-        return f"({text})" if parent_prec > _PREC[PROD] else text
-    if tag == POWER:
-        base, expo = t.children
-        base_text = _render(base, _PREC[POWER] + 1)
-        expo_text = _render(expo, _PREC[POWER] + 1)
-        text = f"{base_text}^{expo_text}"
-        return f"({text})" if parent_prec > _PREC[POWER] else text
-    if tag == EQUATION:
-        text = f"{_render(t.children[0], 2)} = {_render(t.children[1], 2)}"
-        return f"({text})" if parent_prec > _PREC[EQUATION] else text
-    if tag == RANGE:
-        text = f"{_render(t.children[0], 3)}..{_render(t.children[1], 3)}"
-        return f"({text})" if parent_prec > _PREC[RANGE] else text
+    if tag in _INFIX:
+        separator, operand_prec = _INFIX[tag]
+        lhs, rhs = t.children
+        text = _render(lhs, operand_prec) + separator + _render(rhs, operand_prec)
+        return f"({text})" if parent_prec > _PREC[tag] else text
     raise MalformedList(f"cannot render tag {tag}")

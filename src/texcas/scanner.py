@@ -83,11 +83,13 @@ _TOKEN_RE = re.compile(
 _MACRO, _GREEK = TermKind.MACRO_COMMAND, TermKind.GREEK_LETTER_COMMAND
 _RESERVED, _PAREN = TermKind.RESERVED, DelimiterClass.PAREN
 
-_DELIM_PAIRS = {"{": "}", "[": "]", "(": ")"}
-_DELIM_CLASSES = {
-    "{": DelimiterClass.CURLY,
-    "[": DelimiterClass.BRACKET_OPTIONAL,
-    "(": DelimiterClass.PAREN,
+# each opener -> its closer and the class of the group they delimit; a
+# \left<d> ... \right<d> group is a paren-class group like any other
+_GROUPS = {
+    "{": ("}", DelimiterClass.CURLY),
+    "[": ("]", DelimiterClass.BRACKET_OPTIONAL),
+    "(": (")", _PAREN),
+    **{"\\left" + d: ("\\right" + c, _PAREN) for d, c in ("{}", "[]", "()")},
 }
 
 # a token's first character -> its term kind, or what the scan does with it;
@@ -113,7 +115,8 @@ def scan(text: str, kb=None) -> PomTree:
     found by a rescan and reported before any delimiter error.  One loop
     classifies each token by its first character and builds the tree, one
     node per token: each term is a ``MathTerm`` child of the root sequence or
-    of its delimited group, both ``PomTree``s.  Each macro occurrence is
+    of its delimited group, both ``PomTree``s; a ``\\left``/``\\right`` group
+    opens and closes on the same path as a plain one.  Each macro occurrence is
     looked up once: a known macro's term carries its lexicon entry
     (``MathTerm.entry``), which forward reads, and a Greek-letter entry
     decides the Greek command kind.  Unknown macros are still tokenized.
@@ -143,54 +146,46 @@ def scan(text: str, kb=None) -> PomTree:
         if kind is None:  # whitespace or a comment
             continue
         if kind is _BACKSLASH:
-            if lexeme == "\\\\":
-                siblings.append(MathTerm(lexeme, _RESERVED, pos))
-            elif lexeme == "\\left" or lexeme == "\\right":
-                # \left<delim> ... \right<delim> forms a paren-class group
+            if lexeme == "\\left" or lexeme == "\\right":
+                # the token goes on as the opener \left<d> or the closer
+                # \right<d> at its own position; the delimiter's is dpos
                 for dlex, dpos in tokens_left:
                     if dlex[0] in _LEADS:
                         break
                 else:
                     raise UnbalancedDelimiters(pos, f"{lexeme} without a delimiter")
-                if lexeme == "\\left":
-                    if dlex not in _DELIM_PAIRS:
-                        raise UnbalancedDelimiters(dpos, f"cannot open group with {dlex!r}")
-                    stack.append((siblings, "\\left" + dlex, pos))
-                    if len(stack) > MAX_NESTING:
-                        raise ScanTooDeep(pos, MAX_NESTING)
-                    siblings = []
-                else:
-                    if not stack:
-                        raise UnbalancedDelimiters(pos, "\\right without matching \\left")
-                    parent, open_lex, _ = stack.pop()
-                    if not open_lex.startswith("\\left"):
-                        raise UnbalancedDelimiters(pos, "\\right closes a plain group")
-                    expected = _DELIM_PAIRS[open_lex[-1]]
-                    if dlex != expected:
-                        raise UnbalancedDelimiters(dpos, f"expected \\right{expected}")
-                    parent.append(PomTree(_PAREN, siblings, open_lex,
-                                          "\\right" + dlex))
-                    siblings = parent
+                kind = _OPEN if lexeme == "\\left" else _CLOSE
+                lexeme += dlex
+            elif lexeme == "\\\\":
+                kind = _RESERVED
             else:
                 entry = kb.lookup(lexeme)
                 kind = (_GREEK if entry is not None and entry.role == "greek-letter"
                         else _MACRO)
                 siblings.append(MathTerm(lexeme, kind, pos, entry))
-        elif kind is _OPEN:
+                continue
+        if kind is _OPEN:
+            if lexeme not in _GROUPS:
+                raise UnbalancedDelimiters(dpos, f"cannot open group with {dlex!r}")
             stack.append((siblings, lexeme, pos))
             if len(stack) > MAX_NESTING:
                 raise ScanTooDeep(pos, MAX_NESTING)
             siblings = []
         elif kind is _CLOSE:
+            right = lexeme[0] == "\\"
             if not stack:
-                raise UnbalancedDelimiters(pos, f"unmatched {lexeme!r}")
+                raise UnbalancedDelimiters(pos, "\\right without matching \\left"
+                                           if right else f"unmatched {lexeme!r}")
             parent, open_lex, _ = stack.pop()
-            if open_lex.startswith("\\left"):
-                raise UnbalancedDelimiters(pos, f"{lexeme!r} closes a \\left group")
-            if _DELIM_PAIRS[open_lex] != lexeme:
-                raise UnbalancedDelimiters(pos, f"expected {_DELIM_PAIRS[open_lex]!r}")
-            parent.append(PomTree(_DELIM_CLASSES[open_lex], siblings,
-                                  open_lex, lexeme))
+            closer, group_class = _GROUPS[open_lex]
+            if lexeme != closer:
+                if right and closer[0] == "\\":
+                    raise UnbalancedDelimiters(dpos, f"expected {closer}")
+                if right or closer[0] == "\\":
+                    raise UnbalancedDelimiters(pos, "\\right closes a plain group" if right
+                                               else f"{lexeme!r} closes a \\left group")
+                raise UnbalancedDelimiters(pos, f"expected {closer!r}")
+            parent.append(PomTree(group_class, siblings, open_lex, lexeme))
             siblings = parent
         else:
             siblings.append(MathTerm(lexeme, kind, pos))

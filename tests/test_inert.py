@@ -322,6 +322,23 @@ class TestRendering:
         assert render_maple(tree) == rendered
         assert parse_maple(rendered) == tree
 
+    @pytest.mark.parametrize("text, rendered", [
+        ("(a/b)^2", "(a/b)^2"),
+        ("a^(b^c)", "a^(b^c)"),
+        ("(a^b)^c", "(a^b)^c"),
+        ("a/(b/c)", "a/(b/c)"),
+        ("(a..b)/c", "(a..b)/c"),
+        ("1/(x/y)^2", "1/(x/y)^2"),
+        ("(a=b)/c", "(a = b)/c"),
+        # the quotients merge into one before rendering
+        ("(a/b)/(c/d)", "a/((b*c)/d)"),
+    ])
+    def test_quotients_and_powers_keep_parentheses(self, text, rendered):
+        # preprocessed, so that each quotient is a DIVIDE node
+        tree = preprocess(parse_maple(text))
+        assert render_maple(tree) == rendered
+        assert preprocess(parse_maple(rendered)) == tree
+
 
 class TestTotality:
     """Every input ends in a tree or a MapleSyntaxError, and every tree the

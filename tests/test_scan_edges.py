@@ -1,8 +1,9 @@
 """The first scan against the reference scanner on edge cases the generated
 text rarely reaches: whitespace and comments inside ``\\left``/``\\right``,
-Unicode whitespace, a character with no token behind a delimiter error, and
-positions after comments.  A fixed-seed sweep over the generator's pieces
-adds a larger sample than the hypothesis test runs.
+Unicode whitespace, a character with no token behind a delimiter error,
+positions after comments, and plain and ``\\left``/``\\right`` groups that
+open and close across each other.  A fixed-seed sweep over the generator's
+pieces adds a larger sample than the hypothesis test runs.
 """
 
 import random
@@ -32,6 +33,9 @@ from texcas.scanner import MAX_NESTING, scan
     # positions after comments
     "% c\n)", "a % c\n = b)", "% one\n% two\n(x", "%\n\\left(x\\right]",
     "x %c\n é", "% c\n\\left x", "%é\n{x}%\n)",
+    # plain and \left/\right groups opened and closed across each other
+    "\\left{x\\right}", "\\left[x)", "(x\\right)", "\\left(x\\right}",
+    "{\\left(x\\right)}", "\\left(\\left[x\\right]\\right)", "\\left(x\\right)\\right)",
 ])
 def test_edge_cases_match_the_reference(text):
     assert _scanned(scan, text) == _scanned(reference_scan, text)
