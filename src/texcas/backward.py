@@ -8,7 +8,9 @@ from typing import Dict, List, Optional, Tuple
 from . import inert
 from .errors import UnknownFunction, UnsupportedTag
 from .forward import TranslationResult, unique_infos
-from .inert import InertForm
+from .inert import (DIVIDE, EQUATION, FLOAT, FUNCTION, INTNEG, INTPOS, NAME,
+                    POWER, PROD, RATIONAL, SUM, InertForm, float_text,
+                    join_terms)
 from .lexicon import MAPLE, Lexicon, LexiconEntry, Record, call_shape, fill
 
 
@@ -92,30 +94,30 @@ class _Backward:
 
     def render(self, t: InertForm) -> str:
         tag = t.tag
-        if tag == inert.NAME:
+        if tag == NAME:
             return self.name_map.get(t.payload, t.payload)
-        if tag == inert.INTPOS:
+        if tag == INTPOS:
             return str(t.payload)
-        if tag == inert.INTNEG:
-            return f"-{t.payload}"
-        if tag == inert.FLOAT:
-            return inert.float_text(t.payload)
-        if tag == inert.RATIONAL:
-            p, q = t.children
-            sign = "-" if p.tag == inert.INTNEG else ""
-            return sign + "\\frac{%d}{%d}" % (p.payload, q.payload)
-        if tag == inert.SUM:
-            return self.render_sum(t)
-        if tag == inert.PROD:
+        if tag == PROD:
             return self.render_prod(t)
-        if tag == inert.DIVIDE:
+        if tag == POWER:
+            return self.render_power(t)
+        if tag == SUM:
+            return self.render_sum(t)
+        if tag == FUNCTION:
+            return self.render_function(t)
+        if tag == INTNEG:
+            return f"-{t.payload}"
+        if tag == RATIONAL:
+            p, q = t.children
+            sign = "-" if p.tag == INTNEG else ""
+            return sign + "\\frac{%d}{%d}" % (p.payload, q.payload)
+        if tag == DIVIDE:
             num, den = t.children
             return "\\frac{%s}{%s}" % (self.render(num), self.render(den))
-        if tag == inert.POWER:
-            return self.render_power(t)
-        if tag == inert.FUNCTION:
-            return self.render_function(t)
-        if tag == inert.EQUATION:
+        if tag == FLOAT:
+            return float_text(t.payload)
+        if tag == EQUATION:
             lhs, rhs = t.children
             return f"{self.render_operand(lhs)} = {self.render_operand(rhs)}"
         raise UnsupportedTag(tag)
@@ -124,27 +126,35 @@ class _Backward:
         """A nested equation keeps its parentheses: the first scan is flat,
         so forward translation would otherwise bind ``=`` loosest."""
         text = self.render(t)
-        return f"\\left({text}\\right)" if t.tag == inert.EQUATION else text
+        return f"\\left({text}\\right)" if t.tag == EQUATION else text
 
     def render_sum(self, t: InertForm) -> str:
         terms = []
         for c in t.children:
-            term = self.render_operand(c)
-            terms.append(f"({term})" if c.tag == inert.SUM else term)
-        return inert.join_terms(terms)
+            term = self.render(c)
+            tag = c.tag
+            if tag == SUM:
+                term = f"({term})"
+            elif tag == EQUATION:
+                term = f"\\left({term}\\right)"
+            terms.append(term)
+        return join_terms(terms)
 
     def render_prod(self, t: InertForm) -> str:
         children = t.children
         sign = ""
         parts: List[str] = []
-        if children and children[0].tag == inert.INTNEG:
+        if children and children[0].tag == INTNEG:
             sign = "-"
             if children[0].payload != 1:
                 parts.append(str(children[0].payload))
             children = children[1:]
         for c in children:
-            piece = self.render_operand(c)
-            if c.tag == inert.SUM or piece.startswith("-"):
+            piece = self.render(c)
+            tag = c.tag
+            if tag == EQUATION:
+                piece = f"\\left({piece}\\right)"
+            elif tag == SUM or piece.startswith("-"):
                 piece = f"({piece})"
             parts.append(piece)
         if not parts:
@@ -159,12 +169,12 @@ class _Backward:
     def render_power(self, t: InertForm) -> str:
         base, expo = t.children
         base_text = self.render(base)
-        if base.tag in (inert.SUM, inert.PROD):
+        tag = base.tag
+        if tag == SUM or tag == PROD:
             base_text = f"({base_text})"
-        elif base.tag in (inert.DIVIDE, inert.RATIONAL, inert.POWER,
-                          inert.EQUATION):
+        elif tag == DIVIDE or tag == RATIONAL or tag == POWER or tag == EQUATION:
             base_text = f"\\left({base_text}\\right)"
-        elif base.tag in (inert.INTNEG, inert.FLOAT) and base_text.startswith("-"):
+        elif (tag == INTNEG or tag == FLOAT) and base_text.startswith("-"):
             base_text = f"({base_text})"
         return "%s^{%s}" % (base_text, self.render(expo))
 
@@ -174,7 +184,8 @@ class _Backward:
         rule = self.rules.get((fname, len(args)))
         if rule is None:
             raise UnknownFunction(fname)
-        self.infos.extend((adv.kind, adv.text) for adv in rule.advisories)
+        if rule.advisories:
+            self.infos.extend([(adv.kind, adv.text) for adv in rule.advisories])
         rendered = [self.render(a) for a in args]
         return fill(rule.latex_template, rendered)
 

@@ -35,6 +35,7 @@ _DIGITS = TermKind.DIGIT_SEQUENCE
 _OPERATOR, _RELATION = TermKind.OPERATOR_SYMBOL, TermKind.RELATION_SYMBOL
 _CARET, _UNDERSCORE, _AT = TermKind.CARET, TermKind.UNDERSCORE, TermKind.AT_MARKER
 _SIGNS = (("op", "-"), ("op", "+"))
+_BANG, _OVER = ("op", "!"), ("prod", "/", "/")
 _CURLY, _OPTIONAL, _PAREN = (DelimiterClass.CURLY, DelimiterClass.BRACKET_OPTIONAL,
                              DelimiterClass.PAREN)
 
@@ -61,8 +62,9 @@ class _Context:
     def __init__(self, lex: Lexicon, dialect: str):
         self.lex = lex
         self.dialect = dialect
-        self.leaves = lex.leaf_tables[dialect]  # filled by _leaf
+        self.leaves = lex.leaf_tables[dialect]  # filled by _leaf and _translate_macro
         self.infos: List[Tuple[str, str]] = []  # (kind, text), repeats kept
+        self.unjoined: Optional[str] = None  # the first product sign with no left operand
 
     def product(self) -> str:  # \idt's template spells every product
         return _template(self.lex.product, "\\idt", self.dialect)
@@ -70,11 +72,14 @@ class _Context:
     def add_info(self, kind: str, text: str) -> None:
         self.infos.append((kind, text))
 
-    def note_entry(self, entry: LexiconEntry) -> None:
-        if entry.dlmf_link:
-            self.add_info("dlmf-link", f"{entry.macro_name}: {entry.dlmf_link}")
-        for adv in entry.advisories:
-            self.add_info(adv.kind, f"{entry.macro_name}: {adv.text}")
+
+def _entry_infos(entry: LexiconEntry) -> Tuple[Tuple[str, str], ...]:
+    """The info pairs of a function or constant entry: its DLMF link, then
+    its advisories."""
+    pairs = [("dlmf-link", f"{entry.macro_name}: {entry.dlmf_link}")] \
+        if entry.dlmf_link else []
+    pairs += [(adv.kind, f"{entry.macro_name}: {adv.text}") for adv in entry.advisories]
+    return tuple(pairs)
 
 
 def translate_forward(tree: PomTree, lex: Lexicon, dialect: str) -> TranslationResult:
@@ -96,6 +101,10 @@ def translate_forward(tree: PomTree, lex: Lexicon, dialect: str) -> TranslationR
         lex.leaf_tables = {name: {} for name in DIALECTS}
     ctx = _Context(lex, dialect)
     output = _translate_sequence(tree.children, ctx)
+    # refused after the walk, so that an error of the input itself (an
+    # unknown macro, a wrong argument count, no template) is named first
+    if ctx.unjoined:
+        raise TranslationError(f"product sign {ctx.unjoined} without a left operand")
     return TranslationResult(output=output, infos=unique_infos(ctx.infos))
 
 
@@ -111,7 +120,10 @@ def _translate_sequence(children: List[PomTree | MathTerm], ctx: _Context) -> st
     i, n = 0, len(children)
     while i < n:
         item, i = _item(children, i, ctx)
-        item, i = _scripted(item, children, i, ctx)
+        if i < n:  # scripts are read only where a script symbol follows
+            node = children[i]
+            if node.is_leaf and (node.kind is _CARET or node.kind is _UNDERSCORE):
+                item, i = _scripted(item, children, i, ctx)
         items.append(item)
     return _assemble(items, ctx)
 
@@ -119,7 +131,8 @@ def _translate_sequence(children: List[PomTree | MathTerm], ctx: _Context) -> st
 def _item(children: List[PomTree | MathTerm], i: int, ctx: _Context) -> Tuple[tuple, int]:
     """The item that starts at ``children[i]``, and the index after it: a
     value ``("val", _Unit)``, a product or quotient operator
-    ``("prod", text)``, or another operator or a relation ``("op", text)``."""
+    ``("prod", text, symbol)`` with its LaTeX symbol, or another operator or
+    a relation ``("op", text)``."""
     node = children[i]
     if not node.is_leaf:  # a group
         inner = _translate_sequence(node.children, ctx)
@@ -130,11 +143,14 @@ def _item(children: List[PomTree | MathTerm], i: int, ctx: _Context) -> Tuple[tu
     leaf = ctx.leaves.get(node.lexeme)
     # a macro's stored item serves only the entry it was built from
     if leaf is not None and leaf[0] is entry:
+        item = leaf[1]
+        if item is None:  # a function macro, stored with its info pairs only
+            return _translate_macro(children, i, entry, ctx, leaf[2])
         if leaf[2]:
             ctx.infos += leaf[2]
-        return leaf[1], i + 1
+        return item, i + 1
     if entry is not None and entry.role == "function":
-        return _translate_macro(children, i, entry, ctx)
+        return _translate_macro(children, i, entry, ctx, None)
     if node.kind is not _DIGITS:
         return _leaf(node, entry, ctx), i + 1
     # re-fuse decimal literals split by the shallow first scan
@@ -160,7 +176,7 @@ def _leaf(term: MathTerm, entry: Optional[LexiconEntry], ctx: _Context) -> tuple
         text = _template(entry, lexeme, ctx.dialect)
         if entry.role == "operator":
             # \idt: multiplication with no presentation appearance
-            item = ("prod", text)
+            item = ("prod", text, lexeme)
         elif entry.role == "greek-letter":
             suggestion = ctx.lex.command_suggestions.get(lexeme)
             if suggestion:
@@ -169,7 +185,7 @@ def _leaf(term: MathTerm, entry: Optional[LexiconEntry], ctx: _Context) -> tuple
                              f"{suggestion}; it is translated as a Greek letter")
             item = ("val", _Unit(text, "atom"))
         else:  # a constant
-            ctx.note_entry(entry)
+            ctx.infos += _entry_infos(entry)
             item = ("val", _Unit(text, "atom" if _ATOMIC_RE.match(text) else "other"))
     elif kind is _LETTER:
         suggestion = ctx.lex.letter_suggestions.get(lexeme)
@@ -179,7 +195,8 @@ def _leaf(term: MathTerm, entry: Optional[LexiconEntry], ctx: _Context) -> tuple
                          f"{suggestion}; it is translated as a plain letter")
         item = ("val", _Unit(lexeme, "atom"))
     elif kind is _OPERATOR:  # * and /, like \idt, join the factors of a product
-        item = ("prod" if lexeme in "*/" else "op", ctx.product() if lexeme == "*" else lexeme)
+        item = ("prod", ctx.product() if lexeme == "*" else lexeme, lexeme) \
+            if lexeme in "*/" else ("op", lexeme)
     elif kind is _RELATION:
         item = ("op", " = " if lexeme == "=" else lexeme)
     elif kind is _AT:
@@ -196,11 +213,17 @@ def _leaf(term: MathTerm, entry: Optional[LexiconEntry], ctx: _Context) -> tuple
 
 
 def _translate_macro(children: List[PomTree | MathTerm], i: int, entry: LexiconEntry,
-                     ctx: _Context) -> Tuple[tuple, int]:
+                     ctx: _Context, infos: Optional[tuple]) -> Tuple[tuple, int]:
     """A function macro's item, and the index after its last argument:
     \\sqrt's optional [order], the parameter groups, an @ run of a length the
-    entry lists, then the variable groups."""
+    entry lists, then the variable groups.  The entry's info pairs, unless
+    given, are made once and stored in the leaf table, as ``_leaf`` stores
+    a leaf's: only for the lexicon's own entry of the name."""
     name = children[i].lexeme
+    if infos is None:
+        infos = _entry_infos(entry)
+        if ctx.lex.names.get(name) is entry:
+            ctx.leaves.setdefault(name, (entry, None, infos))
     j = i + 1
     order = None
     if name == "\\sqrt" and _is_group(children, j, _OPTIONAL):
@@ -223,7 +246,7 @@ def _translate_macro(children: List[PomTree | MathTerm], i: int, entry: LexiconE
     else:  # \sqrt[n]{x} is \root{x}{n}
         args.append(order)
         template = _template(ctx.lex.lookup("\\root"), name, ctx.dialect)
-    ctx.note_entry(entry)
+    ctx.infos += infos
     text = fill(template, args)
     # only a template that brackets its own operands is written as a fraction
     if name != "\\frac" or not _BARE_RE.search(template):
@@ -300,15 +323,20 @@ def _assemble(items: List[tuple], ctx: _Context) -> str:
     parts: List[str] = []
     prev_value = False
     shut = ""  # the bracket opened before a sign, shut after its value
-    for k, (tag, payload) in enumerate(items):
-        if shut and items[k] != ("op", "!"):  # its factorials stay inside
+    for k, item in enumerate(items):
+        tag = item[0]
+        if shut and item != _BANG:  # its factorials stay inside
             parts.append(shut)
             shut = ""
         if tag != "val":
-            parts.append(payload)
+            # a product sign needs a left operand: a value or a factorial
+            if tag == "prod" and not prev_value and (k == 0 or items[k - 1] != _BANG) \
+                    and ctx.unjoined is None:
+                ctx.unjoined = item[2]
+            parts.append(item[1])
             prev_value = False
             continue
-        unit = payload
+        unit = item[1]
         implicit = prev_value
         text = unit.text
         if unit.kind == "frac":
@@ -317,7 +345,7 @@ def _assemble(items: List[tuple], ctx: _Context) -> str:
             if len(items) == 1:
                 text = unit.compact
             elif implicit or (k + 1 < len(items) and items[k + 1][0] == "val") \
-                    or (k > 0 and items[k - 1] == ("prod", "/")):
+                    or (k > 0 and items[k - 1] == _OVER):
                 text = f"({unit.compact})"
         if k > 1 and items[k - 2][0] == "prod" and items[k - 1] in _SIGNS:
             # a sign after a product or quotient binds only this value

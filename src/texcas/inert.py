@@ -117,7 +117,7 @@ _UNSUPPORTED_KEYWORDS = {"proc", "module", "table", "array", "Array", "Matrix",
 # precedence: = < .. < +,- < *,/ < unary minus < ^ < atoms/calls
 
 # Sub-expressions (parentheses, quotes, call arguments, signs and exponents)
-# may nest this deep: the parser recurses five frames per parenthesis, quote
+# may nest this deep: the parser recurses four frames per parenthesis, quote
 # or call argument, and one per sign or exponent.
 MAX_NESTING = 64
 # A parsed tree may be this tall.  A call or power inside a product inside a
@@ -164,28 +164,33 @@ class _Parser:
         return node
 
     def equation(self) -> InertForm:
-        """``range ["=" range]``, one nesting level below the caller's."""
+        """``range ["=" range]``, a range being ``sum [".." sum]``, one
+        nesting level below the caller's.  A range is read only where a
+        ``..`` follows a sum."""
         self.nest()
-        left = self.range_()
-        if self.tokens[self.i] == "=":
+        tokens = self.tokens
+        left = self.sum_()
+        if tokens[self.i] == "..":
+            left = self.range_(left)
+        if tokens[self.i] == "=":
             self.i += 1
-            left = InertForm(EQUATION, children=[left, self.range_()])
+            right = self.sum_()
+            if tokens[self.i] == "..":
+                right = self.range_(right)
+            left = InertForm(EQUATION, children=[left, right])
         self.depth -= 1
         return left
 
-    def range_(self) -> InertForm:
-        left = self.sum_()
-        if self.tokens[self.i] == "..":
-            self.i += 1
-            return InertForm(RANGE, children=[left, self.sum_()])
-        return left
+    def range_(self, left: InertForm) -> InertForm:
+        """The range from ``left`` to the sum after the ``..`` at ``i``."""
+        self.i += 1
+        return InertForm(RANGE, children=[left, self.sum_()])
 
     def sum_(self) -> InertForm:
         """Terms joined by ``+``/``-``, each one flat product of the factors
         joined by ``*``/``/``, with each divisor stored as its reciprocal."""
         tokens = self.tokens
-        terms = []
-        op = "+"
+        terms = None  # a lone term is returned without a list
         while True:
             term = self.unary()
             tok = tokens[self.i]
@@ -203,12 +208,16 @@ class _Parser:
                     tok = tokens[self.i]
                 term = factors[0] if len(factors) == 1 \
                     else InertForm(PROD, children=factors)
-            terms.append(term if op == "+" else _negate(term))
-            if tok != "+" and tok != "-":
-                break
+            if terms is None:
+                if tok != "+" and tok != "-":
+                    return term
+                terms = [term]
+            else:
+                terms.append(term if op == "+" else _negate(term))
+                if tok != "+" and tok != "-":
+                    return InertForm(SUM, children=terms)
             op = tok
             self.i += 1
-        return terms[0] if len(terms) == 1 else InertForm(SUM, children=terms)
 
     def unary(self) -> InertForm:
         """A signed factor, or an atom with an optional right-associative
@@ -299,8 +308,10 @@ def _negate(t: InertForm) -> InertForm:
     if t.tag == FLOAT:
         return InertForm(FLOAT, -t.payload)
     if t.tag == PROD and is_int_literal(t.children[0]):
-        return InertForm(PROD, children=[_negate(t.children[0])] + t.children[1:])
-    return InertForm(PROD, children=[InertForm(INTNEG, 1), t])
+        # a leading factor that negating makes 1 is dropped: -(-x) is x
+        factors = _factors(_negate(t.children[0])) + t.children[1:]
+        return factors[0] if len(factors) == 1 else InertForm(PROD, children=factors)
+    return InertForm(PROD, children=[_MINUS_ONE, t])
 
 
 def parse_maple(text: str) -> InertForm:
@@ -336,44 +347,54 @@ def preprocess(tree: InertForm, use_divide: bool = True) -> InertForm:
     DIVIDE node (read as the parser stores a division) becomes one quotient,
     into which the quotients among its factors merge.  Leaves are returned
     as they are: no stage changes a tree in place."""
-    if not tree.children:
+    children = tree.children
+    if not children:
         return tree
-    parts = _parts(tree) if use_divide else None
-    if parts is not None:
-        return _quotient(*parts)
-    return _node(tree.tag, tree.payload,
-                 [preprocess(c, use_divide) for c in tree.children])
+    tag = tree.tag
+    # the one tag test: a quotient, a sum or product, or any other node
+    if use_divide and (tag == PROD or tag == DIVIDE
+                       or tag == POWER and children[1].tag == INTNEG):
+        return _quotient(*_parts(tree))
+    children = [preprocess(c, use_divide) if c.children else c for c in children]
+    if tag == SUM or tag == PROD:
+        return _node(tag, tree.payload, children)
+    return InertForm(tag, tree.payload, children)
 
 
 def _node(tag: str, payload, children: List[InertForm]) -> InertForm:
-    """A node, with the numeric constants of a sum or product moved first."""
-    if tag == SUM or tag == PROD:
-        constants = [c for c in children if c.tag in _NUMERIC_TAGS]
-        if constants and len(constants) < len(children):
-            children = constants + [c for c in children if c.tag not in _NUMERIC_TAGS]
+    """A sum or product, with its numeric constants moved first."""
+    constants = [c for c in children if c.tag in _NUMERIC_TAGS]
+    if constants and len(constants) < len(children):
+        children = constants + [c for c in children if c.tag not in _NUMERIC_TAGS]
     return InertForm(tag, payload, children)
 
 
-def _parts(t: InertForm) -> Optional[tuple]:
+def _parts(t: InertForm) -> tuple:
     """The normalized factors a product, negative integer power or DIVIDE
-    node multiplies and divides by; None for any other node."""
-    if t.tag == POWER and t.children[1].tag == INTNEG:
+    node multiplies and divides by."""
+    tag = t.tag
+    if tag == POWER:
         return [], [preprocess(_reciprocal(t))]
-    if t.tag == DIVIDE:  # the numerator's factors times 1/den, as parsed
+    if tag == DIVIDE:  # the numerator's factors times 1/den, as parsed
         num, den = t.children
-        over, under = _parts(num) or (_factors(preprocess(num)), [])
+        tag = num.tag
+        if tag == PROD or tag == DIVIDE or tag == POWER and num.children[1].tag == INTNEG:
+            over, under = _parts(num)
+        else:
+            over, under = _factors(preprocess(num)), []
         return over, under + [preprocess(den)]
-    if t.tag != PROD:
-        return None
     over, under = [], []
     for c in t.children:
-        parts = _parts(c) if c.children else None
-        if not parts or not parts[1]:  # a factor that is no quotient
-            over.append(_quotient(*parts) if parts else preprocess(c))
+        tag = c.tag
+        if not (tag == PROD or tag == DIVIDE or tag == POWER and c.children[1].tag == INTNEG):
+            over.append(preprocess(c) if c.children else c)  # no quotient
             continue
-        more, less = parts
+        more, less = _parts(c)
+        if not less:
+            over.append(_quotient(more, less))
+            continue
         if over == [_MINUS_ONE] and more and is_int_literal(more[0]):
-            over, more = [], [_negate(more[0])] + more[1:]  # as the parser negates
+            over, more = [], _factors(_negate(more[0])) + more[1:]  # as the parser negates
         over += more
         under += less
     return over, under

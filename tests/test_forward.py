@@ -1,18 +1,25 @@
 """Forward translation tests: golden outputs, advisory policy, dialect rules."""
 
+import json
 from fractions import Fraction
 from operator import mul, truediv
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from texcas.errors import (ArityMismatch, NoDirectTranslation,
+from texcas.errors import (ArityMismatch, NoDirectTranslation, TexcasError,
                            TranslationError, UnknownMacro)
 from texcas.forward import translate_string
 from texcas.inert import INTNEG, INTPOS, RATIONAL, int_value, parse_maple
 from texcas.lexicon import DIALECTS, Lexicon
+from texcas.scanner import TermKind, scan
 from texcas.verify import SEMANTIC_LATEX, round_trip, simplify_light
+
+GENERATED = [row["text"] for row in json.loads(
+    (Path(__file__).parent / "data" / "translate_generated_golden.json")
+    .read_text(encoding="utf-8"))]
 
 
 def maple(text, lex):
@@ -288,6 +295,77 @@ class TestErrors:
         del doc["builtins"][r"\root"]
         with pytest.raises(NoDirectTranslation):
             maple(r"\sqrt[3]{x}", Lexicon.from_json(doc))
+
+
+    @pytest.mark.parametrize("text,symbol", [
+        (r"\sin@@{x} = \idt+\cos@@{y}", r"\idt"),
+        (r"\idt x", r"\idt"),
+        (r"(\idt*56)", r"\idt"),
+        (r"a < \idt-b", r"\idt"),
+        ("a**b", "*"),
+        ("a+/b", "/"),
+        (r"-\idt x", r"\idt"),
+    ])
+    def test_a_product_sign_needs_a_left_operand(self, lex, text, symbol):
+        # the LaTeX symbol is named, not its template (Mathematica's is a space)
+        for dialect in DIALECTS:
+            with pytest.raises(TranslationError) as info:
+                translate_string(text, lex, dialect)
+            assert str(info.value) == f"product sign {symbol} without a left operand"
+
+    def test_a_product_sign_may_follow_a_value_or_a_factorial(self, lex):
+        assert maple(r"n!\idt x", lex).output == "n!*x"
+        assert mma(r"n!\idt x", lex).output == "n! x"
+        assert maple(r"a\idt -b", lex).output == "a*(-b)"
+        assert maple(r"x^{2}\idt y/z", lex).output == "x^2*y/z"
+
+    def test_an_error_of_the_input_is_named_before_a_product_sign(self, lex):
+        with pytest.raises(ArityMismatch):
+            maple(r"(\idt x)+\ln@@", lex)
+        with pytest.raises(UnknownMacro):
+            maple(r"\idt x+\nosuch", lex)
+
+    def test_a_product_sign_is_refused_where_the_scan_holds_one(self, lex):
+        # over the generated texts: a text whose scan holds a product sign
+        # with no value or factorial before it never translates, and only
+        # such a text is refused for its product sign
+        held = refused = 0
+        for text in GENERATED:
+            try:
+                tree = scan(text, lex)
+            except TexcasError:
+                continue
+            unjoined = _holds_an_unjoined_product_sign(tree)
+            held += unjoined
+            for dialect in DIALECTS:
+                try:
+                    translate_string(text, lex, dialect)
+                except TexcasError as exc:
+                    sign = str(exc).startswith("product sign ")
+                    refused += sign
+                    assert unjoined or not sign, text
+                else:
+                    assert not unjoined, text
+        assert held == 54 and refused == 48
+
+
+_PRODUCT_SIGNS = ("\\idt", "*", "/")
+
+
+def _holds_an_unjoined_product_sign(tree) -> bool:
+    """Whether a sequence of the scan holds a product sign first, or right
+    after another product sign or an operator or relation other than ``!``."""
+    prev = None
+    for node in tree.children:
+        if not node.is_leaf:
+            if _holds_an_unjoined_product_sign(node):
+                return True
+        elif node.lexeme in _PRODUCT_SIGNS and (prev is None or prev.is_leaf and (
+                prev.lexeme in _PRODUCT_SIGNS or prev.lexeme != "!" and prev.kind in
+                (TermKind.OPERATOR_SYMBOL, TermKind.RELATION_SYMBOL))):
+            return True
+        prev = node
+    return False
 
 
 class TestDialectTotality:

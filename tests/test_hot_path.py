@@ -12,14 +12,19 @@ from pathlib import Path
 
 import pytest
 
-from texcas import backward, evaluator, verify
+from texcas import backward, evaluator, forward, inert, verify
 from texcas.backward import backward_string
 from texcas.cli import CorpusRecord, read_corpus, run_corpus
-from texcas.inert import FUNCTION, INTPOS, POWER, SUM, InertForm, parse_maple
+from texcas.errors import TexcasError
+from texcas.forward import translate_string
+from texcas.inert import (DIVIDE, FUNCTION, INTNEG, INTPOS, POWER, PROD, SUM,
+                          InertForm, parse_maple, preprocess)
 from texcas.lexicon import Lexicon, load_default, seed_path
+from texcas.scanner import TermKind
 from texcas.verify import check_equivalence, simplify_light
 
-GOLDEN = Path(__file__).parent / "data" / "seed_corpus_verdicts.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "seed_corpus_verdicts.json"
 
 
 def test_seed_corpus_verdicts_match_golden(lex):
@@ -66,6 +71,60 @@ def test_check_equivalence_compiles_each_node_once(monkeypatch, points):
     assert len(verdict.samples) == points
     assert len(compiled) == len(set(compiled))
     assert len(compiled) == _compiled_nodes(verify._difference(lhs, rhs))
+
+
+def _texts(name):
+    return [row["text"] for row in json.loads((DATA / name).read_text(encoding="utf-8"))]
+
+
+def _quotient_nodes(tree):
+    """Products, DIVIDE nodes and negative integer powers: what preprocess
+    turns into quotients."""
+    own = tree.tag in (PROD, DIVIDE) or \
+        tree.tag == POWER and tree.children[1].tag == INTNEG
+    return own + sum(_quotient_nodes(c) for c in tree.children)
+
+
+def test_preprocess_splits_each_quotient_node_once(monkeypatch):
+    calls = []
+    real = inert._parts
+    monkeypatch.setattr(inert, "_parts", lambda t: calls.append(t) or real(t))
+    expected = 0
+    for text in _texts("maple_generated_golden.json"):
+        try:
+            tree = parse_maple(text)
+        except TexcasError:
+            continue
+        expected += _quotient_nodes(tree)
+        preprocess(tree)
+    assert expected > 1000
+    assert len(calls) == expected
+
+
+def test_scripts_are_read_only_where_a_script_symbol_follows(monkeypatch, lex):
+    script = (TermKind.CARET, TermKind.UNDERSCORE)
+    calls = []
+    real = forward._scripted
+
+    def counting(base, children, i, ctx):
+        calls.append(i < len(children) and children[i].is_leaf
+                     and children[i].kind in script)
+        return real(base, children, i, ctx)
+
+    monkeypatch.setattr(forward, "_scripted", counting)
+    for text, n in (("a+b", 0), ("x_a^b", 1), ("x^y^z", 2), ("x^{y^z}", 2),
+                    ("\\sin@{x}^{2}+y_{1}", 2), ("x_a_b^c", 1)):
+        del calls[:]
+        translate_string(text, lex, "maple")
+        assert len(calls) == n, text
+    del calls[:]
+    for text in _texts("translate_generated_golden.json"):
+        try:
+            translate_string(text, lex, "maple")
+        except TexcasError:
+            pass
+    assert len(calls) > 500
+    assert all(calls)
 
 
 # --- integer-power folding ---------------------------------------------------------

@@ -145,6 +145,16 @@ class TestParsing:
             InertForm(PROD, children=[InertForm(INTNEG, 1), name("a")])
         assert parse_maple("-2") == InertForm(INTNEG, 2)
 
+    def test_a_double_negation_gives_back_its_operand(self, lex):
+        # negating -1*x makes its factor 1, which is dropped, not written
+        assert parse_maple("-(-x)") == name("x")
+        assert backward_string("-(-x)", lex).output == "x"
+        assert backward_string("x - -y", lex).output == "x+y"
+        assert parse_maple("-(-(x*y))") == parse_maple("x*y")
+        assert parse_maple("-(-2*x)") == parse_maple("2*x")
+        # and so when preprocess merges a negated quotient into -1
+        assert backward_string("(-1)*(-z/y)", lex).output == "\\frac{z}{y}"
+
     def test_power_right_associative(self):
         tree = parse_maple("x^y^z")
         assert tree.children[1].tag == POWER

@@ -7,9 +7,10 @@ normalizer as they stood before tokenizing became one regex pass, the parser
 read a flat list of token strings and ``preprocess`` returned leaves as they
 are: a ``match`` call and a ``(kind, lexeme, pos)`` tuple per token,
 ``peek``/``next`` calls per token and seven frames per atom.  Since then
-the reference parser has changed in one way only, with the parser: a chain
+the reference parser has changed in two ways, each with the parser: a chain
 of ``*`` and ``/`` is one flat product, and a divisor ``1/q`` is stored as
-``q``, as Maple stores them.  On any text the parser must build the tree the reference builds with ``use_divide=False``
+``q``, as Maple stores them; and negating a product drops a leading factor
+that negating makes 1, so ``-(-x)`` is ``x``.  On any text the parser must build the tree the reference builds with ``use_divide=False``
 (Maple's own form, the only one the parser builds now), with payloads of the
 same types, or raise the same exception type with the same message and
 position.  The one intended difference is a float literal whose double is
@@ -278,7 +279,10 @@ def _negate(t: InertForm) -> InertForm:
     if t.tag == FLOAT:
         return InertForm(FLOAT, -t.payload)
     if t.tag == PROD and is_int_literal(t.children[0]):
-        return InertForm(PROD, children=[_negate(t.children[0])] + t.children[1:])
+        # a leading factor that negating makes 1 is dropped: -(-x) is x
+        lead = _negate(t.children[0])
+        factors = ([] if lead == InertForm(INTPOS, 1) else [lead]) + t.children[1:]
+        return factors[0] if len(factors) == 1 else InertForm(PROD, children=factors)
     return InertForm(PROD, children=[InertForm(INTNEG, 1), t])
 
 

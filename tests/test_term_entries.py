@@ -192,6 +192,23 @@ def test_a_tree_scanned_with_another_lexicon_keeps_its_entries(
     assert row == CROSS[scanned, translated]
 
 
+def test_a_function_macros_info_pairs_are_stored_for_its_own_entry(lex):
+    fresh = Lexicon.from_json(lex.to_json())
+    doc = lex.to_json()
+    doc["entries"]["\\sin"]["dlmf_link"] = "http://dlmf.nist.gov/4.14"
+    other = Lexicon.from_json(doc)
+    pairs = (("dlmf-link", "\\sin: http://dlmf.nist.gov/4.14#E1"),)
+    result = translate_string(r"\sin@{x}+\sin@{y}", fresh, "maple")
+    assert [(i.kind, i.text) for i in result.infos] == list(pairs)
+    # formatted once, stored without an item: the macro's arguments vary
+    assert fresh.leaf_tables["maple"]["\\sin"] == (fresh.lookup("\\sin"), None, pairs)
+    # a term of another lexicon's entry gets that entry's pairs, unstored
+    result = translate_forward(scan(r"\sin@{x}", other), fresh, "maple")
+    assert [(i.kind, i.text) for i in result.infos] == \
+        [("dlmf-link", "\\sin: http://dlmf.nist.gov/4.14")]
+    assert fresh.leaf_tables["maple"]["\\sin"][2] == pairs
+
+
 def test_a_macro_the_scan_did_not_know_stays_unknown(lex):
     doc = lex.to_json()
     doc["constants"] = [c for c in doc["constants"] if c["macro"] != "\\cpi"]
