@@ -28,15 +28,10 @@ def _macro_template(entry: LexiconEntry, permutation: List[int]) -> str:
     ``permutation[j]`` is the macro slot filled by maple argument j; the
     template's ``$i`` placeholders are maple argument positions.
     """
-    slot_to_pos = {slot: pos for pos, slot in enumerate(permutation)}
-    parts = [entry.macro_name]
-    for s in range(entry.num_params):
-        parts.append("{$%d}" % slot_to_pos[s])
-    if entry.num_vars:
-        parts.append("@" * min(entry.at_variants))  # the fewest @ forward accepts
-        for s in range(entry.num_params, entry.arity):
-            parts.append("{$%d}" % slot_to_pos[s])
-    return "".join(parts)
+    slots = ["{$%d}" % permutation.index(s) for s in range(entry.arity)]
+    ats = "@" * min(entry.at_variants) if entry.num_vars else ""  # the fewest @ forward takes
+    k = entry.num_params
+    return entry.macro_name + "".join(slots[:k]) + ats + "".join(slots[k:])
 
 
 def build_reverse_rules(lex: Lexicon) -> Dict[Tuple[str, int], ReverseRule]:
@@ -49,37 +44,46 @@ def build_reverse_rules(lex: Lexicon) -> Dict[Tuple[str, int], ReverseRule]:
     rules: Dict[Tuple[str, int], ReverseRule] = {}
     for table in (lex.entries, lex.builtins):
         for entry in table.values():
-            template = entry.translations.get(MAPLE)
-            if template is None or entry.role != "function":
+            maple = entry.translations.get(MAPLE)
+            if maple is None or entry.role != "function":
                 continue
-            shape = call_shape(template)
+            shape = call_shape(maple)
             if shape is None:
                 continue
             fname, args = shape
-            if entry.reverse is not None:
-                rules[(fname, len(args))] = ReverseRule(
-                    entry.reverse, advisories=entry.advisories)
-                continue
-            if not all(re.fullmatch(r"\$\d+", a) for a in args):
-                continue
-            permutation = [int(a[1:]) for a in args]
-            if sorted(permutation) != list(range(entry.arity)):
-                continue
-            rules[(fname, entry.arity)] = ReverseRule(
-                _macro_template(entry, permutation), advisories=entry.advisories)
+            template = entry.reverse
+            if template is None:
+                # a plain call's arguments are the macro's slots in some order
+                permutation = [int(a[1:]) if re.fullmatch(r"\$\d+", a) else -1 for a in args]
+                if sorted(permutation) != list(range(entry.arity)):
+                    continue
+                template = _macro_template(entry, permutation)
+            rules[(fname, len(args))] = ReverseRule(template, advisories=entry.advisories)
     return rules
 
 
 def _name_map(lex: Lexicon) -> Dict[str, str]:
     """Maple name -> semantic macro; constants shadow Greek letters (gamma)."""
-    names: Dict[str, str] = {}
-    for cmd, renderings in lex.greek.items():
-        names[renderings[MAPLE]] = cmd
+    names = {renderings[MAPLE]: cmd for cmd, renderings in lex.greek.items()}
     for record in lex.constants:
         maple = record.translations.get(MAPLE)
         if maple and re.fullmatch(r"[A-Za-z_]\w*", maple):
             names[maple] = record.semantic_macro
     return names
+
+
+# The brackets of an operand, by the tag of the node whose slot it fills (a
+# sum's term, a product's factor, a power's base, an equation's side): the
+# operand tags that take ( ), those that take \left( \right), and whether
+# a signed operand takes ( ).  A nested equation takes \left( \right) in
+# every slot: the first scan is flat, so forward translation would
+# otherwise bind ``=`` loosest.
+_BRACKETS = {
+    SUM: ({SUM}, {EQUATION}, False),
+    PROD: ({SUM}, {EQUATION}, True),
+    POWER: ({SUM, PROD}, {DIVIDE, RATIONAL, POWER, EQUATION}, True),
+    EQUATION: (set(), {EQUATION}, False),
+}
 
 
 class _Backward:
@@ -99,13 +103,33 @@ class _Backward:
         if tag == INTPOS:
             return str(t.payload)
         if tag == PROD:
-            return self.render_prod(t)
+            children = t.children
+            sign = ""
+            if children and children[0].tag == INTNEG:
+                sign, children = "-", inert._negated_lead(children)
+            if not children:
+                return sign + "1"
+            out = self.operand(children[0], PROD)
+            for c in children[1:]:
+                piece = self.operand(c, PROD)
+                # a space keeps a following letter from extending the macro name
+                sep = " " if piece[:1].isalpha() else ""
+                out += "\\idt" + sep + piece
+            return sign + out
         if tag == POWER:
-            return self.render_power(t)
+            base, expo = t.children
+            return "%s^{%s}" % (self.operand(base, POWER), self.render(expo))
         if tag == SUM:
-            return self.render_sum(t)
+            return join_terms([self.operand(c, SUM) for c in t.children])
         if tag == FUNCTION:
-            return self.render_function(t)
+            fname = t.children[0].payload
+            args = t.children[1].children
+            rule = self.rules.get((fname, len(args)))
+            if rule is None:
+                raise UnknownFunction(fname)
+            if rule.advisories:
+                self.infos.extend([(adv.kind, adv.text) for adv in rule.advisories])
+            return fill(rule.latex_template, [self.render(a) for a in args])
         if tag == INTNEG:
             return f"-{t.payload}"
         if tag == RATIONAL:
@@ -119,75 +143,20 @@ class _Backward:
             return float_text(t.payload)
         if tag == EQUATION:
             lhs, rhs = t.children
-            return f"{self.render_operand(lhs)} = {self.render_operand(rhs)}"
+            return f"{self.operand(lhs, EQUATION)} = {self.operand(rhs, EQUATION)}"
         raise UnsupportedTag(tag)
 
-    def render_operand(self, t: InertForm) -> str:
-        """A nested equation keeps its parentheses: the first scan is flat,
-        so forward translation would otherwise bind ``=`` loosest."""
+    def operand(self, t: InertForm, slot: str) -> str:
+        """``t`` rendered in the slot of a node tagged ``slot``, bracketed
+        as ``_BRACKETS`` says."""
         text = self.render(t)
-        return f"\\left({text}\\right)" if t.tag == EQUATION else text
-
-    def render_sum(self, t: InertForm) -> str:
-        terms = []
-        for c in t.children:
-            term = self.render(c)
-            tag = c.tag
-            if tag == SUM:
-                term = f"({term})"
-            elif tag == EQUATION:
-                term = f"\\left({term}\\right)"
-            terms.append(term)
-        return join_terms(terms)
-
-    def render_prod(self, t: InertForm) -> str:
-        children = t.children
-        sign = ""
-        parts: List[str] = []
-        if children and children[0].tag == INTNEG:
-            sign = "-"
-            if children[0].payload != 1:
-                parts.append(str(children[0].payload))
-            children = children[1:]
-        for c in children:
-            piece = self.render(c)
-            tag = c.tag
-            if tag == EQUATION:
-                piece = f"\\left({piece}\\right)"
-            elif tag == SUM or piece.startswith("-"):
-                piece = f"({piece})"
-            parts.append(piece)
-        if not parts:
-            return sign + "1"
-        out = parts[0]
-        for piece in parts[1:]:
-            # a space keeps a following letter from extending the macro name
-            sep = " " if piece[:1].isalpha() else ""
-            out += "\\idt" + sep + piece
-        return sign + out
-
-    def render_power(self, t: InertForm) -> str:
-        base, expo = t.children
-        base_text = self.render(base)
-        tag = base.tag
-        if tag == SUM or tag == PROD:
-            base_text = f"({base_text})"
-        elif tag == DIVIDE or tag == RATIONAL or tag == POWER or tag == EQUATION:
-            base_text = f"\\left({base_text}\\right)"
-        elif (tag == INTNEG or tag == FLOAT) and base_text.startswith("-"):
-            base_text = f"({base_text})"
-        return "%s^{%s}" % (base_text, self.render(expo))
-
-    def render_function(self, t: InertForm) -> str:
-        fname = t.children[0].payload
-        args = t.children[1].children
-        rule = self.rules.get((fname, len(args)))
-        if rule is None:
-            raise UnknownFunction(fname)
-        if rule.advisories:
-            self.infos.extend([(adv.kind, adv.text) for adv in rule.advisories])
-        rendered = [self.render(a) for a in args]
-        return fill(rule.latex_template, rendered)
+        plain, left_right, signed = _BRACKETS[slot]
+        tag = t.tag
+        if tag in left_right:
+            return f"\\left({text}\\right)"
+        if tag in plain or signed and text.startswith("-"):
+            return f"({text})"
+        return text
 
 
 def translate_backward(tree: InertForm, lex: Lexicon) -> TranslationResult:

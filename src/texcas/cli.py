@@ -151,41 +151,47 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--file", help="read the input from a file")
     # no default text: argparse tells a given input from the default by
     # identity, and an empty argument is the one empty string
-    source.add_argument("input", nargs="?")
+    source.add_argument("input", nargs="?",
+                        help="the formula: semantic LaTeX, or Maple with --backward")
     p.set_defaults(func=_cmd_translate)
 
     p = sub.add_parser("compile-lexicon", help="compile CSV+JSON sources")
-    p.add_argument("--csv", default=str(seed_path("macros.csv")))
-    p.add_argument("--constants", default=str(seed_path("constants.json")))
-    p.add_argument("--greek", default=str(seed_path("greek.json")))
-    p.add_argument("--builtins", default=str(seed_path("builtins.json")))
-    p.add_argument("--out", required=True)
+    for option, source, what in (("--csv", "macros.csv", "macro table CSV"),
+                                 ("--constants", "constants.json", "constants JSON"),
+                                 ("--greek", "greek.json", "Greek letters JSON"),
+                                 ("--builtins", "builtins.json", "builtins JSON")):
+        p.add_argument(option, default=str(seed_path(source)), help=f"{what} (default: seed)")
+    p.add_argument("--out", required=True, help="compiled lexicon JSON path")
     p.set_defaults(func=_cmd_compile_lexicon)
 
     p = sub.add_parser("corpus", help="translate and verify a corpus file")
-    p.add_argument("corpus")
-    p.add_argument("--lexicon")
+    p.add_argument("corpus", help="TSV corpus path: an id and a relation per line")
+    p.add_argument("--lexicon", help="compiled lexicon JSON (default: seed)")
     p.add_argument("--report", help="line-delimited JSON report path")
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--tolerance", type=float, help="numeric check tolerance")
+    p.add_argument("--points", type=int, help="test points per relation")
+    p.add_argument("--seed", type=int, help="seed of the test points")
     p.set_defaults(func=_cmd_corpus)
 
     p = sub.add_parser("roundtrip", help="run a round-trip fixed-point test")
-    p.add_argument("input")
+    p.add_argument("input", help="the formula the round trip starts from")
     p.add_argument("--side", choices=[SEMANTIC_LATEX, MAPLE_SIDE],
-                   default=SEMANTIC_LATEX)
-    p.add_argument("--max-steps", type=int, default=12)
-    p.add_argument("--lexicon")
-    p.add_argument("--no-divide", action="store_true")
+                   default=SEMANTIC_LATEX, help="the language of the input")
+    p.add_argument("--max-steps", type=int, default=12,
+                   help="texts in the trip, the input included (at least 3)")
+    p.add_argument("--lexicon", help="compiled lexicon JSON (default: seed)")
+    p.add_argument("--no-divide", action="store_true",
+                   help="disable the DIVIDE element in backward translation")
     p.set_defaults(func=_cmd_roundtrip)
 
     p = sub.add_parser("inert", help="print the inert form as a nested list")
-    p.add_argument("input")
+    p.add_argument("input", help="Maple 1D expression")
     p.add_argument("--compat-prefix", action="store_true",
                    help="emit _Inert_ tag prefixes")
-    p.add_argument("--preprocess", action="store_true")
-    p.add_argument("--no-divide", action="store_true")
+    p.add_argument("--preprocess", action="store_true",
+                   help="print the tree as preprocess normalizes it for rendering")
+    p.add_argument("--no-divide", action="store_true",
+                   help="with --preprocess, build no DIVIDE nodes")
     p.set_defaults(func=_cmd_inert)
 
     return parser

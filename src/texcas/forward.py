@@ -62,24 +62,12 @@ class _Context:
     def __init__(self, lex: Lexicon, dialect: str):
         self.lex = lex
         self.dialect = dialect
-        self.leaves = lex.leaf_tables[dialect]  # filled by _leaf and _translate_macro
+        self.leaves = lex.leaf_tables[dialect]  # filled by _leaf
         self.infos: List[Tuple[str, str]] = []  # (kind, text), repeats kept
         self.unjoined: Optional[str] = None  # the first product sign with no left operand
 
     def product(self) -> str:  # \idt's template spells every product
         return _template(self.lex.product, "\\idt", self.dialect)
-
-    def add_info(self, kind: str, text: str) -> None:
-        self.infos.append((kind, text))
-
-
-def _entry_infos(entry: LexiconEntry) -> Tuple[Tuple[str, str], ...]:
-    """The info pairs of a function or constant entry: its DLMF link, then
-    its advisories."""
-    pairs = [("dlmf-link", f"{entry.macro_name}: {entry.dlmf_link}")] \
-        if entry.dlmf_link else []
-    pairs += [(adv.kind, f"{entry.macro_name}: {adv.text}") for adv in entry.advisories]
-    return tuple(pairs)
 
 
 def translate_forward(tree: PomTree, lex: Lexicon, dialect: str) -> TranslationResult:
@@ -139,60 +127,63 @@ def _item(children: List[PomTree | MathTerm], i: int, ctx: _Context) -> Tuple[tu
         if node.delimiter_class is _PAREN or not _ATOMIC_RE.match(inner):
             inner = f"({inner})"
         return ("val", _Unit(inner, "atom")), i + 1
+    if node.kind is _DIGITS:
+        # re-fuse decimal literals split by the shallow first scan
+        if _is_leaf(children, i + 2, _DIGITS) and children[i + 1].is_leaf \
+                and children[i + 1].lexeme == ".":
+            return ("val", _Unit(f"{node.lexeme}.{children[i + 2].lexeme}", "atom")), i + 3
+        return ("val", _Unit(node.lexeme, "atom")), i + 1
     entry = node.entry
     leaf = ctx.leaves.get(node.lexeme)
-    # a macro's stored item serves only the entry it was built from
-    if leaf is not None and leaf[0] is entry:
-        item = leaf[1]
-        if item is None:  # a function macro, stored with its info pairs only
-            return _translate_macro(children, i, entry, ctx, leaf[2])
-        if leaf[2]:
-            ctx.infos += leaf[2]
-        return item, i + 1
-    if entry is not None and entry.role == "function":
-        return _translate_macro(children, i, entry, ctx, None)
-    if node.kind is not _DIGITS:
-        return _leaf(node, entry, ctx), i + 1
-    # re-fuse decimal literals split by the shallow first scan
-    if _is_leaf(children, i + 2, _DIGITS) and children[i + 1].is_leaf \
-            and children[i + 1].lexeme == ".":
-        return ("val", _Unit(f"{node.lexeme}.{children[i + 2].lexeme}", "atom")), i + 3
-    return ("val", _Unit(node.lexeme, "atom")), i + 1
+    # a stored record serves only the entry it was built from
+    if leaf is None or leaf[0] is not entry:
+        leaf = _leaf(node, entry, ctx)
+    _, item, infos = leaf
+    if item is None:  # a function macro, whose arguments follow
+        return _translate_macro(children, i, entry, ctx, infos)
+    ctx.infos += infos
+    return item, i + 1
 
 
 def _leaf(term: MathTerm, entry: Optional[LexiconEntry], ctx: _Context) -> tuple:
-    """The item of a leaf that translates the same wherever it stands: a
-    Latin letter, an operator or relation symbol, or a Greek letter,
-    constant or operator (\\idt) macro.  Its first occurrence stores the
-    item, its entry and its info pairs in the leaf table, where every later
-    translation shares them: no stage may change a stored ``_Unit``.  A leaf
+    """The record ``(entry, item, info pairs)`` of a leaf that translates
+    the same wherever it stands: a Latin letter, an operator or relation
+    symbol, or a Greek letter, constant, operator (\\idt) or function
+    macro, whose item is ``None``, as its arguments vary.  Its first
+    occurrence stores the record in the leaf table, where every later
+    translation shares it: no stage may change a stored ``_Unit``.  A leaf
     that does not translate raises and is never stored, and neither is an
     entry of a tree scanned with another lexicon: the table holds only the
     lexicon's names and the one-character symbols that translations met."""
     lexeme = term.lexeme
     kind = term.kind
-    first = len(ctx.infos)
-    if entry is not None:
+    pairs = ()
+    if entry is not None and entry.role == "operator":
+        # \idt: multiplication with no presentation appearance
+        item = ("prod", _template(entry, lexeme, ctx.dialect), lexeme)
+    elif entry is not None and entry.role == "greek-letter":
         text = _template(entry, lexeme, ctx.dialect)
-        if entry.role == "operator":
-            # \idt: multiplication with no presentation appearance
-            item = ("prod", text, lexeme)
-        elif entry.role == "greek-letter":
-            suggestion = ctx.lex.command_suggestions.get(lexeme)
-            if suggestion:
-                ctx.add_info("constant-suggestion",
-                             f"command '{lexeme}' may denote the constant "
-                             f"{suggestion}; it is translated as a Greek letter")
-            item = ("val", _Unit(text, "atom"))
-        else:  # a constant
-            ctx.infos += _entry_infos(entry)
+        suggestion = ctx.lex.command_suggestions.get(lexeme)
+        if suggestion:
+            pairs = (("constant-suggestion",
+                      f"command '{lexeme}' may denote the constant "
+                      f"{suggestion}; it is translated as a Greek letter"),)
+        item = ("val", _Unit(text, "atom"))
+    elif entry is not None:  # a function or constant: its DLMF link, then its advisories
+        name = entry.macro_name
+        link = [("dlmf-link", f"{name}: {entry.dlmf_link}")] if entry.dlmf_link else []
+        pairs = tuple(link + [(adv.kind, f"{name}: {adv.text}") for adv in entry.advisories])
+        if entry.role == "function":
+            item = None  # its arguments vary
+        else:
+            text = _template(entry, lexeme, ctx.dialect)
             item = ("val", _Unit(text, "atom" if _ATOMIC_RE.match(text) else "other"))
     elif kind is _LETTER:
         suggestion = ctx.lex.letter_suggestions.get(lexeme)
         if suggestion:
-            ctx.add_info("constant-suggestion",
-                         f"letter '{lexeme}' may denote the constant "
-                         f"{suggestion}; it is translated as a plain letter")
+            pairs = (("constant-suggestion",
+                      f"letter '{lexeme}' may denote the constant "
+                      f"{suggestion}; it is translated as a plain letter"),)
         item = ("val", _Unit(lexeme, "atom"))
     elif kind is _OPERATOR:  # * and /, like \idt, join the factors of a product
         item = ("prod", ctx.product() if lexeme == "*" else lexeme, lexeme) \
@@ -207,23 +198,19 @@ def _leaf(term: MathTerm, entry: Optional[LexiconEntry], ctx: _Context) -> tuple
         raise UnknownMacro(lexeme)
     else:
         raise TranslationError(f"cannot translate reserved symbol {lexeme!r}")
+    record = (entry, item, pairs)
     if entry is None or ctx.lex.names.get(lexeme) is entry:
-        ctx.leaves.setdefault(lexeme, (entry, item, tuple(ctx.infos[first:])))
-    return item
+        ctx.leaves.setdefault(lexeme, record)
+    return record
 
 
 def _translate_macro(children: List[PomTree | MathTerm], i: int, entry: LexiconEntry,
-                     ctx: _Context, infos: Optional[tuple]) -> Tuple[tuple, int]:
+                     ctx: _Context, infos: tuple) -> Tuple[tuple, int]:
     """A function macro's item, and the index after its last argument:
     \\sqrt's optional [order], the parameter groups, an @ run of a length the
-    entry lists, then the variable groups.  The entry's info pairs, unless
-    given, are made once and stored in the leaf table, as ``_leaf`` stores
-    a leaf's: only for the lexicon's own entry of the name."""
+    entry lists, then the variable groups.  The entry's info pairs ``infos``
+    follow those of its arguments."""
     name = children[i].lexeme
-    if infos is None:
-        infos = _entry_infos(entry)
-        if ctx.lex.names.get(name) is entry:
-            ctx.leaves.setdefault(name, (entry, None, infos))
     j = i + 1
     order = None
     if name == "\\sqrt" and _is_group(children, j, _OPTIONAL):

@@ -308,10 +308,15 @@ def _negate(t: InertForm) -> InertForm:
     if t.tag == FLOAT:
         return InertForm(FLOAT, -t.payload)
     if t.tag == PROD and is_int_literal(t.children[0]):
-        # a leading factor that negating makes 1 is dropped: -(-x) is x
-        factors = _factors(_negate(t.children[0])) + t.children[1:]
+        factors = _negated_lead(t.children)
         return factors[0] if len(factors) == 1 else InertForm(PROD, children=factors)
     return InertForm(PROD, children=[_MINUS_ONE, t])
+
+
+def _negated_lead(factors: List[InertForm]) -> List[InertForm]:
+    """The factors of a product, the first an integer literal, with that
+    literal negated, and dropped where negating makes it 1: -(-x) is x."""
+    return _factors(_negate(factors[0])) + factors[1:]
 
 
 def parse_maple(text: str) -> InertForm:
@@ -394,7 +399,7 @@ def _parts(t: InertForm) -> tuple:
             over.append(_quotient(more, less))
             continue
         if over == [_MINUS_ONE] and more and is_int_literal(more[0]):
-            over, more = [], _factors(_negate(more[0])) + more[1:]  # as the parser negates
+            over, more = [], _negated_lead(more)  # as the parser negates
         over += more
         under += less
     return over, under
@@ -550,9 +555,7 @@ def _render(t: InertForm, parent_prec: int) -> str:
         children = t.children
         sign = ""
         if children and children[0].tag == INTNEG:
-            sign = "-"
-            children = ([] if children[0].payload == 1
-                        else [InertForm(INTPOS, children[0].payload)]) + children[1:]
+            sign, children = "-", _negated_lead(children)
         num_parts, den_parts = [], []
         for c in children:
             if c.tag == POWER and c.children[1].tag == INTNEG:  # x^(-n) as /x^n

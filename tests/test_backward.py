@@ -1,14 +1,19 @@
 """Backward translation tests: inert trees to semantic LaTeX."""
 
+import cmath
+import random
+
 import pytest
 
 from texcas.backward import backward_string, build_reverse_rules, translate_backward
 from texcas.errors import UnknownFunction, UnsupportedTag
+from texcas.evaluator import evaluate
 from texcas.forward import translate_string
 from texcas.inert import INTNEG, PROD, InertForm, parse_maple, preprocess
 from texcas.lexicon import Lexicon
 from texcas.scanner import scan
 from texcas.verify import MAPLE_SIDE, SEMANTIC_LATEX, round_trip
+from treegen import random_evaluable
 
 
 def back(text, lex, **kw):
@@ -127,6 +132,15 @@ class TestReverseRules:
         assert report.terminated_reason == "fixed-point"
         assert [s.text for s in report.steps] == [r"\foo@@{x}", "foo(x)"]
 
+    def test_a_signed_template_is_bracketed_as_a_factor_and_a_base(self, lex):
+        # the operand table tests a signed operand by its text, whatever its tag
+        doc = lex.to_json()
+        doc["entries"]["\\sin"]["reverse"] = "-\\cos@{$0}"
+        signed = Lexicon.from_json(doc)
+        assert back("y*sin(x)", signed) == r"y\idt(-\cos@{x})"
+        assert back("sin(x)^2", signed) == r"(-\cos@{x})^{2}"
+        assert back("sin(x)+y", signed) == r"-\cos@{x}+y"
+
     def test_unknown_function_errors(self, lex):
         with pytest.raises(UnknownFunction):
             back("Zeta(s)", lex)
@@ -189,3 +203,30 @@ class TestProperties:
             for a, b in zip(values(original, env), values(cycled, env)):
                 assert cmath.isfinite(a.real)
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+    def test_value_preserved_through_cycle_on_generated_trees(self, lex):
+        """A generated tree, preprocessed with and without DIVIDE nodes,
+        keeps its value through backward translation, forward translation
+        and parsing, at each point where its value is finite."""
+        rng = random.Random(11)
+        envs = [{"x": 0.7 + 0.4j, "y": -1.1 + 0.2j},
+                {"x": -0.3 - 0.9j, "y": 0.5 + 1.5j}]
+        checked = 0
+        for _ in range(2000):
+            tree = random_evaluable(rng)
+            before = []
+            for env in envs:
+                try:
+                    value = evaluate(tree, env)
+                except (ZeroDivisionError, OverflowError, ValueError):
+                    continue
+                if cmath.isfinite(value):
+                    before.append((env, value))
+            for use_divide in (True, False):
+                latex = translate_backward(preprocess(tree, use_divide=use_divide), lex).output
+                cycled = parse_maple(translate_string(latex, lex, "maple").output)
+                for env, value in before:
+                    after = evaluate(cycled, env)
+                    assert abs(after - value) <= 1e-9 * max(1.0, abs(value)), (tree, latex)
+                    checked += 1
+        assert checked > 5000

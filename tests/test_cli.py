@@ -292,6 +292,15 @@ class TestEveryOptionActs:
                    for option in action.option_strings}
         assert options == set(self.ACTS) | self.PATH_ONLY
 
+    def test_every_argument_has_a_help_line(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        silent = [(name, action.dest) for name, command in commands.items()
+                  for action in command._actions
+                  if action.dest != "help" and not action.help]
+        assert silent == []
+
     @pytest.fixture
     def paths(self, tmp_path):
         doc = load_default().to_json()  # a copy in which \sin is the cosine
