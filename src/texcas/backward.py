@@ -9,8 +9,8 @@ from . import inert
 from .errors import UnknownFunction, UnsupportedTag
 from .forward import TranslationResult, unique_infos
 from .inert import (DIVIDE, EQUATION, FLOAT, FUNCTION, INTNEG, INTPOS, NAME,
-                    POWER, PROD, RATIONAL, SUM, InertForm, float_text,
-                    join_terms)
+                    POWER, PROD, RATIONAL, SUM, InertForm, bracketed,
+                    join_terms, split_sign)
 from .lexicon import MAPLE, Lexicon, LexiconEntry, Record, call_shape, fill
 
 
@@ -72,18 +72,8 @@ def _name_map(lex: Lexicon) -> Dict[str, str]:
     return names
 
 
-# The brackets of an operand, by the tag of the node whose slot it fills (a
-# sum's term, a product's factor, a power's base, an equation's side): the
-# operand tags that take ( ), those that take \left( \right), and whether
-# a signed operand takes ( ).  A nested equation takes \left( \right) in
-# every slot: the first scan is flat, so forward translation would
-# otherwise bind ``=`` loosest.
-_BRACKETS = {
-    SUM: ({SUM}, {EQUATION}, False),
-    PROD: ({SUM}, {EQUATION}, True),
-    POWER: ({SUM, PROD}, {DIVIDE, RATIONAL, POWER, EQUATION}, True),
-    EQUATION: (set(), {EQUATION}, False),
-}
+# the operands that take \left( \right) where their precedence needs brackets
+_TALL = frozenset((DIVIDE, RATIONAL, POWER, EQUATION))
 
 
 class _Backward:
@@ -103,19 +93,11 @@ class _Backward:
         if tag == INTPOS:
             return str(t.payload)
         if tag == PROD:
-            children = t.children
-            sign = ""
-            if children and children[0].tag == INTNEG:
-                sign, children = "-", inert._negated_lead(children)
-            if not children:
-                return sign + "1"
-            out = self.operand(children[0], PROD)
-            for c in children[1:]:
-                piece = self.operand(c, PROD)
-                # a space keeps a following letter from extending the macro name
-                sep = " " if piece[:1].isalpha() else ""
-                out += "\\idt" + sep + piece
-            return sign + out
+            sign, children = split_sign(t.children)
+            pieces = [self.operand(c, PROD) for c in children] or ["1"]
+            # a space keeps a following letter from extending the macro name
+            return sign + pieces[0] + "".join(
+                ["\\idt " + p if p[:1].isalpha() else "\\idt" + p for p in pieces[1:]])
         if tag == POWER:
             base, expo = t.children
             return "%s^{%s}" % (self.operand(base, POWER), self.render(expo))
@@ -130,8 +112,8 @@ class _Backward:
             if rule.advisories:
                 self.infos.extend([(adv.kind, adv.text) for adv in rule.advisories])
             return fill(rule.latex_template, [self.render(a) for a in args])
-        if tag == INTNEG:
-            return f"-{t.payload}"
+        if tag == INTNEG or tag == FLOAT:
+            return inert._text(t)  # as the Maple renderer writes it
         if tag == RATIONAL:
             p, q = t.children
             sign = "-" if p.tag == INTNEG else ""
@@ -139,24 +121,19 @@ class _Backward:
         if tag == DIVIDE:
             num, den = t.children
             return "\\frac{%s}{%s}" % (self.render(num), self.render(den))
-        if tag == FLOAT:
-            return float_text(t.payload)
         if tag == EQUATION:
             lhs, rhs = t.children
             return f"{self.operand(lhs, EQUATION)} = {self.operand(rhs, EQUATION)}"
         raise UnsupportedTag(tag)
 
-    def operand(self, t: InertForm, slot: str) -> str:
-        """``t`` rendered in the slot of a node tagged ``slot``, bracketed
-        as ``_BRACKETS`` says."""
+    def operand(self, t: InertForm, parent: str) -> str:
+        """``t`` as an operand of a node tagged ``parent``, bracketed by ``bracketed``."""
         text = self.render(t)
-        plain, left_right, signed = _BRACKETS[slot]
-        tag = t.tag
-        if tag in left_right:
+        if not bracketed(t.tag, parent, text[:1] == "-"):
+            return text
+        if t.tag in _TALL and bracketed(t.tag, parent, False):
             return f"\\left({text}\\right)"
-        if tag in plain or signed and text.startswith("-"):
-            return f"({text})"
-        return text
+        return f"({text})"
 
 
 def translate_backward(tree: InertForm, lex: Lexicon) -> TranslationResult:

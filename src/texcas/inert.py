@@ -1,19 +1,21 @@
 """Maple 1D parser and the inert-form expression tree.
 
-The parser builds Maple's own ``ToInert`` form, ``a/b`` as ``a*b^(-1)``, and
-performs no simplification: constants are never folded, ``sqrt``/``root``
-calls are never rewritten as fractional powers, and operand order is kept.
-Unevaluation quotes ``'...'`` are accepted and stripped.
+The parser builds Maple's own ``ToInert`` form: one flat SUM and one flat
+PROD however the text brackets them, and ``a/b`` as ``a*b^(-1)``.  It folds
+no constants, rewrites no ``sqrt``/``root`` call as a fractional power, and
+keeps operand order.  Unevaluation quotes ``'...'`` are stripped.
 
 ``preprocess`` applies the renderer-facing normalizations in one idempotent
-walk: numeric constants move to the front of products and sums, and negative
-integer powers become DIVIDE nodes, which no other stage builds.
+walk, whose output ``render_maple``, ``parse_maple`` and ``preprocess`` give
+back unchanged: numeric constants move to the front of products and sums,
+and negative integer powers become DIVIDE nodes, which no other stage builds.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from typing import List, Optional, Union
 
 from .errors import (MalformedList, MapleSyntaxError, MapleTooDeep,
@@ -41,6 +43,7 @@ TAGS = {NAME, STRING, INTPOS, INTNEG, RATIONAL, FLOAT, SUM, PROD, POWER,
 
 _PAYLOAD_TAGS = {NAME, STRING, INTPOS, INTNEG, FLOAT}
 _NUMERIC_TAGS = frozenset((INTPOS, INTNEG, RATIONAL, FLOAT))
+_QUOTIENT_TAGS = frozenset((DIVIDE, RATIONAL))
 
 
 class InertForm(Record):
@@ -187,10 +190,10 @@ class _Parser:
         return InertForm(RANGE, children=[left, self.sum_()])
 
     def sum_(self) -> InertForm:
-        """Terms joined by ``+``/``-``, each one flat product of the factors
-        joined by ``*``/``/``, with each divisor stored as its reciprocal."""
+        """One flat sum of the ``+``/``-`` terms, each one flat product of
+        the ``*``/``/`` factors, a divisor stored as its reciprocal."""
         tokens = self.tokens
-        terms = None  # a lone term is returned without a list
+        terms, op = [], "+"
         while True:
             term = self.unary()
             tok = tokens[self.i]
@@ -198,24 +201,16 @@ class _Parser:
                 factors = [term]
                 while tok == "*" or tok == "/":
                     self.i += 1
+                    if tok == "/" and factors == [_ONE]:  # 1/c is c's reciprocal
+                        factors = []
                     rhs = self.unary()
-                    if tok == "*":
-                        factors.append(rhs)
-                    elif len(factors) == 1:  # (a*b)/c splices a*b, 1/c drops the 1
-                        factors = _factors(factors[0]) + [_reciprocal(rhs)]
-                    else:
-                        factors.append(_reciprocal(rhs))
+                    factors.append(rhs if tok == "*" else _reciprocal(rhs))
                     tok = tokens[self.i]
-                term = factors[0] if len(factors) == 1 \
-                    else InertForm(PROD, children=factors)
-            if terms is None:
-                if tok != "+" and tok != "-":
-                    return term
-                terms = [term]
-            else:
-                terms.append(term if op == "+" else _negate(term))
-                if tok != "+" and tok != "-":
-                    return InertForm(SUM, children=terms)
+                term = _product(_spliced(PROD, factors))
+            terms.append(term if op == "+" else _negate(term))
+            if tok != "+" and tok != "-":
+                return terms[0] if len(terms) == 1 \
+                    else InertForm(SUM, children=_spliced(SUM, terms))
             op = tok
             self.i += 1
 
@@ -286,10 +281,9 @@ class _Parser:
 
 
 def _reciprocal(t: InertForm) -> InertForm:
-    """Maple's internal form of ``1/t``: ``x^(-k)`` for ``t = x^k``, which is
-    ``x`` itself for k = -1, else ``t^(-1)``.  It is also what a negative
-    integer power divides by, in ``preprocess`` and the renderer."""
-    if t.tag != POWER or not is_int_literal(t.children[1]):
+    """Maple's internal form of ``1/t``, and what ``t^(-1)`` divides by:
+    ``x^(-k)`` for ``t = x^k`` (an integer k, not 0), else ``t^(-1)``."""
+    if t.tag != POWER or not is_int_literal(t.children[1]) or not t.children[1].payload:
         return InertForm(POWER, children=[t, _MINUS_ONE])
     k = -int_value(t.children[1])
     return t.children[0] if k == 1 else InertForm(POWER, children=[t.children[0], intlit(k)])
@@ -300,6 +294,34 @@ def _factors(t: InertForm) -> List[InertForm]:
     return t.children if t.tag == PROD else [] if t == _ONE else [t]
 
 
+def _spliced(tag: str, nodes: List[InertForm]) -> List[InertForm]:
+    """``nodes`` with the children of each node tagged ``tag`` in its place."""
+    for t in nodes:
+        if t.tag == tag:
+            return [c for t in nodes for c in (t.children if t.tag == tag else (t,))]
+    return nodes
+
+
+def _product(factors: List[InertForm]) -> InertForm:
+    """Maple's flat product of factors, none a product, for the parser and
+    ``preprocess``: a leading -1 merges with an integer after it, dropped if
+    that makes 1 (``-(-x)`` is ``x``), as is a leading 1 before a divisor."""
+    while len(factors) > 1 and factors[0].payload == 1 and factors[0].tag == INTNEG \
+            and is_int_literal(factors[1]):
+        factors = _factors(_negate(factors[1])) + factors[2:]
+    if len(factors) > 1 and factors[0].payload == 1 and factors[0].tag == INTPOS \
+            and _divisor(factors[1]):
+        factors = factors[1:]
+    return InertForm(PROD, children=factors) if len(factors) > 1 \
+        else factors[0] if factors else _ONE
+
+
+def _divisor(t: InertForm) -> Optional[InertForm]:
+    """``x^k`` for a factor ``t = x^(-k)`` that ``/x^k`` parses back to."""
+    divisor = _reciprocal(t) if t.tag == POWER and t.children[1].tag == INTNEG else None
+    return divisor if divisor is not None and _reciprocal(divisor) == t else None
+
+
 def _negate(t: InertForm) -> InertForm:
     if t.tag == INTPOS:
         return InertForm(INTNEG, t.payload)
@@ -307,16 +329,17 @@ def _negate(t: InertForm) -> InertForm:
         return InertForm(INTPOS, t.payload)
     if t.tag == FLOAT:
         return InertForm(FLOAT, -t.payload)
-    if t.tag == PROD and is_int_literal(t.children[0]):
-        factors = _negated_lead(t.children)
-        return factors[0] if len(factors) == 1 else InertForm(PROD, children=factors)
-    return InertForm(PROD, children=[_MINUS_ONE, t])
+    return _product([_MINUS_ONE] + _factors(t))
 
 
-def _negated_lead(factors: List[InertForm]) -> List[InertForm]:
-    """The factors of a product, the first an integer literal, with that
-    literal negated, and dropped where negating makes it 1: -(-x) is x."""
-    return _factors(_negate(factors[0])) + factors[1:]
+def split_sign(factors: List[InertForm]) -> tuple:
+    """A product's sign and the factors after it, as both renderers write them:
+    a leading negative integer is a minus sign, its 1 dropped but before a float."""
+    if factors and factors[0].tag == INTNEG:
+        lead = _negate(factors[0])
+        drop = lead == _ONE and not (factors[1:2] and factors[1].tag == FLOAT)
+        return "-", factors[1:] if drop else [lead] + factors[1:]
+    return "", factors
 
 
 def parse_maple(text: str) -> InertForm:
@@ -346,12 +369,11 @@ def _height(tree: InertForm) -> int:
 # --- preprocessing ------------------------------------------------------------
 
 def preprocess(tree: InertForm, use_divide: bool = True) -> InertForm:
-    """Normalize a parsed tree for rendering in one walk, value-preserving
-    and idempotent.  Numeric constants move to the front of sums and
-    products.  With ``use_divide``, each product, negative integer power and
-    DIVIDE node (read as the parser stores a division) becomes one quotient,
-    into which the quotients among its factors merge.  Leaves are returned
-    as they are: no stage changes a tree in place."""
+    """Normalize a tree for rendering in one walk, value-preserving and
+    idempotent: sums and products made flat, their numeric constants first.
+    With ``use_divide``, each product, negative integer power and DIVIDE node
+    becomes one quotient, into which the quotients among its factors merge.
+    Leaves are returned as they are: no stage changes a tree in place."""
     children = tree.children
     if not children:
         return tree
@@ -362,69 +384,72 @@ def preprocess(tree: InertForm, use_divide: bool = True) -> InertForm:
         return _quotient(*_parts(tree))
     children = [preprocess(c, use_divide) if c.children else c for c in children]
     if tag == SUM or tag == PROD:
-        return _node(tag, tree.payload, children)
+        return _node(tag, children)
     return InertForm(tag, tree.payload, children)
 
 
-def _node(tag: str, payload, children: List[InertForm]) -> InertForm:
-    """A sum or product, with its numeric constants moved first."""
+def _node(tag: str, children: List[InertForm]) -> InertForm:
+    """One flat sum or product, its numeric constants moved first."""
+    children = _spliced(tag, children)
     constants = [c for c in children if c.tag in _NUMERIC_TAGS]
     if constants and len(constants) < len(children):
         children = constants + [c for c in children if c.tag not in _NUMERIC_TAGS]
-    return InertForm(tag, payload, children)
+    return _product(children) if tag == PROD else InertForm(SUM, children=children)
 
 
 def _parts(t: InertForm) -> tuple:
     """The normalized factors a product, negative integer power or DIVIDE
     node multiplies and divides by."""
     tag = t.tag
-    if tag == POWER:
-        return [], [preprocess(_reciprocal(t))]
-    if tag == DIVIDE:  # the numerator's factors times 1/den, as parsed
-        num, den = t.children
-        tag = num.tag
-        if tag == PROD or tag == DIVIDE or tag == POWER and num.children[1].tag == INTNEG:
-            over, under = _parts(num)
-        else:
-            over, under = _factors(preprocess(num)), []
-        return over, under + [preprocess(den)]
+    if tag == POWER or tag == DIVIDE:
+        if tag == POWER:
+            over, under, den = [], [], _reciprocal(t)
+        else:  # the numerator's factors times 1/den, as parsed
+            num, den = t.children
+            tag = num.tag
+            if tag == PROD or tag == DIVIDE or tag == POWER and num.children[1].tag == INTNEG:
+                over, under = _parts(num)
+            else:
+                over, under = _factors(preprocess(num)), []
+        den = preprocess(den)
+        if den.tag in _QUOTIENT_TAGS and den.children[0] == _ONE:  # p/(1/q) is p*q,
+            return over + [den.children[1]], under  # q where the division stands
+        return over, under + [den]
     over, under = [], []
     for c in t.children:
         tag = c.tag
-        if not (tag == PROD or tag == DIVIDE or tag == POWER and c.children[1].tag == INTNEG):
+        if tag == PROD or tag == DIVIDE or tag == POWER and c.children[1].tag == INTNEG:
+            more, less = _parts(c)
+            over += more
+            under += less
+        else:
             over.append(preprocess(c) if c.children else c)  # no quotient
-            continue
-        more, less = _parts(c)
-        if not less:
-            over.append(_quotient(more, less))
-            continue
-        if over == [_MINUS_ONE] and more and is_int_literal(more[0]):
-            over, more = [], _negated_lead(more)  # as the parser negates
-        over += more
-        under += less
     return over, under
 
 
 def _quotient(over: List[InertForm], under: List[InertForm]) -> InertForm:
     """The product of ``over`` divided by the product of ``under``, both
     lists of normalized factors, normalized without walking them again."""
-    # a quotient among the factors merges into both
-    factors = [g for f in over for g in (_factors(f.children[0]) if f.tag == DIVIDE else (f,))]
-    under = under + [f.children[1] for f in over if f.tag == DIVIDE]
-    num = _ONE if not factors else factors[0] if len(factors) == 1 \
-        else _node(PROD, None, factors)
+    # a quotient among the factors, a rational too, merges into both
+    over = _spliced(PROD, over)
+    factors = [g for f in over
+               for g in (_factors(f.children[0]) if f.tag in _QUOTIENT_TAGS else (f,))]
+    under = under + [f.children[1] for f in over if f.tag in _QUOTIENT_TAGS]
+    num = factors[0] if len(factors) == 1 else _node(PROD, factors)
     if not under:
         return num
     den = under[0] if len(under) == 1 else _quotient(under, [])
+    if den.tag in _QUOTIENT_TAGS and den.children[0] == _ONE:  # the divisors merged into 1/q
+        return _quotient(factors + [den.children[1]], [])
     if den.tag != INTPOS or den.payload == 0:
         return InertForm(DIVIDE, children=[num, den])
-    # the numeric content of the numerator becomes a leading rational
-    lead, rest = (num.children[0], num.children[1:]) if num.tag == PROD else (num, [])
-    if not is_int_literal(lead) and (lead.tag != RATIONAL or rest):
-        lead, rest = _ONE, [num]
-    p, q = (lead, _ONE) if is_int_literal(lead) else lead.children
-    coeff = rational(int_value(p), q.payload * den.payload)
-    return InertForm(PROD, children=[coeff] + rest) if rest else coeff
+    # the numeric content of the numerator becomes a leading rational p/q,
+    # and a 1 before it is dropped, as the parser drops the 1 of 1/q
+    rest = _factors(num)
+    while rest[:1] == [_ONE]:
+        rest = rest[1:]
+    p, rest = (int_value(rest[0]), rest[1:]) if rest and is_int_literal(rest[0]) else (1, rest)
+    return _product([rational(p, den.payload)] + rest)
 
 
 # --- nested list bijection ----------------------------------------------------
@@ -461,8 +486,9 @@ def _from_list(nl, room: int) -> InertForm:
         if tag in (INTPOS, INTNEG) and (not isinstance(payload, int)
                                         or isinstance(payload, bool) or payload < 0):
             raise MalformedList(f"{tag} payload must be a nonnegative int")
-        if tag == FLOAT and not isinstance(payload, (int, float)):
-            raise MalformedList("FLOAT payload must be numeric")
+        if tag == FLOAT and (type(payload) not in (int, float)  # a bool is no number
+                             or not abs(payload) <= sys.float_info.max):
+            raise MalformedList("FLOAT payload must be a finite double")
         if tag in (NAME, STRING) and not isinstance(payload, str):
             raise MalformedList(f"{tag} payload must be a string")
         return InertForm(tag, payload)
@@ -499,7 +525,7 @@ def nested_list_to_text(nl, compat_prefix: bool = False) -> str:
 
 def render_maple(tree: InertForm) -> str:
     """Render an inert tree to Maple 1D syntax with canonical parenthesization."""
-    return _render(tree, 0)
+    return _render(tree)
 
 
 def float_text(x: float) -> str:
@@ -521,55 +547,51 @@ def join_terms(terms: List[str]) -> str:
     return text
 
 
-# precedence levels for canonical parenthesization
-_PREC = {EQUATION: 1, RANGE: 2, SUM: 3, PROD: 4, DIVIDE: 4, POWER: 6}
-# each two-operand node's separator and the precedence its operands render at
-_INFIX = {EQUATION: (" = ", 2), RANGE: ("..", 3), DIVIDE: ("/", 6), POWER: ("^", 7)}
+# Precedence levels, by which backward's LaTeX brackets too: each node's own,
+# and the least its operands may have; an operand below it is bracketed, as
+# is a signed one where a factor is needed.  A rational is a quotient.
+_PREC = {EQUATION: 1, RANGE: 2, SUM: 3, PROD: 4, DIVIDE: 4, RATIONAL: 4, POWER: 6}
+_SLOT_PREC = {EQUATION: 2, RANGE: 3, SUM: 3, PROD: 4, DIVIDE: 6, RATIONAL: 6, POWER: 7}
+# each two-operand node's separator
+_INFIX = {EQUATION: " = ", RANGE: "..", DIVIDE: "/", RATIONAL: "/", POWER: "^"}
 
 
-def _render(t: InertForm, parent_prec: int) -> str:
+def bracketed(tag: str, parent: Optional[str], signed: bool) -> bool:
+    """Whether an operand tagged ``tag``, ``signed`` if written with a leading
+    ``-``, is bracketed below a node tagged ``parent`` (None: root or call)."""
+    prec = _SLOT_PREC.get(parent, 0)
+    return _PREC.get(tag, prec) < prec or signed and prec >= _PREC[PROD]
+
+
+def _render(t: InertForm, parent: Optional[str] = None) -> str:
+    text = _text(t)
+    return f"({text})" if bracketed(t.tag, parent, text.startswith("-")) else text
+
+
+def _text(t: InertForm) -> str:
+    """``t`` written without brackets of its own."""
     tag = t.tag
     if tag == NAME:
         return t.payload
     if tag == STRING:
         return f'"{t.payload}"'
-    if tag == INTPOS:
-        return str(t.payload)
-    if tag == INTNEG:
-        text = f"-{t.payload}"
-        return f"({text})" if parent_prec >= 4 else text
+    if tag == INTPOS or tag == INTNEG:  # -0 too
+        return ("-" if tag == INTNEG else "") + str(t.payload)
     if tag == FLOAT:
-        text = float_text(t.payload)
-        return text if parent_prec < 4 or t.payload >= 0 else f"({text})"
-    if tag == RATIONAL:
-        text = f"{_render(t.children[0], 5)}/{_render(t.children[1], 5)}"
-        return f"({text})" if parent_prec >= 4 else text
+        return float_text(t.payload)
     if tag == FUNCTION:
-        return f"{t.children[0].payload}({_render(t.children[1], 0)})"
+        return f"{t.children[0].payload}({_render(t.children[1])})"
     if tag == EXPSEQ:
-        return ", ".join(_render(c, 0) for c in t.children)
+        return ", ".join(_render(c) for c in t.children)
     if tag == SUM:
-        text = join_terms([_render(c, _PREC[SUM]) for c in t.children])
-        return f"({text})" if parent_prec > _PREC[SUM] else text
+        return join_terms([_render(c, SUM) for c in t.children])
     if tag == PROD:
-        children = t.children
-        sign = ""
-        if children and children[0].tag == INTNEG:
-            sign, children = "-", _negated_lead(children)
-        num_parts, den_parts = [], []
-        for c in children:
-            if c.tag == POWER and c.children[1].tag == INTNEG:  # x^(-n) as /x^n
-                den_parts.append(_render(_reciprocal(c), _PREC[POWER]))
-            else:
-                num_parts.append(_render(c, _PREC[PROD]))
-        text = sign + ("*".join(num_parts) or "1")
-        for d in den_parts:
-            text += "/" + d
-        return f"({text})" if (parent_prec > _PREC[PROD]
-                               or (sign and parent_prec >= _PREC[PROD])) else text
+        # the factors in stored order, each divisor after a /
+        sign, factors = split_sign(t.children)
+        text = "".join("*" + _render(c, PROD) if (d := _divisor(c)) is None
+                       else "/" + _render(d, DIVIDE) for c in factors)
+        return sign + (text[1:] if text[:1] == "*" else "1" + text)
     if tag in _INFIX:
-        separator, operand_prec = _INFIX[tag]
         lhs, rhs = t.children
-        text = _render(lhs, operand_prec) + separator + _render(rhs, operand_prec)
-        return f"({text})" if parent_prec > _PREC[tag] else text
+        return _render(lhs, tag) + _INFIX[tag] + _render(rhs, tag)
     raise MalformedList(f"cannot render tag {tag}")

@@ -11,8 +11,9 @@ from texcas import inert
 from texcas.backward import backward_string
 from texcas.cli import EXIT_PARSE, main
 from texcas.corpus import CorpusRecord, run_corpus
-from texcas.errors import MalformedList, MapleSyntaxError, UnsupportedConstruct
-from texcas.evaluator import evaluate
+from texcas.errors import (MalformedList, MapleSyntaxError, MapleTooDeep,
+                           UnsupportedConstruct)
+from texcas.evaluator import evaluate, free_names
 from texcas.inert import (DIVIDE, EQUATION, EXPSEQ, FUNCTION, INTNEG, INTPOS,
                           NAME, POWER, PROD, RANGE, RATIONAL, SUM, InertForm,
                           from_nested_list, intlit, nested_list_to_text,
@@ -45,14 +46,10 @@ _OPERANDS = {
               InertForm(POWER, children=[
                   InertForm(SUM, children=[name("a"), name("b")]), intlit(-1)])),
 }
-# a first operand may also be a 1 or a product, which a division after it
-# drops or splices
+# a first operand may also be a 1, which a division or a divisor after it
+# drops, or a product, which is spliced in
 _FIRST = {text: tree for text, (tree, _) in _OPERANDS.items()}
 _FIRST.update({"1": intlit(1), "(a*b)": InertForm(PROD, children=[name("a"), name("b")])})
-
-
-def _factors(t):
-    return list(t.children) if t.tag == PROD else [] if t == intlit(1) else [t]
 
 
 class TestParsing:
@@ -126,16 +123,27 @@ class TestParsing:
            st.lists(st.tuples(st.sampled_from("*/"), st.sampled_from(sorted(_OPERANDS))),
                     min_size=1, max_size=12))
     def test_every_chain_is_one_product_of_its_operands(self, first, rest):
-        factors = [_FIRST[first]]
-        if rest[0][0] == "/":  # a division after a lone factor
-            factors = _factors(factors[0])
+        factors = list(_FIRST[first].children) if first == "(a*b)" else [_FIRST[first]]
         for op, operand in rest:
             tree, reciprocal = _OPERANDS[operand]
             factors.append(tree if op == "*" else reciprocal)
+        if first == "1" and (rest[0][0] == "/" or factors[1].tag == POWER
+                             and factors[1].children[1].tag == INTNEG):
+            factors = factors[1:]
         expected = factors[0] if len(factors) == 1 \
             else InertForm(PROD, children=factors)
         text = first + "".join(op + operand for op, operand in rest)
         assert parse_maple(text) == expected
+
+    @pytest.mark.parametrize("text", ["(a*b)*c", "a*(b*c)", "a*(b/c)", "(a*b)/c",
+                                      "a*(-b*c)", "1/(1/(a*b))*c"])
+    def test_a_bracketed_product_joins_the_product_around_it(self, text):
+        # Maple stores one flat product, however the text brackets it
+        assert all(f.tag != PROD for f in parse_maple(text).children)
+
+    def test_a_bracketed_sum_joins_the_sum_around_it(self):
+        assert parse_maple("(a+b)+c") == parse_maple("a+(b+c)") == parse_maple("a+b+c")
+        assert to_nested_list(parse_maple("a-(b+c)"))[2][0] == "PROD"
 
     def test_a_divisor_one_over_q_comes_back_as_q(self, lex):
         assert backward_string("x/(1/y)", lex).output == "x\\idt y"
@@ -152,8 +160,16 @@ class TestParsing:
         assert backward_string("x - -y", lex).output == "x+y"
         assert parse_maple("-(-(x*y))") == parse_maple("x*y")
         assert parse_maple("-(-2*x)") == parse_maple("2*x")
-        # and so when preprocess merges a negated quotient into -1
+        # and so when a product's -1 meets a negated product
+        assert parse_maple("(-1)*(-z/y)") == parse_maple("z/y")
         assert backward_string("(-1)*(-z/y)", lex).output == "\\frac{z}{y}"
+
+    def test_a_sign_before_the_first_factor_negates_the_flat_product(self, lex):
+        assert to_nested_list(parse_maple("-x*y")) == \
+            ["PROD", ["INTNEG", 1], ["NAME", "x"], ["NAME", "y"]]
+        assert backward_string("-x*y", lex).output == "-x\\idt y"
+        assert backward_string("-(-x*y)", lex).output == "x\\idt y"
+        assert parse_maple("-2*x") == parse_maple("-(2*x)") == parse_maple("(-1)*2*x")
 
     def test_power_right_associative(self):
         tree = parse_maple("x^y^z")
@@ -218,6 +234,18 @@ class TestPreprocess:
         assert tree.children[0] == InertForm(
             RATIONAL, children=[intlit(1), intlit(2)])
 
+    @pytest.mark.parametrize("use_divide", [True, False])
+    def test_output_comes_back_through_render_and_parse(self, use_divide):
+        # one canonical form: after one cycle through the Maple text, a
+        # second changes nothing
+        rng = random.Random(11)
+        for k in range(20000):
+            tree = (random_tree if k % 2 == 0 else random_evaluable)(rng)
+            once = preprocess(parse_maple(render_maple(preprocess(tree, use_divide))),
+                              use_divide)
+            assert preprocess(parse_maple(render_maple(once)), use_divide) == once, \
+                render_maple(once)
+
     def test_idempotence_on_random_trees(self):
         rng = random.Random(7)
         for _ in range(300):
@@ -281,6 +309,11 @@ class TestNestedList:
         [3, ["NAME", "x"]],
         ["NAME", "x", "y"],
         ["FLOAT", "1.5"],
+        # a float payload is a finite double, and a bool is no number
+        ["FLOAT", True],
+        ["FLOAT", float("inf")],
+        ["FLOAT", float("nan")],
+        ["FLOAT", 10 ** 400],
     ])
     def test_malformed_lists_rejected(self, nl):
         with pytest.raises(MalformedList):
@@ -342,12 +375,18 @@ class TestRendering:
         ("(a=b)/c", "(a = b)/c"),
         # the quotients merge into one before rendering
         ("(a/b)/(c/d)", "a/((b*c)/d)"),
+        # a negative zero is signed: -0.0^0 would be -(0.0^0), which is -1
+        ("(-0.0)^x", "(-0.0)^x"),
+        ("x*(-0.0)", "(-0.0)*x"),
+        ("(-0.0)^0", "(-0.0)^0"),
     ])
     def test_quotients_and_powers_keep_parentheses(self, text, rendered):
         # preprocessed, so that each quotient is a DIVIDE node
         tree = preprocess(parse_maple(text))
         assert render_maple(tree) == rendered
         assert preprocess(parse_maple(rendered)) == tree
+        if not free_names(tree):  # and a text without names keeps its value
+            assert evaluate(parse_maple(rendered), {}) == evaluate(tree, {})
 
 
 class TestTotality:
@@ -395,14 +434,17 @@ class TestTotality:
         assert repr(InertForm(EXPSEQ)) == "EXPSEQ()"
 
     def test_repr_at_the_height_limit(self):
-        # x-x*1/sin(t)^x adds 7 levels per wrap, sin(sin(x)) the last 4
+        # x-x*1/sin(t)^x adds 6 levels per wrap, its negated product one
+        # flat PROD, and sin(sin(x)) the last 4; one wrap more is refused
         text = "sin(sin(x))"
-        for _ in range(36):
+        for _ in range(42):
             text = f"x-x*1/sin({text})^x"
         tree = parse_maple(text)
         assert inert._height(tree) == inert.MAX_HEIGHT
+        with pytest.raises(MapleTooDeep):
+            parse_maple(f"x-x*1/sin({text})^x")
         sin = "FUNCTION(NAME('sin'), EXPSEQ("
-        wrap = "SUM(NAME('x'), PROD(INTNEG(1), PROD(NAME('x'), INTPOS(1), POWER(POWER("
-        unwrap = ")), NAME('x')), INTNEG(1)))))"
-        assert repr(tree) == (wrap + sin) * 36 + sin * 2 + "NAME('x')" + "))" * 2 \
-            + unwrap * 36
+        wrap = "SUM(NAME('x'), PROD(INTNEG(1), NAME('x'), INTPOS(1), POWER(POWER("
+        unwrap = ")), NAME('x')), INTNEG(1))))"
+        assert repr(tree) == (wrap + sin) * 42 + sin * 2 + "NAME('x')" + "))" * 2 \
+            + unwrap * 42

@@ -7,10 +7,15 @@ normalizer as they stood before tokenizing became one regex pass, the parser
 read a flat list of token strings and ``preprocess`` returned leaves as they
 are: a ``match`` call and a ``(kind, lexeme, pos)`` tuple per token,
 ``peek``/``next`` calls per token and seven frames per atom.  Since then
-the reference parser has changed in two ways, each with the parser: a chain
-of ``*`` and ``/`` is one flat product, and a divisor ``1/q`` is stored as
-``q``, as Maple stores them; and negating a product drops a leading factor
-that negating makes 1, so ``-(-x)`` is ``x``.  On any text the parser must build the tree the reference builds with ``use_divide=False``
+the reference parser has changed in three ways, each with the parser: a
+chain of ``*`` and ``/`` is one flat product, and a divisor ``1/q`` is
+stored as ``q``, as Maple stores them; negating a product drops a leading
+factor that negating makes 1, so ``-(-x)`` is ``x``; and every bracketed
+product or sum is spliced into the one around it, by ``_flat_product``,
+which the reference's ``preprocess`` calls too: a leading -1 merges with
+an integer literal after it, a leading 1 before a divisor is dropped, and a
+divisor ``x^0`` is stored as ``(x^0)^(-1)``.  On any text the parser must
+build the tree the reference builds with ``use_divide=False``
 (Maple's own form, the only one the parser builds now), with payloads of the
 same types, or raise the same exception type with the same message and
 position.  The one intended difference is a float literal whose double is
@@ -18,9 +23,10 @@ not finite, which the reference reads as ``inf`` and the parser refuses.
 
 The reference's other form, with ``use_divide=True``, holds a DIVIDE node
 for each division that is not by an integer power.  ``preprocess`` must give
-one tree for both forms of a text (confluence), and a second ``preprocess``
-must change nothing (idempotence).  Without DIVIDE nodes, ``preprocess``
-must still match ``reference_preprocess`` exactly.
+one tree for both forms of a text (confluence), also where a text divides
+by ``1/q``, and a second ``preprocess`` must change nothing (idempotence).
+Without DIVIDE nodes, ``preprocess`` must still match ``reference_preprocess``
+exactly.
 
 ``data/maple_generated_golden.json`` was first recorded with the reference
 code in place.  Its 2,027 texts are the 1,801 distinct Maple outputs of
@@ -30,9 +36,10 @@ among ``render_maple`` of 150 ``treegen.random_tree`` and then 150
 row holds, for both ``use_divide`` values, the nested list of the parsed and
 of the preprocessed tree and the ``backward_string`` output and infos, or the
 error.  Its ``divide`` half was recorded again when the parser stopped
-building DIVIDE nodes and ``preprocess`` became one idempotent walk, and
+building DIVIDE nodes and ``preprocess`` became one idempotent walk,
 194 of its rows when the parser made each chain one flat product and read
-``1/(1/q)`` as ``q``.
+``1/(1/q)`` as ``q``, and 209 rows when the parser and ``preprocess`` made
+every sum and product flat.
 """
 
 import contextlib
@@ -173,6 +180,8 @@ class _Parser:
             terms.append(term if op == "+" else _negate(term))
         if len(terms) == 1:
             return terms[0]
+        # Maple's one flat sum
+        terms = [c for t in terms for c in (t.children if t.tag == SUM else [t])]
         return InertForm(SUM, children=terms)
 
     def product(self) -> InertForm:
@@ -190,11 +199,12 @@ class _Parser:
                     factors = factors[0].children  # Maple's one flat product
         if len(factors) == 1:
             return factors[0]
-        return InertForm(PROD, children=factors)
+        return _flat_product(factors)
 
     def _divide(self, numerator: InertForm, denominator: InertForm) -> InertForm:
         # mirror Maple's internal form for power divisors; DIVIDE otherwise
-        if denominator.tag == POWER and is_int_literal(denominator.children[1]):
+        if denominator.tag == POWER and is_int_literal(denominator.children[1]) \
+                and denominator.children[1].payload:
             base, k = denominator.children[0], -int_value(denominator.children[1])
             # Maple stores 1/(1/q) as q
             flipped = base if k == 1 else InertForm(POWER, children=[base, intlit(k)])
@@ -278,12 +288,34 @@ def _negate(t: InertForm) -> InertForm:
         return InertForm(INTPOS, t.payload)
     if t.tag == FLOAT:
         return InertForm(FLOAT, -t.payload)
-    if t.tag == PROD and is_int_literal(t.children[0]):
-        # a leading factor that negating makes 1 is dropped: -(-x) is x
-        lead = _negate(t.children[0])
-        factors = ([] if lead == InertForm(INTPOS, 1) else [lead]) + t.children[1:]
-        return factors[0] if len(factors) == 1 else InertForm(PROD, children=factors)
-    return InertForm(PROD, children=[InertForm(INTNEG, 1), t])
+    return _flat_product([InertForm(INTNEG, 1), t])
+
+
+def _flat_product(factors) -> InertForm:
+    """Maple's one flat product: each product among the factors spliced in,
+    a leading -1 merged with the integer literal after it, and dropped
+    where that makes it 1 (-(-x) is x), and a leading 1 dropped before a
+    factor that the renderer writes after a ``/``."""
+    flat = [g for f in factors for g in (f.children if f.tag == PROD else [f])]
+    while len(flat) > 1 and flat[0] == InertForm(INTNEG, 1) \
+            and flat[1].tag in (INTPOS, INTNEG):
+        lead = _negate(flat[1])
+        flat = ([] if lead == InertForm(INTPOS, 1) else [lead]) + flat[2:]
+    if len(flat) > 1 and flat[0] == InertForm(INTPOS, 1) and _written_as_divisor(flat[1]):
+        flat = flat[1:]
+    if not flat:
+        return InertForm(INTPOS, 1)
+    return flat[0] if len(flat) == 1 else InertForm(PROD, children=flat)
+
+
+def _written_as_divisor(t: InertForm) -> bool:
+    """``x^(-k)`` for an integer k > 0, but for ``(y^j)^(-1)`` with an
+    integer j other than 0, which ``/y^j`` would not give back."""
+    if t.tag != POWER or t.children[1].tag != INTNEG or not t.children[1].payload:
+        return False
+    base = t.children[0]
+    return not (t.children[1].payload == 1 and base.tag == POWER
+                and is_int_literal(base.children[1]) and base.children[1].payload)
 
 
 def reference_parse_maple(text: str, use_divide: bool = True) -> InertForm:
@@ -328,9 +360,11 @@ def reference_preprocess(tree: InertForm, use_divide: bool = True) -> InertForm:
     t = InertForm(tree.tag, tree.payload, children)
 
     if t.tag in (SUM, PROD):
-        constants = [c for c in t.children if c.tag in _NUMERIC]
-        rest = [c for c in t.children if c.tag not in _NUMERIC]
-        t = InertForm(t.tag, children=constants + rest)
+        children = [g for c in t.children for g in (c.children if c.tag == t.tag else [c])]
+        constants = [c for c in children if c.tag in _NUMERIC]
+        rest = [c for c in children if c.tag not in _NUMERIC]
+        t = _flat_product(constants + rest) if t.tag == PROD \
+            else InertForm(SUM, children=constants + rest)
 
     if use_divide and t.tag == PROD:
         numerator, denominator = [], []
@@ -404,22 +438,7 @@ def _assert_matches(text):
     assert _typed(preprocess(once)) == _typed(once)
     with contextlib.suppress(TexcasError):  # the reference's taller form
         divided = reference_parse_maple(text, True)
-        if not _divides_by_a_reciprocal(divided):
-            assert _typed(preprocess(divided)) == _typed(once)
-
-
-def _divides_by_a_reciprocal(tree: InertForm) -> bool:
-    """Whether a tree of DIVIDE form divides by ``1/q``.  The parser reads
-    ``p/(1/q)`` as Maple divides by ``q^(-1)``, as ``p*q``; ``preprocess``
-    turns no quotient into a product, so it keeps the DIVIDE form's quotient."""
-    todo = [tree]
-    while todo:
-        t = todo.pop()
-        if t.tag == DIVIDE and t.children[1].tag == DIVIDE \
-                and t.children[1].children[0] == InertForm(INTPOS, 1):
-            return True
-        todo.extend(t.children)
-    return False
+        assert _typed(preprocess(divided)) == _typed(once)
 
 
 def _infinite_floats(text) -> list:

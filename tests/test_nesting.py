@@ -37,12 +37,12 @@ def deep_maple(n):
             "'" * n + "x" + "'" * n]
 
 
-# each wrap of t adds 7 or 6 tree levels but nests the parser about one level
-_WRAP_7 = "x-x*1/sin({t})^x"
-_WRAP_6 = "x-x/cos({t})"
+# each wrap of t adds 6 or 5 tree levels but nests the parser about one level
+_WRAP_6 = "x-x*1/sin({t})^x"
+_WRAP_5 = "x-x/cos({t})"
 
 
-def wrapped(n, form=_WRAP_7, core="x"):
+def wrapped(n, form=_WRAP_6, core="x"):
     """``core`` wrapped n times in ``form``."""
     text = core
     for _ in range(n):
@@ -55,7 +55,7 @@ def tall_maple(h):
     left, one for a sign and two for each call.  Past MAX_HEIGHT by far, they
     nest the parser past MAX_NESTING too."""
     texts = []
-    for form, levels in ((_WRAP_7, 7), (_WRAP_6, 6)):
+    for form, levels in ((_WRAP_6, 6), (_WRAP_5, 5)):
         n, r = divmod(h, levels)
         core = "-" * (r % 2) + "sin(" * (r // 2) + "x" + ")" * (r // 2)
         texts.append(wrapped(n, form, core))
@@ -154,12 +154,12 @@ def test_chains_of_products_and_divisions_are_one_flat_product(n, lex, capsys):
 
 
 def test_trees_that_only_nest_are_bounded_by_their_height(lex, capsys):
-    # 37 wraps nest the parser about 38 levels, well within MAX_NESTING, and
+    # 43 wraps nest the parser about 44 levels, well within MAX_NESTING, and
     # are refused for the height alone: parse depth does not bound height
-    assert inert._height(parse_maple(wrapped(36))) == 252
-    run_every_stage(wrapped(36), lex)
+    assert inert._height(parse_maple(wrapped(42))) == 252
+    run_every_stage(wrapped(42), lex)
     with pytest.raises(MapleTooDeep, match="levels tall") as refused:
-        parse_maple(wrapped(37))
+        parse_maple(wrapped(43))
     assert refused.value.limit == inert.MAX_HEIGHT
 
 
