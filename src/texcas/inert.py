@@ -1,14 +1,17 @@
 """Maple 1D parser and the inert-form expression tree.
 
-The parser builds Maple's own ``ToInert`` form: one flat SUM and one flat
-PROD however the text brackets them, and ``a/b`` as ``a*b^(-1)``.  It folds
-no constants, rewrites no ``sqrt``/``root`` call as a fractional power, and
+The parser builds Maple's own ``ToInert`` form, one SUM per chain of ``+``
+and one PROD per chain of ``*``, and ``a/b`` as ``a*b^(-1)``; a later
+bracketed sum or product stays one operand, so that the tree keeps the
+text's order of operations, which the evaluator follows.  It folds no
+constants, rewrites no ``sqrt``/``root`` call as a fractional power, and
 keeps operand order.  Unevaluation quotes ``'...'`` are stripped.
 
 ``preprocess`` applies the renderer-facing normalizations in one idempotent
 walk, whose output ``render_maple``, ``parse_maple`` and ``preprocess`` give
-back unchanged: numeric constants move to the front of products and sums,
-and negative integer powers become DIVIDE nodes, which no other stage builds.
+back unchanged: every sum and product made flat, numeric constants moved to
+their front, and negative integer powers made DIVIDE nodes, which no other
+stage builds.
 """
 
 from __future__ import annotations
@@ -190,8 +193,8 @@ class _Parser:
         return InertForm(RANGE, children=[left, self.sum_()])
 
     def sum_(self) -> InertForm:
-        """One flat sum of the ``+``/``-`` terms, each one flat product of
-        the ``*``/``/`` factors, a divisor stored as its reciprocal."""
+        """One sum of the ``+``/``-`` terms, each one product of the ``*``/``/``
+        factors, a divisor stored as its reciprocal; a later bracketed one kept whole."""
         tokens = self.tokens
         terms, op = [], "+"
         while True:
@@ -206,11 +209,14 @@ class _Parser:
                     rhs = self.unary()
                     factors.append(rhs if tok == "*" else _reciprocal(rhs))
                     tok = tokens[self.i]
-                term = _product(_spliced(PROD, factors))
+                term = _product(factors)
+            if tok != "+" and tok != "-" and not terms:
+                return term
             terms.append(term if op == "+" else _negate(term))
             if tok != "+" and tok != "-":
-                return terms[0] if len(terms) == 1 \
-                    else InertForm(SUM, children=_spliced(SUM, terms))
+                if terms[0].tag == SUM:  # evaluated first either way, so spliced in
+                    terms[:1] = terms[0].children
+                return InertForm(SUM, children=terms)
             op = tok
             self.i += 1
 
@@ -291,7 +297,7 @@ def _reciprocal(t: InertForm) -> InertForm:
 
 def _factors(t: InertForm) -> List[InertForm]:
     """The factors of a product, none of 1, else the node itself."""
-    return t.children if t.tag == PROD else [] if t == _ONE else [t]
+    return t.children if t.tag == PROD else [] if t.payload == 1 and t.tag == INTPOS else [t]
 
 
 def _spliced(tag: str, nodes: List[InertForm]) -> List[InertForm]:
@@ -303,9 +309,12 @@ def _spliced(tag: str, nodes: List[InertForm]) -> List[InertForm]:
 
 
 def _product(factors: List[InertForm]) -> InertForm:
-    """Maple's flat product of factors, none a product, for the parser and
-    ``preprocess``: a leading -1 merges with an integer after it, dropped if
-    that makes 1 (``-(-x)`` is ``x``), as is a leading 1 before a divisor."""
+    """The product of factors for the parser and ``preprocess``, a product
+    first among them spliced in: a leading -1 merges with an integer after
+    it, dropped if that makes 1 (``-(-x)`` is ``x``), as is a leading 1
+    before a divisor."""
+    if factors and factors[0].tag == PROD:  # evaluated first either way, so spliced in
+        factors = factors[0].children + factors[1:]
     while len(factors) > 1 and factors[0].payload == 1 and factors[0].tag == INTNEG \
             and is_int_literal(factors[1]):
         factors = _factors(_negate(factors[1])) + factors[2:]
@@ -329,16 +338,16 @@ def _negate(t: InertForm) -> InertForm:
         return InertForm(INTPOS, t.payload)
     if t.tag == FLOAT:
         return InertForm(FLOAT, -t.payload)
-    return _product([_MINUS_ONE] + _factors(t))
+    if t.tag == PROD:
+        return _product([_MINUS_ONE] + t.children)
+    return InertForm(PROD, children=[_MINUS_ONE, t])  # as _product would build it
 
 
 def split_sign(factors: List[InertForm]) -> tuple:
     """A product's sign and the factors after it, as both renderers write them:
-    a leading negative integer is a minus sign, its 1 dropped but before a float."""
+    a leading negative integer is a minus sign, its 1 dropped."""
     if factors and factors[0].tag == INTNEG:
-        lead = _negate(factors[0])
-        drop = lead == _ONE and not (factors[1:2] and factors[1].tag == FLOAT)
-        return "-", factors[1:] if drop else [lead] + factors[1:]
+        return "-", _factors(_negate(factors[0])) + factors[1:]
     return "", factors
 
 
@@ -384,15 +393,16 @@ def preprocess(tree: InertForm, use_divide: bool = True) -> InertForm:
         return _quotient(*_parts(tree))
     children = [preprocess(c, use_divide) if c.children else c for c in children]
     if tag == SUM or tag == PROD:
-        return _node(tag, children)
+        return _node(tag, _spliced(tag, children))
     return InertForm(tag, tree.payload, children)
 
 
 def _node(tag: str, children: List[InertForm]) -> InertForm:
-    """One flat sum or product, its numeric constants moved first."""
-    children = _spliced(tag, children)
+    """The sum or product of children none tagged ``tag``, numeric constants first."""
     constants = [c for c in children if c.tag in _NUMERIC_TAGS]
-    if constants and len(constants) < len(children):
+    if tag == PROD and len(constants) > 1:  # each -1 first, where the sign rule merges it
+        constants.sort(key=_MINUS_ONE.__ne__)
+    if constants:
         children = constants + [c for c in children if c.tag not in _NUMERIC_TAGS]
     return _product(children) if tag == PROD else InertForm(SUM, children=children)
 
@@ -401,16 +411,13 @@ def _parts(t: InertForm) -> tuple:
     """The normalized factors a product, negative integer power or DIVIDE
     node multiplies and divides by."""
     tag = t.tag
-    if tag == POWER or tag == DIVIDE:
-        if tag == POWER:
-            over, under, den = [], [], _reciprocal(t)
-        else:  # the numerator's factors times 1/den, as parsed
-            num, den = t.children
-            tag = num.tag
-            if tag == PROD or tag == DIVIDE or tag == POWER and num.children[1].tag == INTNEG:
-                over, under = _parts(num)
-            else:
-                over, under = _factors(preprocess(num)), []
+    if tag == POWER or tag == DIVIDE:  # the numerator's factors times 1/den, as parsed
+        num, den = t.children if tag == DIVIDE else (_ONE, _reciprocal(t))
+        tag = num.tag
+        if tag == PROD or tag == DIVIDE or tag == POWER and num.children[1].tag == INTNEG:
+            over, under = _parts(num)
+        else:
+            over, under = _factors(preprocess(num)), []
         den = preprocess(den)
         if den.tag in _QUOTIENT_TAGS and den.children[0] == _ONE:  # p/(1/q) is p*q,
             return over + [den.children[1]], under  # q where the division stands
@@ -446,7 +453,7 @@ def _quotient(over: List[InertForm], under: List[InertForm]) -> InertForm:
     # the numeric content of the numerator becomes a leading rational p/q,
     # and a 1 before it is dropped, as the parser drops the 1 of 1/q
     rest = _factors(num)
-    while rest[:1] == [_ONE]:
+    while rest and rest[0].payload == 1 and rest[0].tag == INTPOS:
         rest = rest[1:]
     p, rest = (int_value(rest[0]), rest[1:]) if rest and is_int_literal(rest[0]) else (1, rest)
     return _product([rational(p, den.payload)] + rest)
@@ -493,21 +500,15 @@ def _from_list(nl, room: int) -> InertForm:
             raise MalformedList(f"{tag} payload must be a string")
         return InertForm(tag, payload)
     children = [_from_list(c, room - 1) for c in nl[1:]]
-    node = InertForm(tag, children=children)
-    _check_arity(node)
-    return node
-
-
-def _check_arity(t: InertForm) -> None:
-    n = len(t.children)
-    if t.tag in (POWER, EQUATION, RANGE, DIVIDE, FUNCTION) and n != 2:
-        raise MalformedList(f"{t.tag} takes exactly 2 children, got {n}")
-    if t.tag in (SUM, PROD) and n < 2:
-        raise MalformedList(f"{t.tag} takes at least 2 children, got {n}")
-    if t.tag == RATIONAL:
-        if n != 2 or t.children[0].tag not in (INTPOS, INTNEG) \
-                or t.children[1].tag != INTPOS or t.children[1].payload == 0:
-            raise MalformedList("RATIONAL takes (INTPOS|INTNEG, nonzero INTPOS)")
+    n = len(children)
+    if tag in (POWER, EQUATION, RANGE, DIVIDE, FUNCTION) and n != 2:
+        raise MalformedList(f"{tag} takes exactly 2 children, got {n}")
+    if tag in (SUM, PROD) and n < 2:
+        raise MalformedList(f"{tag} takes at least 2 children, got {n}")
+    if tag == RATIONAL and (n != 2 or children[0].tag not in (INTPOS, INTNEG)
+                            or children[1].tag != INTPOS or children[1].payload == 0):
+        raise MalformedList("RATIONAL takes (INTPOS|INTNEG, nonzero INTPOS)")
+    return InertForm(tag, children=children)
 
 
 def nested_list_to_text(nl, compat_prefix: bool = False) -> str:
@@ -522,11 +523,6 @@ def nested_list_to_text(nl, compat_prefix: bool = False) -> str:
 
 
 # --- rendering back to Maple 1D ------------------------------------------------
-
-def render_maple(tree: InertForm) -> str:
-    """Render an inert tree to Maple 1D syntax with canonical parenthesization."""
-    return _render(tree)
-
 
 def float_text(x: float) -> str:
     """Positional decimal text with a '.': neither grammar reads ``1e-05``,
@@ -563,9 +559,11 @@ def bracketed(tag: str, parent: Optional[str], signed: bool) -> bool:
     return _PREC.get(tag, prec) < prec or signed and prec >= _PREC[PROD]
 
 
-def _render(t: InertForm, parent: Optional[str] = None) -> str:
-    text = _text(t)
-    return f"({text})" if bracketed(t.tag, parent, text.startswith("-")) else text
+def render_maple(tree: InertForm, parent: Optional[str] = None) -> str:
+    """Render an inert tree to Maple 1D syntax with canonical parenthesization,
+    as an operand of a node tagged ``parent`` (None: the root or a call's)."""
+    text = _text(tree)
+    return f"({text})" if bracketed(tree.tag, parent, text.startswith("-")) else text
 
 
 def _text(t: InertForm) -> str:
@@ -580,18 +578,20 @@ def _text(t: InertForm) -> str:
     if tag == FLOAT:
         return float_text(t.payload)
     if tag == FUNCTION:
-        return f"{t.children[0].payload}({_render(t.children[1])})"
+        return f"{t.children[0].payload}({render_maple(t.children[1])})"
     if tag == EXPSEQ:
-        return ", ".join(_render(c) for c in t.children)
+        return ", ".join(render_maple(c) for c in t.children)
     if tag == SUM:
-        return join_terms([_render(c, SUM) for c in t.children])
+        return join_terms([render_maple(c, SUM) for c in t.children])
     if tag == PROD:
         # the factors in stored order, each divisor after a /
         sign, factors = split_sign(t.children)
-        text = "".join("*" + _render(c, PROD) if (d := _divisor(c)) is None
-                       else "/" + _render(d, DIVIDE) for c in factors)
+        if factors and factors[0].tag == FLOAT and t.children[0] == _MINUS_ONE:
+            factors = [_ONE] + factors  # -1*2.5, as -2.5 reads as one float
+        text = "".join("*" + render_maple(c, PROD) if (d := _divisor(c)) is None
+                       else "/" + render_maple(d, DIVIDE) for c in factors)
         return sign + (text[1:] if text[:1] == "*" else "1" + text)
     if tag in _INFIX:
         lhs, rhs = t.children
-        return _render(lhs, tag) + _INFIX[tag] + _render(rhs, tag)
+        return render_maple(lhs, tag) + _INFIX[tag] + render_maple(rhs, tag)
     raise MalformedList(f"cannot render tag {tag}")

@@ -19,7 +19,7 @@ from texcas.inert import (DIVIDE, EQUATION, EXPSEQ, FUNCTION, INTNEG, INTPOS,
                           from_nested_list, intlit, nested_list_to_text,
                           parse_maple, preprocess, render_maple,
                           to_nested_list)
-from texcas.verify import MAPLE_SIDE, round_trip
+from texcas.verify import MAPLE_SIDE, check_equivalence, round_trip
 
 from treegen import name, random_evaluable, random_tree
 
@@ -135,15 +135,44 @@ class TestParsing:
         text = first + "".join(op + operand for op, operand in rest)
         assert parse_maple(text) == expected
 
-    @pytest.mark.parametrize("text", ["(a*b)*c", "a*(b*c)", "a*(b/c)", "(a*b)/c",
-                                      "a*(-b*c)", "1/(1/(a*b))*c"])
-    def test_a_bracketed_product_joins_the_product_around_it(self, text):
-        # Maple stores one flat product, however the text brackets it
-        assert all(f.tag != PROD for f in parse_maple(text).children)
+    @pytest.mark.parametrize("text, flat", [
+        ("(a*b)*c", "a*b*c"), ("(a*b)/c", "a*b/c"), ("(-a*b)*c", "-a*b*c"),
+        ("1/(1/(a*b))*c", "a*b*c"),
+    ])
+    def test_a_leading_bracketed_product_joins_the_product(self, text, flat):
+        # a product evaluates left to right, so splicing its first factor
+        # keeps the text's order of operations
+        assert parse_maple(text) == parse_maple(flat)
 
-    def test_a_bracketed_sum_joins_the_sum_around_it(self):
-        assert parse_maple("(a+b)+c") == parse_maple("a+(b+c)") == parse_maple("a+b+c")
+    @pytest.mark.parametrize("text, flat", [
+        ("a*(b*c)", "a*b*c"), ("a*(b/c)", "a*b/c"), ("a*(-b*c)", "-a*b*c"),
+        ("x*(-y)", "-x*y"), ("2*(-y)", "-2*y"),
+    ])
+    def test_a_later_bracketed_product_joins_the_product_in_preprocess(self, text, flat):
+        # the parsed tree multiplies the bracketed factors first, as the text
+        # does; preprocess makes the one flat product for the renderers
+        assert parse_maple(text) == \
+            InertForm(PROD, children=[parse_maple(text[0]), parse_maple(text[2:])])
+        for use_divide in (True, False):
+            assert preprocess(parse_maple(text), use_divide) == \
+                preprocess(parse_maple(flat), use_divide)
+
+    def test_a_bracketed_sum_joins_the_sum_where_it_leads(self):
+        assert parse_maple("(a+b)+c") == parse_maple("a+b+c")
+        assert parse_maple("a+(b+c)") == \
+            InertForm(SUM, children=[name("a"), parse_maple("b+c")])
+        assert preprocess(parse_maple("a+(b+c)")) == parse_maple("a+b+c")
         assert to_nested_list(parse_maple("a-(b+c)"))[2][0] == "PROD"
+
+    @pytest.mark.parametrize("lhs, rhs", [
+        ("(ln(R/E)-Phi)+R^(-7)", "R^(-7)+(ln(R/E)-Phi)"),
+        ("(a*b)*c+d", "d+(a*b)*c"),
+    ])
+    def test_a_unit_bracketed_on_both_sides_cancels_exactly(self, lhs, rhs):
+        # both sides compute the bracketed unit by the same operations
+        verdict = check_equivalence(parse_maple(lhs), parse_maple(rhs),
+                                    sorted(free_names(parse_maple(lhs))))
+        assert verdict.max_abs_difference == 0.0
 
     def test_a_divisor_one_over_q_comes_back_as_q(self, lex):
         assert backward_string("x/(1/y)", lex).output == "x\\idt y"
@@ -160,8 +189,9 @@ class TestParsing:
         assert backward_string("x - -y", lex).output == "x+y"
         assert parse_maple("-(-(x*y))") == parse_maple("x*y")
         assert parse_maple("-(-2*x)") == parse_maple("2*x")
-        # and so when a product's -1 meets a negated product
-        assert parse_maple("(-1)*(-z/y)") == parse_maple("z/y")
+        # and so when preprocess splices a negated product after a -1
+        assert preprocess(parse_maple("(-1)*(-z/y)"), use_divide=False) == \
+            parse_maple("z/y")
         assert backward_string("(-1)*(-z/y)", lex).output == "\\frac{z}{y}"
 
     def test_a_sign_before_the_first_factor_negates_the_flat_product(self, lex):
@@ -170,6 +200,16 @@ class TestParsing:
         assert backward_string("-x*y", lex).output == "-x\\idt y"
         assert backward_string("-(-x*y)", lex).output == "x\\idt y"
         assert parse_maple("-2*x") == parse_maple("-(2*x)") == parse_maple("(-1)*2*x")
+        # a -1 among the constants merges as the leading one does
+        assert backward_string("2*(-y)", lex).output == "-2\\idt y"
+        assert backward_string("2*(-1)*(-y)", lex).output == "2\\idt y"
+
+    def test_a_sign_before_a_float_is_written_by_each_renderer(self, lex):
+        # LaTeX writes -2.5; Maple keeps the 1, as -2.5 would read as one float
+        tree = parse_maple("-(2.5*x)")
+        assert backward_string("-(2.5*x)", lex).output == "-2.5\\idt x"
+        assert render_maple(tree) == "-1*2.5*x"
+        assert parse_maple(render_maple(tree)) == tree
 
     def test_power_right_associative(self):
         tree = parse_maple("x^y^z")

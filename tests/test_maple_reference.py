@@ -10,10 +10,12 @@ are: a ``match`` call and a ``(kind, lexeme, pos)`` tuple per token,
 the reference parser has changed in three ways, each with the parser: a
 chain of ``*`` and ``/`` is one flat product, and a divisor ``1/q`` is
 stored as ``q``, as Maple stores them; negating a product drops a leading
-factor that negating makes 1, so ``-(-x)`` is ``x``; and every bracketed
-product or sum is spliced into the one around it, by ``_flat_product``,
-which the reference's ``preprocess`` calls too: a leading -1 merges with
-an integer literal after it, a leading 1 before a divisor is dropped, and a
+factor that negating makes 1, so ``-(-x)`` is ``x``; and a product or sum
+that leads its chain is spliced in, while a later bracketed one stays one
+operand.  Each product is built by ``_flat_product``, which the
+reference's ``preprocess`` calls too, after splicing every product and
+moving each -1 among the constants first: a leading -1 merges with an
+integer literal after it, a leading 1 before a divisor is dropped, and a
 divisor ``x^0`` is stored as ``(x^0)^(-1)``.  On any text the parser must
 build the tree the reference builds with ``use_divide=False``
 (Maple's own form, the only one the parser builds now), with payloads of the
@@ -38,8 +40,8 @@ of the preprocessed tree and the ``backward_string`` output and infos, or the
 error.  Its ``divide`` half was recorded again when the parser stopped
 building DIVIDE nodes and ``preprocess`` became one idempotent walk,
 194 of its rows when the parser made each chain one flat product and read
-``1/(1/q)`` as ``q``, and 209 rows when the parser and ``preprocess`` made
-every sum and product flat.
+``1/(1/q)`` as ``q``, and 225 rows when ``preprocess`` made every sum and
+product flat and the parser spliced a leading one.
 """
 
 import contextlib
@@ -180,8 +182,8 @@ class _Parser:
             terms.append(term if op == "+" else _negate(term))
         if len(terms) == 1:
             return terms[0]
-        # Maple's one flat sum
-        terms = [c for t in terms for c in (t.children if t.tag == SUM else [t])]
+        if terms[0].tag == SUM:  # a leading sum is spliced in
+            terms = terms[0].children + terms[1:]
         return InertForm(SUM, children=terms)
 
     def product(self) -> InertForm:
@@ -288,15 +290,16 @@ def _negate(t: InertForm) -> InertForm:
         return InertForm(INTPOS, t.payload)
     if t.tag == FLOAT:
         return InertForm(FLOAT, -t.payload)
-    return _flat_product([InertForm(INTNEG, 1), t])
+    return _flat_product([InertForm(INTNEG, 1)]
+                         + (t.children if t.tag == PROD else [t]))
 
 
 def _flat_product(factors) -> InertForm:
-    """Maple's one flat product: each product among the factors spliced in,
+    """The product of the factors: a leading product spliced in,
     a leading -1 merged with the integer literal after it, and dropped
     where that makes it 1 (-(-x) is x), and a leading 1 dropped before a
     factor that the renderer writes after a ``/``."""
-    flat = [g for f in factors for g in (f.children if f.tag == PROD else [f])]
+    flat = factors[0].children + factors[1:] if factors[0].tag == PROD else factors
     while len(flat) > 1 and flat[0] == InertForm(INTNEG, 1) \
             and flat[1].tag in (INTPOS, INTNEG):
         lead = _negate(flat[1])
@@ -362,6 +365,8 @@ def reference_preprocess(tree: InertForm, use_divide: bool = True) -> InertForm:
     if t.tag in (SUM, PROD):
         children = [g for c in t.children for g in (c.children if c.tag == t.tag else [c])]
         constants = [c for c in children if c.tag in _NUMERIC]
+        if t.tag == PROD:  # each -1 first, where it merges
+            constants.sort(key=lambda c: c != InertForm(INTNEG, 1))
         rest = [c for c in children if c.tag not in _NUMERIC]
         t = _flat_product(constants + rest) if t.tag == PROD \
             else InertForm(SUM, children=constants + rest)
