@@ -94,7 +94,8 @@ class _Backward:
             return str(t.payload)
         if tag == PROD:
             sign, children = split_sign(t.children)
-            pieces = [self.operand(c, PROD) for c in children] or ["1"]
+            pieces = [self.operand(c, PROD, i > 0)
+                      for i, c in enumerate(children)] or ["1"]
             # a space keeps a following letter from extending the macro name
             return sign + pieces[0] + "".join(
                 ["\\idt " + p if p[:1].isalpha() else "\\idt" + p for p in pieces[1:]])
@@ -102,7 +103,8 @@ class _Backward:
             base, expo = t.children
             return "%s^{%s}" % (self.operand(base, POWER), self.render(expo))
         if tag == SUM:
-            return join_terms([self.operand(c, SUM) for c in t.children])
+            return join_terms([self.operand(c, SUM, i > 0)
+                               for i, c in enumerate(t.children)])
         if tag == FUNCTION:
             fname = t.children[0].payload
             args = t.children[1].children
@@ -126,12 +128,12 @@ class _Backward:
             return f"{self.operand(lhs, EQUATION)} = {self.operand(rhs, EQUATION)}"
         raise UnsupportedTag(tag)
 
-    def operand(self, t: InertForm, parent: str) -> str:
+    def operand(self, t: InertForm, parent: str, later: bool = False) -> str:
         """``t`` as an operand of a node tagged ``parent``, bracketed by ``bracketed``."""
         text = self.render(t)
-        if not bracketed(t.tag, parent, text[:1] == "-"):
+        if not bracketed(t.tag, parent, text[:1] == "-", later):
             return text
-        if t.tag in _TALL and bracketed(t.tag, parent, False):
+        if t.tag in _TALL and bracketed(t.tag, parent, False, later):
             return f"\\left({text}\\right)"
         return f"({text})"
 

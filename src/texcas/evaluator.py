@@ -1,7 +1,9 @@
 """Complex numeric evaluation of inert trees (principal branches throughout).
 
-``compile_tree`` turns a tree into closures over columns of point values, in
-a walk that also collects the names a caller must bind, as ``free_names`` does.
+One recursive walk evaluates a tree at a column of points at once, each
+point with the operations a walk of that point alone would do;
+``compile_tree`` and ``evaluate`` are thin wrappers over it, and
+``free_names`` lists the names a caller must bind.
 """
 
 from __future__ import annotations
@@ -9,11 +11,11 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from operator import mul, truediv
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
-from . import inert
 from .errors import NoEvaluator, UnknownSymbol
-from .inert import InertForm
+from .inert import (DIVIDE, FLOAT, FUNCTION, INTNEG, INTPOS, NAME, POWER, PROD,
+                    RATIONAL, SUM, InertForm, int_value)
 
 EULER_GAMMA = 0.5772156649015329
 CATALAN = 0.915965594177219
@@ -60,122 +62,79 @@ _FUNCTIONS = {
 
 
 def compile_tree(tree: InertForm) -> Callable:
-    """Walk the tree once and return a closure doing only arithmetic.
+    """The tree as a function of point values, each call one walk of it.
 
     ``f(columns, n)`` evaluates n points at once (``columns`` maps each name
     to n complex values) and returns a list of n values; ``f(env)`` is the
-    value at one point assignment.  Each point gets a recursive walk's
-    operations in the same order, so the values are bit-identical to
+    value at one point assignment.  The values are bit-identical to
     evaluating the points one by one.  Unknown names and functions raise
-    UnknownSymbol / NoEvaluator when the closure runs (a function's arguments
-    first), never at compile time; arithmetic errors propagate to the caller.
+    UnknownSymbol / NoEvaluator when ``f`` runs (a function's arguments
+    first), never when it is made; arithmetic errors propagate to the caller.
     """
-    return _compile_with_names(tree)[0]
-
-
-def _compile_with_names(tree: InertForm) -> Tuple[Callable, set]:
-    """``compile_tree``'s closure and ``free_names(tree)``, from one walk."""
-    names = set()
-    column = _compile(tree, names)
-
     def value_at(env, n=None):
         if n:
-            return column(env, n)
-        return column({name: (complex(v),) for name, v in env.items()}, 1)[0]
-    return value_at, names
+            return _columns(tree, env, n)
+        return evaluate(tree, env)
+    return value_at
 
 
-# Each closure takes ``(columns, n)`` and returns n values; only compile_tree's
-# root reads a bare env.  No closure refers to itself, so a compiled tree is
-# freed without the cycle collector.  The free names go into ``names``.
-def _compile(tree: InertForm, names: set) -> Callable:
+def evaluate(tree: InertForm, env: Dict[str, complex]) -> complex:
+    """The tree's value at env, raising as ``compile_tree``'s function does."""
+    return _columns(tree, {name: (complex(v),) for name, v in env.items()}, 1)[0]
+
+
+def _columns(tree: InertForm, columns, n: int) -> list:
+    """The tree's values at n points, ``columns`` mapping each name to its n
+    values (a binding shadows a constant of the same name).  Each point gets
+    the operations of a walk of that point alone, in the same order."""
     tag = tree.tag
-    if tag == inert.NAME:
-        return _compile_name(tree.payload, names)
-    if tag in (inert.INTPOS, inert.INTNEG):
-        return _literal(lambda: complex(inert.int_value(tree)))
-    if tag == inert.FLOAT:
-        return _literal(lambda: complex(tree.payload))
-    if tag == inert.RATIONAL:
-        p, q = tree.children
-        return _literal(lambda: complex(Fraction(inert.int_value(p), q.payload)))
-    if tag == inert.SUM:
-        terms = [_compile(c, names) for c in tree.children]
-        if not terms:
-            return _literal(lambda: 0j)
-        return lambda columns, n: [sum(values, 0j) for values in
-                                   zip(*[f(columns, n) for f in terms])]
-    if tag == inert.PROD:
-        factors = [_compile(c, names) for c in tree.children]
-
-        def product(columns, n):
-            out = [1 + 0j] * n
-            for f in factors:
-                out = list(map(mul, out, f(columns, n)))
-            return out
-        return product
-    if tag == inert.DIVIDE:
-        num, den = (_compile(c, names) for c in tree.children)
-        return lambda columns, n: list(map(truediv, num(columns, n),
-                                           den(columns, n)))
-    if tag == inert.POWER:
-        base_of, expo_of = (_compile(c, names) for c in tree.children)
-        return lambda columns, n: [
-            0j if base == 0 and expo.real > 0 and abs(expo.imag) < 1e-300
-            else base ** expo
-            for base, expo in zip(base_of(columns, n), expo_of(columns, n))]
-    if tag == inert.FUNCTION:
+    if tag == NAME:
+        name = tree.payload
+        if name in columns:
+            return columns[name]
+        value = _constant(name)
+        if value is None:
+            raise UnknownSymbol(name)
+        return [value] * n
+    if tag == FUNCTION:
         fname = tree.children[0].payload
-        args = [_compile(c, names) for c in tree.children[1].children]
+        args = [_columns(c, columns, n) for c in tree.children[1].children]
         fn = _FUNCTIONS.get((fname, len(args)))
-
-        def call(columns, n):
-            values = [f(columns, n) for f in args]
-            if fn is None:
-                raise NoEvaluator(fname)
-            return list(map(fn, *values))
-        return call
-
-    names.update(free_names(tree))  # names under a node that never runs
-
-    def unsupported(columns, n):
-        raise NoEvaluator(tag)
-    return unsupported
+        if fn is None:
+            raise NoEvaluator(fname)
+        return list(map(fn, *args))
+    if tag == INTPOS or tag == INTNEG:
+        return [complex(int_value(tree))] * n
+    if tag == PROD:
+        out = [1 + 0j] * n
+        for c in tree.children:
+            out = list(map(mul, out, _columns(c, columns, n)))
+        return out
+    if tag == SUM:
+        if not tree.children:
+            return [0j] * n
+        return [sum(values, 0j) for values in
+                zip(*[_columns(c, columns, n) for c in tree.children])]
+    if tag == POWER:
+        base, expo = tree.children
+        return [0j if b == 0 and e.real > 0 and abs(e.imag) < 1e-300 else b ** e
+                for b, e in zip(_columns(base, columns, n),
+                                _columns(expo, columns, n))]
+    if tag == FLOAT:
+        return [complex(tree.payload)] * n
+    if tag == RATIONAL:
+        p, q = tree.children
+        return [complex(Fraction(int_value(p), q.payload))] * n
+    if tag == DIVIDE:
+        num, den = tree.children
+        return list(map(truediv, _columns(num, columns, n),
+                        _columns(den, columns, n)))
+    raise NoEvaluator(tag)
 
 
 def _constant(name: str) -> Optional[complex]:
     """The value of a name that is a known constant, None for a free name."""
     return complex("inf") if name == "infinity" else CONSTANTS.get(name)
-
-
-def _compile_name(name: str, names: set) -> Callable:
-    fallback = _constant(name)
-    if fallback is None:
-        names.add(name)
-
-    def lookup(columns, n):
-        if name in columns:  # an env binding shadows a constant of the same name
-            return columns[name]
-        if fallback is None:
-            raise UnknownSymbol(name)
-        return [fallback] * n
-    return lookup
-
-
-def _literal(value_of: Callable[[], complex]) -> Callable:
-    """A constant closure.  A literal with no double value (an integer too
-    large) raises on every call instead, so a caller skips each point;
-    compiling never raises."""
-    try:
-        value = value_of()
-    except ArithmeticError:
-        return lambda columns, n: value_of()
-    return lambda columns, n: [value] * n
-
-
-def evaluate(tree: InertForm, env: Dict[str, complex]) -> complex:
-    """The tree's value at env, raising as ``compile_tree``'s closures do."""
-    return compile_tree(tree)(env)
 
 
 def free_names(tree: InertForm) -> set:
@@ -185,8 +144,8 @@ def free_names(tree: InertForm) -> set:
     while stack:
         t = stack.pop()
         tag = t.tag
-        if tag == inert.NAME:
+        if tag == NAME:
             names.add(t.payload)
         else:
-            stack.extend([t.children[1]] if tag == inert.FUNCTION else t.children)
+            stack.extend([t.children[1]] if tag == FUNCTION else t.children)
     return {name for name in names if _constant(name) is None}

@@ -2,10 +2,11 @@
 
 The parser builds Maple's own ``ToInert`` form, one SUM per chain of ``+``
 and one PROD per chain of ``*``, and ``a/b`` as ``a*b^(-1)``; a later
-bracketed sum or product stays one operand, so that the tree keeps the
-text's order of operations, which the evaluator follows.  It folds no
-constants, rewrites no ``sqrt``/``root`` call as a fractional power, and
-keeps operand order.  Unevaluation quotes ``'...'`` are stripped.
+bracketed sum or product stays one operand, which ``render_maple`` brackets
+again, so that the tree keeps the text's order of operations, which the
+evaluator follows.  It folds no constants, rewrites no ``sqrt``/``root``
+call as a fractional power, and keeps operand order.  Unevaluation quotes
+``'...'`` are stripped.
 
 ``preprocess`` applies the renderer-facing normalizations in one idempotent
 walk, whose output ``render_maple``, ``parse_maple`` and ``preprocess`` give
@@ -129,7 +130,7 @@ MAX_NESTING = 64
 # A parsed tree may be this tall.  A call or power inside a product inside a
 # sum (x-x*1/sin(t)^x) adds several tree levels per parser nesting level, and
 # every later stage (preprocess, rendering, backward translation,
-# simplification, compiled evaluation) recurses about two frames per level,
+# simplification, evaluation) recurses about two frames per level,
 # so the bound keeps them all within Python's default recursion limit.
 MAX_HEIGHT = 4 * MAX_NESTING
 
@@ -552,18 +553,26 @@ _SLOT_PREC = {EQUATION: 2, RANGE: 3, SUM: 3, PROD: 4, DIVIDE: 6, RATIONAL: 6, PO
 _INFIX = {EQUATION: " = ", RANGE: "..", DIVIDE: "/", RATIONAL: "/", POWER: "^"}
 
 
-def bracketed(tag: str, parent: Optional[str], signed: bool) -> bool:
+def bracketed(tag: str, parent: Optional[str], signed: bool,
+              later: bool = False) -> bool:
     """Whether an operand tagged ``tag``, ``signed`` if written with a leading
-    ``-``, is bracketed below a node tagged ``parent`` (None: root or call)."""
+    ``-``, is bracketed below a node tagged ``parent`` (None: root or call).
+    A sum's or product's ``later`` operands, all but its first, sit one level
+    above its slot, so that a sum or product there is bracketed: the parser
+    keeps it one operand."""
     prec = _SLOT_PREC.get(parent, 0)
-    return _PREC.get(tag, prec) < prec or signed and prec >= _PREC[PROD]
+    slot = prec + later
+    return _PREC.get(tag, slot) < slot or signed and prec >= _PREC[PROD]
 
 
-def render_maple(tree: InertForm, parent: Optional[str] = None) -> str:
+def render_maple(tree: InertForm, parent: Optional[str] = None,
+                 later: bool = False) -> str:
     """Render an inert tree to Maple 1D syntax with canonical parenthesization,
-    as an operand of a node tagged ``parent`` (None: the root or a call's)."""
+    as an operand of a node tagged ``parent`` (None: the root or a call's),
+    ``later`` if it is not that sum's or product's first."""
     text = _text(tree)
-    return f"({text})" if bracketed(tree.tag, parent, text.startswith("-")) else text
+    return f"({text})" if bracketed(tree.tag, parent, text.startswith("-"),
+                                    later) else text
 
 
 def _text(t: InertForm) -> str:
@@ -582,14 +591,15 @@ def _text(t: InertForm) -> str:
     if tag == EXPSEQ:
         return ", ".join(render_maple(c) for c in t.children)
     if tag == SUM:
-        return join_terms([render_maple(c, SUM) for c in t.children])
+        return join_terms([render_maple(c, SUM, i > 0)
+                           for i, c in enumerate(t.children)])
     if tag == PROD:
         # the factors in stored order, each divisor after a /
         sign, factors = split_sign(t.children)
         if factors and factors[0].tag == FLOAT and t.children[0] == _MINUS_ONE:
             factors = [_ONE] + factors  # -1*2.5, as -2.5 reads as one float
-        text = "".join("*" + render_maple(c, PROD) if (d := _divisor(c)) is None
-                       else "/" + render_maple(d, DIVIDE) for c in factors)
+        text = "".join("*" + render_maple(c, PROD, i > 0) if (d := _divisor(c)) is None
+                       else "/" + render_maple(d, DIVIDE) for i, c in enumerate(factors))
         return sign + (text[1:] if text[:1] == "*" else "1" + text)
     if tag in _INFIX:
         lhs, rhs = t.children

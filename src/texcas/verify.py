@@ -5,9 +5,11 @@ with a light confluent rewrite set, falling back to seeded complex sampling
 at fixed machine precision (tolerance 1e-10 by default, annulus
 0.1 <= |z| <= 2, conjugate pairs included).  The sample points are drawn
 once per variable count, point count and seed, and all of them are
-evaluated column-wise in one pass of the compiled difference; on the first
-exception the points are evaluated one by one instead, so each point is
-skipped or ends the check exactly as it would alone.
+evaluated in one walk of the difference over their value columns; on the
+first exception the points are evaluated one by one instead, so each point
+is skipped or ends the check exactly as it would alone.  A verdict keeps
+each finite point's row of values and |difference|, and builds the point's
+env dict only when ``samples`` is first read.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import inert
 from .backward import backward_string
 from .errors import CheckOptionError, NoEvaluator, TexcasError, UnknownSymbol
 # evaluate stays importable here: perfbench/worker.py wraps verify.evaluate
-from .evaluator import _compile_with_names, evaluate  # noqa: F401
+from .evaluator import _columns, evaluate, free_names  # noqa: F401
 from .forward import translate_string
 from .inert import (DIVIDE, FLOAT, INTNEG, INTPOS, POWER, PROD,
                     RATIONAL, SUM, InertForm)
@@ -198,7 +200,32 @@ class EquivalenceVerdict(Record):
 
     @property
     def max_abs_difference(self) -> Optional[float]:
-        return max((d for _, d in self.samples), default=None)
+        samples = _stored_samples(self)
+        pairs = samples[1] if samples.__class__ is _Draws else samples
+        return max((d for _, d in pairs), default=None)
+
+
+class _Draws(tuple):
+    """``(vars, points)``: a sampled verdict's finite points, each as (its
+    values in ``vars`` order, |difference|), kept until ``samples`` is first
+    read and builds each point's env dict."""
+    __slots__ = ()
+
+
+_stored_samples = EquivalenceVerdict.samples.__get__
+
+
+def _samples(verdict: EquivalenceVerdict) -> list:
+    samples = _stored_samples(verdict)
+    if samples.__class__ is _Draws:
+        vars, points = samples
+        samples = [(dict(zip(vars, row)), d) for row, d in points]
+        verdict.samples = samples
+    return samples
+
+
+# the slot holds a list, or _Draws until the first read replaces it by one
+EquivalenceVerdict.samples = property(_samples, EquivalenceVerdict.samples.__set__)
 
 
 def _difference(lhs: InertForm, rhs: InertForm) -> InertForm:
@@ -249,8 +276,8 @@ def check_equivalence(lhs: InertForm, rhs: InertForm, vars: Sequence[str],
     """Decide whether lhs == rhs: first by simplifying the formula difference
     to literal zero, else by seeded complex sampling of the difference.
 
-    All points are evaluated in one pass of the compiled difference; if that
-    pass raises, the points are evaluated one by one, so a point that raises
+    All points are evaluated in one walk of the difference; if that walk
+    raises, the points are evaluated one by one, so a point that raises
     is skipped (or, for NoEvaluator, ends the check) exactly as it would be
     alone."""
     check_options(tolerance, points)
@@ -258,32 +285,33 @@ def check_equivalence(lhs: InertForm, rhs: InertForm, vars: Sequence[str],
     if _simplify(diff) == (INTPOS, 0):
         return EquivalenceVerdict("symbolic-zero")
 
-    value_at, names = _compile_with_names(diff)
-    undeclared = names.difference(vars)
+    undeclared = free_names(diff).difference(vars)
     if undeclared:
         raise UnknownSymbol(min(undeclared))
 
     rows, columns = _sample_points(len(vars), points, seed)
     try:
-        values = value_at(dict(zip(vars, columns)), len(rows))
+        values = _columns(diff, dict(zip(vars, columns)), len(rows))
     except Exception:  # the points one by one tell which point raised what
         values = []
         for row in rows:
             try:
-                values.append(value_at(dict(zip(vars, row))))
+                values.append(_columns(diff, {v: (z,) for v, z in zip(vars, row)},
+                                       1)[0])
             except NoEvaluator as exc:
                 return EquivalenceVerdict("inconclusive", reason=str(exc))
             except (ZeroDivisionError, OverflowError, ValueError):
                 values.append(math.nan)  # skipped, as a value not finite
-    samples = [(dict(zip(vars, row)), abs(value))
-               for row, value in zip(rows, values) if cmath.isfinite(value)]
+    finite = [(row, abs(value)) for row, value in zip(rows, values)
+              if cmath.isfinite(value)]
 
-    if not samples:
+    if not finite:
         return EquivalenceVerdict("inconclusive", samples=[],
                                   reason="no finite evaluation point")
-    if any(d >= tolerance for _, d in samples):
-        return EquivalenceVerdict("numeric-mismatch", samples=samples)
-    return EquivalenceVerdict("numeric-converged", samples=samples)
+    draws = _Draws((tuple(vars), finite))
+    if any(d >= tolerance for _, d in finite):
+        return EquivalenceVerdict("numeric-mismatch", samples=draws)
+    return EquivalenceVerdict("numeric-converged", samples=draws)
 
 
 # --- round-trip fixed-point testing ----------------------------------------------

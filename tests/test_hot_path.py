@@ -48,29 +48,30 @@ def test_reverse_rules_are_built_once_per_lexicon(monkeypatch):
     assert outputs == {"\\JacobiP{a}{b}{n}@{\\sin@{x}}+\\cpi"}
 
 
-def _compiled_nodes(tree):
-    """Nodes _compile visits: all but a call's name and argument list."""
+def _walked_nodes(tree):
+    """Nodes the column walk visits: all but a call's name and argument list."""
     if tree.tag == FUNCTION:
-        return 1 + sum(_compiled_nodes(c) for c in tree.children[1].children)
-    return 1 + sum(_compiled_nodes(c) for c in tree.children)
+        return 1 + sum(_walked_nodes(c) for c in tree.children[1].children)
+    return 1 + sum(_walked_nodes(c) for c in tree.children)
 
 
 @pytest.mark.parametrize("points", [2, 20, 64])
 def test_check_equivalence_compiles_each_node_once(monkeypatch, points):
-    compiled = []
-    real = evaluator._compile
+    walked = []
+    real = evaluator._columns
 
-    def counting(tree, names):
-        compiled.append(id(tree))
-        return real(tree, names)
+    def counting(tree, columns, n):
+        walked.append(id(tree))
+        return real(tree, columns, n)
 
-    monkeypatch.setattr(evaluator, "_compile", counting)
+    monkeypatch.setattr(evaluator, "_columns", counting)
+    monkeypatch.setattr(verify, "_columns", counting)
     lhs, rhs = parse_maple("sin(x)^2 + cos(x)^2"), parse_maple("1")
     verdict = check_equivalence(lhs, rhs, ["x"], points=points)
     assert verdict.outcome == "numeric-converged"
     assert len(verdict.samples) == points
-    assert len(compiled) == len(set(compiled))
-    assert len(compiled) == _compiled_nodes(verify._difference(lhs, rhs))
+    assert len(walked) == len(set(walked))
+    assert len(walked) == _walked_nodes(verify._difference(lhs, rhs))
 
 
 def _texts(name):

@@ -429,6 +429,30 @@ class TestRendering:
             assert evaluate(parse_maple(rendered), {}) == evaluate(tree, {})
 
 
+    @pytest.mark.parametrize("text, rendered", [
+        ("a+(b+c)", "a+(b+c)"),
+        ("a*(b*c)", "a*(b*c)"),
+        ("a*(b/c)", "a*(b/c)"),
+        ("a+(-b+c)", "a+(-b+c)"),
+        ("x*(y*(z*w))", "x*(y*(z*w))"),
+        ("(a+b)+(c+d)", "a+b+(c+d)"),
+        ("1/x*(a*b)", "1/x*(a*b)"),
+    ])
+    def test_a_later_sum_or_product_keeps_its_brackets(self, text, rendered):
+        tree = parse_maple(text)
+        assert render_maple(tree) == rendered
+        assert parse_maple(rendered) == tree
+
+    def test_every_parsed_tree_comes_back_from_its_rendering(self):
+        # the parser keeps a later bracketed sum or product whole, and the
+        # renderer brackets it, so the evaluator adds and multiplies in the
+        # same order after the round trip
+        rng = random.Random(11)
+        for _ in range(3000):
+            tree = parse_maple(render_maple(random_tree(rng)))
+            assert parse_maple(render_maple(tree)) == tree, tree
+
+
 class TestTotality:
     """Every input ends in a tree or a MapleSyntaxError, and every tree the
     parser accepts has a repr."""

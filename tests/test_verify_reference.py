@@ -569,6 +569,87 @@ def test_a_verdict_owns_its_sample_envs():
         verdict_of(reference_check_equivalence, lhs, rhs, ["x"])
 
 
+# --- sample envs built on read ---------------------------------------------
+
+def eager_samples(lhs, rhs, vars, points=DEFAULT_POINTS, seed=DEFAULT_SEED):
+    """The sample list built at once from the cached points: each finite
+    point's env dict and |difference|."""
+    diff = verify._difference(lhs, rhs)
+    rows, _ = verify._sample_points(len(vars), points, seed)
+    samples = []
+    for row in rows:
+        try:
+            value = verify.evaluate(diff, dict(zip(vars, row)))
+        except (ZeroDivisionError, OverflowError, ValueError):
+            continue
+        if cmath.isfinite(value):
+            samples.append((dict(zip(vars, row)), abs(value)))
+    return samples
+
+
+def _sample_bits(samples):
+    return [([(k, type(z).__name__, _bits(z)) for k, z in env.items()], _bits(d))
+            for env, d in samples]
+
+
+@pytest.mark.parametrize("points,seed", GRID)
+def test_samples_read_later_are_the_eager_list_bit_for_bit(points, seed):
+    rng = random.Random(f"envs-{points}-{seed}")
+    relations = [(lhs, rhs) for kind, lhs, rhs in partial_failures(seed)
+                 if kind != "no-evaluator"]
+    relations += [(random_evaluable(rng), random_evaluable(rng)) for _ in range(30)]
+    for lhs, rhs in relations:
+        verdict = check_equivalence(lhs, rhs, ["x", "y"], points=points, seed=seed)
+        if verdict.outcome == "symbolic-zero":
+            continue
+        eager = eager_samples(lhs, rhs, ["x", "y"], points, seed)
+        assert verdict.max_abs_difference == max((d for _, d in eager), default=None)
+        assert _sample_bits(verdict.samples) == _sample_bits(eager), (lhs, rhs)
+        assert verdict.samples is verdict.samples  # built once
+        assert verdict == EquivalenceVerdict(verdict.outcome, eager, verdict.reason)
+
+
+def test_two_verdicts_never_share_an_env():
+    lhs, rhs = parse_maple("sin(x)^2 + cos(x)^2"), parse_maple("1")
+    first, second = (check_equivalence(lhs, rhs, ["x"]) for _ in range(2))
+    envs = [env for v in (first, second) for env, _ in v.samples]
+    assert len({id(env) for env in envs}) == len(envs) == 40
+    first.samples[0][0]["x"] = 99
+    assert second.samples[0][0]["x"] != 99
+
+
+def test_reading_the_largest_difference_builds_no_env(monkeypatch, lex):
+    from texcas.corpus import read_corpus, run_corpus
+    from texcas.lexicon import seed_path
+
+    reads = []
+    real = EquivalenceVerdict.samples
+    monkeypatch.setattr(EquivalenceVerdict, "samples", property(
+        lambda v: reads.append(v) or real.fget(v), real.fset))
+    _, log = run_corpus(read_corpus(seed_path("seed_corpus.tsv")), lex)
+    assert sum("max_abs_difference" in e for e in log) > 10
+    assert reads == []
+    verdict = check_equivalence(parse_maple("sqrt(x^2)"), parse_maple("x"), ["x"])
+    assert verdict.max_abs_difference > 1
+    assert reads == []
+    assert max(d for _, d in verdict.samples) == verdict.max_abs_difference
+    assert reads == [verdict]
+
+
+def test_a_verdict_built_by_hand_keeps_its_list():
+    samples = [({"z": 1j}, 0.5), ({"z": 2 + 0j}, 0.25)]
+    verdict = EquivalenceVerdict("numeric-converged", samples=samples)
+    assert verdict.samples is samples
+    assert verdict.max_abs_difference == 0.5
+    assert verdict == EquivalenceVerdict("numeric-converged", list(samples))
+    assert repr(verdict) == ("EquivalenceVerdict(outcome='numeric-converged', "
+                             f"samples={samples!r}, reason=None)")
+    verdict.samples = samples[1:]
+    assert verdict.max_abs_difference == 0.25
+    assert EquivalenceVerdict("inconclusive").max_abs_difference is None
+    assert EquivalenceVerdict("inconclusive").samples == []
+
+
 def test_the_points_cache_stays_within_its_bound():
     lhs, rhs = parse_maple("sqrt(x^2)"), parse_maple("x")
     for seed in range(3 * verify._POINT_SETS):
