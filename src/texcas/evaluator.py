@@ -1,9 +1,9 @@
 """Complex numeric evaluation of inert trees (principal branches throughout).
 
 One recursive walk evaluates a tree at a column of points at once, each
-point with the operations a walk of that point alone would do;
-``compile_tree`` and ``evaluate`` are thin wrappers over it, and
-``free_names`` lists the names a caller must bind.
+point with the operations a walk of that point alone would do; ``evaluate``
+is that walk at one point, and ``free_names`` lists the names a caller must
+bind.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from operator import mul, truediv
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 from .errors import NoEvaluator, UnknownSymbol
 from .inert import (DIVIDE, FLOAT, FUNCTION, INTNEG, INTPOS, NAME, POWER, PROD,
@@ -25,6 +25,7 @@ CONSTANTS: Dict[str, complex] = {
     "I": 1j,
     "gamma": complex(EULER_GAMMA),
     "Catalan": complex(CATALAN),
+    "infinity": complex("inf"),
 }
 
 
@@ -61,25 +62,12 @@ _FUNCTIONS = {
 }
 
 
-def compile_tree(tree: InertForm) -> Callable:
-    """The tree as a function of point values, each call one walk of it.
-
-    ``f(columns, n)`` evaluates n points at once (``columns`` maps each name
-    to n complex values) and returns a list of n values; ``f(env)`` is the
-    value at one point assignment.  The values are bit-identical to
-    evaluating the points one by one.  Unknown names and functions raise
-    UnknownSymbol / NoEvaluator when ``f`` runs (a function's arguments
-    first), never when it is made; arithmetic errors propagate to the caller.
-    """
-    def value_at(env, n=None):
-        if n:
-            return _columns(tree, env, n)
-        return evaluate(tree, env)
-    return value_at
-
-
 def evaluate(tree: InertForm, env: Dict[str, complex]) -> complex:
-    """The tree's value at env, raising as ``compile_tree``'s function does."""
+    """The tree's value at env (a binding shadows a constant of the same
+    name), bit-identical to that point's value in a column of points.  An
+    unknown name raises UnknownSymbol, and an unknown function or node
+    NoEvaluator, a function's arguments being evaluated before its lookup;
+    arithmetic errors propagate to the caller."""
     return _columns(tree, {name: (complex(v),) for name, v in env.items()}, 1)[0]
 
 
@@ -92,7 +80,7 @@ def _columns(tree: InertForm, columns, n: int) -> list:
         name = tree.payload
         if name in columns:
             return columns[name]
-        value = _constant(name)
+        value = CONSTANTS.get(name)
         if value is None:
             raise UnknownSymbol(name)
         return [value] * n
@@ -132,11 +120,6 @@ def _columns(tree: InertForm, columns, n: int) -> list:
     raise NoEvaluator(tag)
 
 
-def _constant(name: str) -> Optional[complex]:
-    """The value of a name that is a known constant, None for a free name."""
-    return complex("inf") if name == "infinity" else CONSTANTS.get(name)
-
-
 def free_names(tree: InertForm) -> set:
     """Names in the tree that are not known constants (a call's own name is
     not one)."""
@@ -148,4 +131,4 @@ def free_names(tree: InertForm) -> set:
             names.add(t.payload)
         else:
             stack.extend([t.children[1]] if tag == FUNCTION else t.children)
-    return {name for name in names if _constant(name) is None}
+    return names.difference(CONSTANTS)

@@ -6,10 +6,10 @@ at fixed machine precision (tolerance 1e-10 by default, annulus
 0.1 <= |z| <= 2, conjugate pairs included).  The sample points are drawn
 once per variable count, point count and seed, and all of them are
 evaluated in one walk of the difference over their value columns; on the
-first exception the points are evaluated one by one instead, so each point
-is skipped or ends the check exactly as it would alone.  A verdict keeps
-each finite point's row of values and |difference|, and builds the point's
-env dict only when ``samples`` is first read.
+first exception each point is evaluated alone with ``evaluate``, so each
+point is skipped or ends the check exactly as it would alone.  A verdict
+keeps each finite point's row of values and |difference|, and builds the
+point's env dict only when ``samples`` is first read.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from . import inert
 from .backward import backward_string
 from .errors import CheckOptionError, NoEvaluator, TexcasError, UnknownSymbol
-# evaluate stays importable here: perfbench/worker.py wraps verify.evaluate
-from .evaluator import _columns, evaluate, free_names  # noqa: F401
+from .evaluator import _columns, evaluate, free_names
 from .forward import translate_string
 from .inert import (DIVIDE, FLOAT, INTNEG, INTPOS, POWER, PROD,
                     RATIONAL, SUM, InertForm)
@@ -181,10 +180,6 @@ def _split_term(key: tuple) -> Tuple[Number, tuple]:
     return 1, key
 
 
-def is_zero(t: InertForm) -> bool:
-    return t.tag == INTPOS and t.payload == 0
-
-
 # --- equivalence checking -------------------------------------------------------
 
 class EquivalenceVerdict(Record):
@@ -200,16 +195,14 @@ class EquivalenceVerdict(Record):
 
     @property
     def max_abs_difference(self) -> Optional[float]:
-        samples = _stored_samples(self)
-        pairs = samples[1] if samples.__class__ is _Draws else samples
-        return max((d for _, d in pairs), default=None)
+        return max((d for _, d in _stored_samples(self)), default=None)
 
 
-class _Draws(tuple):
-    """``(vars, points)``: a sampled verdict's finite points, each as (its
-    values in ``vars`` order, |difference|), kept until ``samples`` is first
-    read and builds each point's env dict."""
-    __slots__ = ()
+class _Draws(list):
+    """A sampled verdict's finite points, each as (its values in ``vars``
+    order, |difference|), kept until ``samples`` is first read and builds
+    each point's env dict."""
+    __slots__ = ("vars",)
 
 
 _stored_samples = EquivalenceVerdict.samples.__get__
@@ -218,13 +211,14 @@ _stored_samples = EquivalenceVerdict.samples.__get__
 def _samples(verdict: EquivalenceVerdict) -> list:
     samples = _stored_samples(verdict)
     if samples.__class__ is _Draws:
-        vars, points = samples
-        samples = [(dict(zip(vars, row)), d) for row, d in points]
+        vars = samples.vars
+        samples = [(dict(zip(vars, row)), d) for row, d in samples]
         verdict.samples = samples
     return samples
 
 
-# the slot holds a list, or _Draws until the first read replaces it by one
+# the slot holds a list of (env, |difference|) pairs, or _Draws until the
+# first read replaces it by one
 EquivalenceVerdict.samples = property(_samples, EquivalenceVerdict.samples.__set__)
 
 
@@ -277,9 +271,9 @@ def check_equivalence(lhs: InertForm, rhs: InertForm, vars: Sequence[str],
     to literal zero, else by seeded complex sampling of the difference.
 
     All points are evaluated in one walk of the difference; if that walk
-    raises, the points are evaluated one by one, so a point that raises
-    is skipped (or, for NoEvaluator, ends the check) exactly as it would be
-    alone."""
+    raises, each point is evaluated alone with ``evaluate``, so a point that
+    raises is skipped (or, for NoEvaluator, ends the check) exactly as it
+    would be alone."""
     check_options(tolerance, points)
     diff = _difference(lhs, rhs)
     if _simplify(diff) == (INTPOS, 0):
@@ -296,20 +290,18 @@ def check_equivalence(lhs: InertForm, rhs: InertForm, vars: Sequence[str],
         values = []
         for row in rows:
             try:
-                values.append(_columns(diff, {v: (z,) for v, z in zip(vars, row)},
-                                       1)[0])
+                values.append(evaluate(diff, dict(zip(vars, row))))
             except NoEvaluator as exc:
                 return EquivalenceVerdict("inconclusive", reason=str(exc))
             except (ZeroDivisionError, OverflowError, ValueError):
                 values.append(math.nan)  # skipped, as a value not finite
-    finite = [(row, abs(value)) for row, value in zip(rows, values)
-              if cmath.isfinite(value)]
-
-    if not finite:
+    draws = _Draws([(row, abs(value)) for row, value in zip(rows, values)
+                    if cmath.isfinite(value)])
+    if not draws:
         return EquivalenceVerdict("inconclusive", samples=[],
                                   reason="no finite evaluation point")
-    draws = _Draws((tuple(vars), finite))
-    if any(d >= tolerance for _, d in finite):
+    draws.vars = tuple(vars)
+    if any(d >= tolerance for _, d in draws):
         return EquivalenceVerdict("numeric-mismatch", samples=draws)
     return EquivalenceVerdict("numeric-converged", samples=draws)
 

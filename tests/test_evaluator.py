@@ -1,11 +1,11 @@
-"""Column evaluation: ``compile_tree`` and ``evaluate`` against a reference
+"""Column evaluation: ``evaluate`` and the column walk against a reference
 tree walk.
 
 ``reference_walk`` evaluates one point at a time, one operation per node.
 The evaluator's walk does a whole column of points at once, and each point
 must get bit-identical values and raise the same exceptions, at the same
-node, as the reference; a function from ``compile_tree`` raises only when it
-is called.
+node, as the reference: ``evaluate`` at one point, and ``_columns`` at a
+column, which raises what its first point to fail raises alone.
 """
 
 import cmath
@@ -17,8 +17,7 @@ import pytest
 
 from texcas import inert
 from texcas.errors import NoEvaluator, UnknownSymbol
-from texcas.evaluator import (_FUNCTIONS, CONSTANTS, compile_tree, evaluate,
-                               free_names)
+from texcas.evaluator import _FUNCTIONS, CONSTANTS, _columns, evaluate, free_names
 from texcas.inert import InertForm, parse_maple
 
 from treegen import name, random_evaluable, random_tree
@@ -39,8 +38,6 @@ def reference_walk(tree, env):
             return complex(env[tree.payload])
         if tree.payload in CONSTANTS:
             return CONSTANTS[tree.payload]
-        if tree.payload == "infinity":
-            return complex("inf")
         raise UnknownSymbol(tree.payload)
     if tag == inert.INTPOS:
         return complex(tree.payload)
@@ -74,13 +71,21 @@ def reference_walk(tree, env):
     raise NoEvaluator(tag)
 
 
-def outcome(fn, env):
-    """The value's exact bits (signed zeros, NaNs), or the exception raised."""
+def outcome(fn, *args):
+    """The value's exact bits (signed zeros, NaNs), or the exception raised;
+    for a column of values, the list of their bits."""
     try:
-        value = fn(env)
+        value = fn(*args)
     except Exception as exc:  # the exception itself is the outcome compared
         return type(exc).__name__, str(exc)
+    if not isinstance(value, complex):
+        return [struct.pack("<dd", z.real, z.imag) for z in value]
     return struct.pack("<dd", value.real, value.imag)
+
+
+def column(env, n=3):
+    """The env as columns of n equal points."""
+    return {k: (complex(v),) * n for k, v in env.items()}
 
 
 ENVS = [{"x": 0.8 + 0.5j, "y": -0.7 + 0.9j},
@@ -92,75 +97,82 @@ ENVS = [{"x": 0.8 + 0.5j, "y": -0.7 + 0.9j},
 
 @pytest.mark.parametrize("builder", [random_evaluable, random_tree])
 def test_one_compiled_tree_matches_the_walk_at_every_point(builder):
+    columns = {k: tuple(complex(env[k]) for env in ENVS) for k in ENVS[0]}
     rng = random.Random(7)
     for _ in range(400):
         tree = builder(rng)
-        compiled = compile_tree(tree)
-        for env in ENVS:
-            walked = outcome(lambda e: reference_walk(tree, e), env)
-            assert outcome(compiled, env) == walked, (tree, env)
-            assert outcome(lambda e: evaluate(tree, e), env) == walked
+        walked = [outcome(reference_walk, tree, env) for env in ENVS]
+        assert [outcome(evaluate, tree, env) for env in ENVS] == walked, tree
+        columned = outcome(_columns, tree, columns, len(ENVS))
+        if all(isinstance(w, bytes) for w in walked):
+            assert columned == walked, tree
+        else:
+            assert columned in walked, tree
+
+
+def assert_raises(exc, tree, env):
+    """tree raises exc at env, evaluated alone and as a column of 3 points."""
+    with pytest.raises(exc):
+        evaluate(tree, env)
+    with pytest.raises(exc):
+        _columns(tree, column(env), 3)
 
 
 def test_unknown_function_raises_only_when_called():
-    compiled = compile_tree(parse_maple("BesselK(1, x) + x"))
-    with pytest.raises(NoEvaluator):
-        compiled({"x": 1})
+    assert_raises(NoEvaluator, parse_maple("BesselK(1, x) + x"), {"x": 1})
 
 
 def test_unknown_name_raises_only_when_called():
-    compiled = compile_tree(parse_maple("sin(w)"))
-    with pytest.raises(UnknownSymbol):
-        compiled({"x": 1})
-    assert compiled({"w": 0.5}) == cmath.sin(0.5)
+    tree = parse_maple("sin(w)")
+    assert_raises(UnknownSymbol, tree, {"x": 1})
+    assert evaluate(tree, {"w": 0.5}) == cmath.sin(0.5)
+    assert _columns(tree, column({"w": 0.5}), 3) == [cmath.sin(0.5)] * 3
 
 
 def test_error_in_an_earlier_argument_wins_over_an_unknown_function():
-    compiled = compile_tree(parse_maple("BesselK(1/x, x)"))
+    tree = parse_maple("BesselK(1/x, x)")
+    assert_raises(ZeroDivisionError, tree, {"x": 0})
+    assert_raises(NoEvaluator, tree, {"x": 1})
+    # one point dividing by zero is enough, wherever it sits in the column
     with pytest.raises(ZeroDivisionError):
-        compiled({"x": 0})
-    with pytest.raises(NoEvaluator):
-        compiled({"x": 1})
+        _columns(tree, {"x": (1 + 0j, 0j, 2 + 0j)}, 3)
 
 
 @pytest.mark.parametrize("text", ["sin()", "BesselK()"])
 def test_a_call_without_arguments_raises_only_when_called(text):
-    compiled = compile_tree(parse_maple(text))
-    for n in (None, 3):
-        with pytest.raises(NoEvaluator):
-            compiled({}, n)
+    assert_raises(NoEvaluator, parse_maple(text), {})
 
 
 def test_unsupported_tag_raises_only_when_called():
-    compiled = compile_tree(parse_maple("x = 1"))
-    with pytest.raises(NoEvaluator):
-        compiled({"x": 1})
+    assert_raises(NoEvaluator, parse_maple("x = 1"), {"x": 1})
 
 
 def test_env_shadows_a_constant():
-    compiled = compile_tree(name("Pi"))
-    assert compiled({"Pi": 2}) == 2 + 0j
-    assert compiled({}) == CONSTANTS["Pi"]
+    tree = name("Pi")
+    assert evaluate(tree, {"Pi": 2}) == 2 + 0j
+    assert evaluate(tree, {}) == CONSTANTS["Pi"]
+    assert list(_columns(tree, column({"Pi": 2}), 3)) == [2 + 0j] * 3
+    assert _columns(tree, {}, 3) == [CONSTANTS["Pi"]] * 3
 
 
 def test_literal_too_large_for_a_double_raises_at_each_call():
-    compiled = compile_tree(InertForm(inert.SUM, children=[
-        InertForm(inert.INTPOS, 10 ** 400), name("x")]))
+    tree = InertForm(inert.SUM, children=[
+        InertForm(inert.INTPOS, 10 ** 400), name("x")])
     for _ in range(2):
-        with pytest.raises(OverflowError):
-            compiled({"x": 1})
+        assert_raises(OverflowError, tree, {"x": 1})
 
 
 def test_zero_to_a_positive_power_is_zero():
-    compiled = compile_tree(parse_maple("x^y"))
-    assert compiled({"x": 0, "y": 2.5}) == 0j
-    with pytest.raises(ZeroDivisionError):
-        compiled({"x": 0, "y": -1})
+    tree = parse_maple("x^y")
+    assert evaluate(tree, {"x": 0, "y": 2.5}) == 0j
+    assert _columns(tree, {"x": (0j,) * 3, "y": (2.5 + 0j, 1 + 0j, 0.5 + 0j)},
+                    3) == [0j] * 3
+    assert_raises(ZeroDivisionError, tree, {"x": 0, "y": -1})
 
 
 # --- free names and the constant rule ---------------------------------------------
 
-CONSTANT_NAMES = [*CONSTANTS, "infinity"]
+CONSTANT_NAMES = list(CONSTANTS)
 
 
 def with_constants(rng, tree):
@@ -197,20 +209,18 @@ def unknown_symbol(fn, *args):
 def test_every_name_free_names_leaves_out_has_a_value(builder):
     for tree in trees_with_constants(builder, 11):
         names = free_names(tree)
-        compiled = compile_tree(tree)
         env = {n: 0.5 + 0.25j for n in names}
-        columns = {n: (0.5 + 0.25j, -1.5j, 2.0) for n in names}
-        assert unknown_symbol(compiled, env) is None, tree
-        assert unknown_symbol(compiled, columns, 3) is None, tree
+        columns = {n: (0.5 + 0.25j, -1.5j, 2 + 0j) for n in names}
+        assert unknown_symbol(evaluate, tree, env) is None, tree
+        assert unknown_symbol(_columns, tree, columns, 3) is None, tree
 
 
 @pytest.mark.parametrize("builder", [random_evaluable, random_tree])
 def test_an_unknown_symbol_is_a_free_name(builder):
     for tree in trees_with_constants(builder, 13):
         names = free_names(tree)
-        compiled = compile_tree(tree)
-        for raised in (unknown_symbol(compiled, {}),
-                       unknown_symbol(compiled, {}, 2)):
+        for raised in (unknown_symbol(evaluate, tree, {}),
+                       unknown_symbol(_columns, tree, {}, 2)):
             assert raised is None or raised in names, tree
 
 
@@ -238,7 +248,7 @@ def test_names_under_a_node_never_run_are_free_names(tree, names):
 def test_constants_are_not_free_names():
     tree = InertForm(inert.SUM, children=[name(c) for c in CONSTANT_NAMES])
     assert free_names(tree) == set()
-    assert cmath.isinf(compile_tree(tree)({}))
+    assert cmath.isinf(evaluate(tree, {}))
     assert free_names(InertForm(inert.PROD, children=[tree, name("x")])) == {"x"}
 
 
@@ -246,6 +256,5 @@ def test_constants_are_not_free_names():
 def test_a_sum_or_product_without_operands(tag, value):
     empty = InertForm(tag)
     bits = struct.pack("<dd", value.real, value.imag)
-    assert outcome(lambda env: evaluate(empty, env), {}) == bits
-    assert [struct.pack("<dd", z.real, z.imag)
-            for z in compile_tree(empty)({}, 3)] == [bits] * 3
+    assert outcome(evaluate, empty, {}) == bits
+    assert outcome(_columns, empty, {}, 3) == [bits] * 3

@@ -12,13 +12,17 @@ from texcas.errors import UnknownSymbol
 from texcas.evaluator import CONSTANTS, evaluate, jacobi_p
 from texcas.inert import INTPOS, InertForm, intlit, parse_maple, preprocess
 from texcas.verify import (MAPLE_SIDE, SEMANTIC_LATEX, check_equivalence,
-                           is_zero, round_trip, simplify_light)
+                           round_trip, simplify_light)
 
 from treegen import name, random_evaluable
 
 
 def equiv(lhs, rhs, vars, **kw):
     return check_equivalence(parse_maple(lhs), parse_maple(rhs), vars, **kw)
+
+
+def is_zero(t):
+    return t.tag == INTPOS and t.payload == 0
 
 
 # --- independent numeric oracles ----------------------------------------------
@@ -179,6 +183,22 @@ class TestCheckEquivalence:
         verdict = equiv("sin(z+Pi/2)", "cos(z)", ["z"])
         points = [env["z"] for env, _ in verdict.samples]
         assert points[1] == points[0].conjugate()
+
+    @pytest.mark.parametrize("lhs, rhs, calls, finite", [
+        # exp(1000 z) overflows at some points, so the column pass raises
+        # and each of the 20 points is evaluated alone
+        ("exp(1000*z)", "exp(1000*z*1.0)", 20, 16),
+        ("sin(z)^2+cos(z)^2", "1", 0, 20)])
+    def test_fallback_points_go_through_evaluate(self, monkeypatch, lhs, rhs,
+                                                 calls, finite):
+        envs = []
+        real = verify.evaluate
+        monkeypatch.setattr(verify, "evaluate",
+                            lambda tree, env: envs.append(env) or real(tree, env))
+        verdict = equiv(lhs, rhs, ["z"])
+        assert verdict.outcome == "numeric-converged"
+        assert len(envs) == calls
+        assert len(verdict.samples) == finite
 
 
 class TestRoundTrip:

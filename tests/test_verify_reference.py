@@ -14,11 +14,9 @@ bit for bit), or raise the same exception.
 """
 
 import cmath
-import gc
 import math
 import random
 import struct
-import weakref
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -26,7 +24,7 @@ import pytest
 
 from texcas import inert, verify
 from texcas.errors import NoEvaluator, UnknownSymbol
-from texcas.evaluator import _FUNCTIONS, CONSTANTS, compile_tree, free_names
+from texcas.evaluator import _FUNCTIONS, CONSTANTS, free_names
 from texcas.inert import (DIVIDE, EQUATION, EXPSEQ, FLOAT, FUNCTION, INTNEG,
                           INTPOS, POWER, PROD, RATIONAL, SUM, InertForm,
                           int_value, parse_maple, preprocess)
@@ -657,17 +655,3 @@ def test_the_points_cache_stays_within_its_bound():
     info = verify._sample_points.cache_info()
     assert info.maxsize == verify._POINT_SETS
     assert info.currsize <= verify._POINT_SETS
-
-
-def test_a_compiled_tree_is_freed_without_the_cycle_collector():
-    tree = parse_maple("sin(x)^2/x + JacobiP(2, 1, 1, x)*y - BesselK(1, x)")
-    gc.disable()
-    try:
-        compiled = compile_tree(tree)
-        with pytest.raises(NoEvaluator):
-            compiled({"x": 0.5, "y": 2})
-        ref = weakref.ref(compiled)
-        del compiled
-        assert ref() is None
-    finally:
-        gc.enable()
