@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .errors import (ArityMismatch, NoDirectTranslation, TranslationError,
@@ -103,7 +104,8 @@ def translate_string(text: str, lex: Lexicon, dialect: str) -> TranslationResult
 # --- sequence translation ---------------------------------------------------
 
 def _translate_sequence(children: List[PomTree | MathTerm], ctx: _Context) -> str:
-    """The sequence's items, each read with the scripts that follow it."""
+    """The sequence's items, each read with the scripts that follow it, and
+    assembled; a single value is its own text (a fraction's compact form)."""
     items: List[tuple] = []
     i, n = 0, len(children)
     while i < n:
@@ -113,6 +115,11 @@ def _translate_sequence(children: List[PomTree | MathTerm], ctx: _Context) -> st
             if node.is_leaf and (node.kind is _CARET or node.kind is _UNDERSCORE):
                 item, i = _scripted(item, children, i, ctx)
         items.append(item)
+    if len(items) == 1 and items[0][0] == "val":
+        unit = items[0][1]
+        out = (unit.compact if unit.kind == "frac" else unit.text).strip()
+        if out:
+            return out
     return _assemble(items, ctx)
 
 
@@ -211,21 +218,26 @@ def _translate_macro(children: List[PomTree | MathTerm], i: int, entry: LexiconE
     entry lists, then the variable groups.  The entry's info pairs ``infos``
     follow those of its arguments."""
     name = children[i].lexeme
-    j = i + 1
+    j, n = i + 1, len(children)
     order = None
-    if name == "\\sqrt" and _is_group(children, j, _OPTIONAL):
+    if name == "\\sqrt" and j < n and not children[j].is_leaf \
+            and children[j].delimiter_class is _OPTIONAL:
         order = _translate_sequence(children[j].children, ctx)
         j += 1
     args: List[str] = []
     for k in range(entry.arity):
+        node = children[j] if j < n else None
         if k == entry.num_params:  # the variables start after an @ run
-            ats = len(children[j].lexeme) if _is_leaf(children, j, _AT) else 0
+            ats = 0
+            if node is not None and node.is_leaf and node.kind is _AT:
+                ats = len(node.lexeme)
+                j += 1  # every listed @-variant translates identically
+                node = children[j] if j < n else None
             if ats not in entry.at_variants:
                 raise ArityMismatch(name, entry.arity, len(args))
-            j += 1 if ats else 0  # every listed @-variant translates identically
-        if not _is_group(children, j, _CURLY):
+        if node is None or node.is_leaf or node.delimiter_class is not _CURLY:
             raise ArityMismatch(name, entry.arity, len(args))
-        args.append(_translate_sequence(children[j].children, ctx))
+        args.append(_translate_sequence(node.children, ctx))
         j += 1
 
     if order is None:
@@ -236,13 +248,19 @@ def _translate_macro(children: List[PomTree | MathTerm], i: int, entry: LexiconE
     ctx.infos += infos
     text = fill(template, args)
     # only a template that brackets its own operands is written as a fraction
-    if name != "\\frac" or not _BARE_RE.search(template):
+    bare = name == "\\frac" and _unbracketed(template)
+    if not bare:
         return ("val", _Unit(text, "other")), j
     # a fraction of atoms has a compact form, without the bare brackets
-    compact = text
-    if all(map(_ATOMIC_RE.match, args)):
-        compact = fill(_BARE_RE.sub(r"\1", template), args)
+    compact = fill(bare, args) if all(map(_ATOMIC_RE.match, args)) else text
     return ("val", _Unit(text, "frac", compact)), j
+
+
+@lru_cache(maxsize=64)
+def _unbracketed(template: str) -> str:
+    """The template without the brackets of its bare placeholders, or ""
+    when it has none; each template string is reduced once."""
+    return _BARE_RE.sub(r"\1", template) if _BARE_RE.search(template) else ""
 
 
 def _template(entry: Optional[LexiconEntry], name: str, dialect: str) -> str:
@@ -252,13 +270,6 @@ def _template(entry: Optional[LexiconEntry], name: str, dialect: str) -> str:
     if template is None:
         raise NoDirectTranslation(name, dialect)
     return template
-
-
-def _is_group(children: List[PomTree | MathTerm], j: int,
-              delimiter_class: DelimiterClass) -> bool:
-    """Whether ``children[j]`` is a group of that delimiter class."""
-    return j < len(children) and not children[j].is_leaf \
-        and children[j].delimiter_class is delimiter_class
 
 
 def _is_leaf(children: List[PomTree | MathTerm], j: int, kind: TermKind) -> bool:
@@ -326,14 +337,11 @@ def _assemble(items: List[tuple], ctx: _Context) -> str:
         unit = item[1]
         implicit = prev_value
         text = unit.text
-        if unit.kind == "frac":
-            # a fraction alone is written compactly, and bracketed so beside
-            # a value or as a divisor
-            if len(items) == 1:
-                text = unit.compact
-            elif implicit or (k + 1 < len(items) and items[k + 1][0] == "val") \
-                    or (k > 0 and items[k - 1] == _OVER):
-                text = f"({unit.compact})"
+        # a fraction alone is written compactly (see _translate_sequence), and
+        # bracketed so beside a value or as a divisor
+        if unit.kind == "frac" and (implicit or (k > 0 and items[k - 1] == _OVER)
+                                    or (k + 1 < len(items) and items[k + 1][0] == "val")):
+            text = f"({unit.compact})"
         if k > 1 and items[k - 2][0] == "prod" and items[k - 1] in _SIGNS:
             # a sign after a product or quotient binds only this value
             parts[-1] = f"({parts[-1]}"

@@ -101,14 +101,16 @@ _MINUS_ONE = InertForm(INTNEG, 1)
 # --- tokenizer ---------------------------------------------------------------
 
 # Each match is one token after any whitespace; a character that starts no
-# token is a token of its own, so one findall pass covers any text.
+# token is a token of its own, so one findall pass covers any text.  Names and
+# operators, the commonest, are tried first; a float is tried before an
+# integer, and \.\d+ before \.\., and no other two start with one character.
 _TOKEN_RE = re.compile(
     r"""\s*(
-        \d+\.\d+ | \d+\.(?!\.) | \.\d+     # float
+        [A-Za-z_][A-Za-z0-9_]*             # name
+      | [-+*/^(),=']                       # operators
+      | \d+\.\d+ | \d+\.(?!\.) | \.\d+     # float
       | \d+                                # integer
-      | [A-Za-z_][A-Za-z0-9_]*             # name
-      | "(?:[^"\\]|\\.)*"                  # string
-      | \.\. | [-+*/^(),=']                # operators
+      | "(?:[^"\\]|\\.)*" | \.\.           # string, range operator
       | \S                                 # a character that starts no token
     )""", re.VERBOSE)
 _EOF = ""

@@ -72,10 +72,12 @@ class PomTree(Record):
 
 
 # no group and no catch-all: findall returns the token strings, and a
-# character with no token leaves a gap between them
+# character with no token leaves a gap between them.  The alternatives are
+# tried commonest first; no two match at the same character (the two
+# backslash forms differ in the second), so the order changes no token
 _TOKEN_RE = re.compile(
-    r"%[^\n]*\n?|\s+|\\\\|\\[a-zA-Z]+|@{1,3}|[0-9]+"
-    r"|[a-zA-Z^_{\[(}\])&+\-*/!|.,;:=<>]")
+    r"[a-zA-Z^_{\[(}\])&+\-*/!|.,;:=<>]|\\[a-zA-Z]+|[0-9]+|@{1,3}|\s+"
+    r"|\\\\|%[^\n]*\n?")
 
 # the members the scan loop compares or builds, bound once: on Python 3.11
 # each ``TermKind.X`` goes through ``EnumType.__getattr__``, several times

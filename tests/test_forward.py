@@ -214,6 +214,44 @@ class TestStructure:
         assert [step.text for step in report.steps
                 if step.side == SEMANTIC_LATEX][-1] == r"\frac{a}{\frac{b}{c}}"
 
+    @pytest.mark.parametrize("text,maple_out,mma_out", [
+        (r"x^{\frac{1}{2}}", "x^(1/2)", "x^(1/2)"),
+        (r"{\frac{a}{b}}", "(a/b)", "(a/b)"),
+        (r"2{\frac{a}{b}}", "2*(a/b)", "2 (a/b)"),
+        (r"{\frac{a+1}{b}}", "((a+1)/(b))", "((a+1)/(b))"),
+        ("{ x }", "x", "x"),
+        ("{{x}}", "x", "x"),
+        ("x^{-}", "x^(-)", "x^(-)"),
+        ("{=}", "(=)", "(=)"),
+    ])
+    def test_a_sequence_of_one_item_is_written_as_assembled(self, lex, text,
+                                                            maple_out, mma_out):
+        # one value is its own text, a fraction its compact form; one
+        # operator goes through the assembly of any sequence
+        assert maple(text, lex).output == maple_out
+        assert mma(text, lex).output == mma_out
+
+    def test_a_value_alone_in_a_group_keeps_its_infos(self, lex):
+        info = ("constant-suggestion", "command '\\alpha' may denote the constant "
+                "\\finestructure; it is translated as a Greek letter")
+        for result, out in ((maple(r"x^{\alpha}", lex), "x^alpha"),
+                            (mma(r"x^{\alpha}", lex), r"x^\[Alpha]")):
+            assert result.output == out
+            assert [(i.kind, i.text) for i in result.infos] == [info]
+
+    def test_each_frac_template_keeps_its_own_compact_form(self, lex):
+        # the compact form is derived once per template string: a lexicon
+        # with another \frac template does not share the seed lexicon's
+        doc = lex.to_json()
+        doc["builtins"][r"\frac"]["translations"]["maple"] = "($1)^(-1)*($0)"
+        inverse = Lexicon.from_json(doc)
+        outputs = [[maple(text, each).output
+                    for text in (r"\frac{a}{b}", r"2\frac{a}{b}", r"\frac{a+1}{b}")]
+                   for each in (lex, inverse, lex)]
+        seed = ["a/b", "2*(a/b)", "(a+1)/(b)"]
+        assert outputs == [seed, ["b^(-1)*a", "2*(b^(-1)*a)", "(b)^(-1)*(a+1)"], seed]
+        assert mma(r"\frac{a}{b}", inverse).output == "a/b"
+
 
 # --- values: digits, infix / and *, a sign and \frac ---------------------------
 
@@ -312,6 +350,15 @@ class TestErrors:
             with pytest.raises(TranslationError) as info:
                 translate_string(text, lex, dialect)
             assert str(info.value) == f"product sign {symbol} without a left operand"
+
+    def test_a_product_sign_alone_in_a_group(self, lex):
+        # Mathematica's product template is a space: its group is empty
+        with pytest.raises(TranslationError,
+                           match=r"^product sign \\idt without a left operand$"):
+            maple(r"x^{\idt}", lex)
+        with pytest.raises(TranslationError,
+                           match="^translation produced empty output$"):
+            mma(r"x^{\idt}", lex)
 
     def test_a_product_sign_may_follow_a_value_or_a_factorial(self, lex):
         assert maple(r"n!\idt x", lex).output == "n!*x"
