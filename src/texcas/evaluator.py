@@ -1,16 +1,18 @@
 """Complex numeric evaluation of inert trees (principal branches throughout).
 
 One recursive walk evaluates a tree at a column of points at once, each
-point with the operations a walk of that point alone would do; ``evaluate``
-is that walk at one point, and ``free_names`` lists the names a caller must
-bind.
+point with the operations a walk of that point alone would do.  A point
+whose walk would raise holds its first exception in a ``_Failed`` column,
+the other points going on; a function is never called at a failed point.
+``evaluate`` is that walk at one point, raising that point's exception, and
+``free_names`` lists the names a caller must bind.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from operator import mul, truediv
+from operator import add, mul, truediv
 from typing import Dict
 
 from .errors import NoEvaluator, UnknownSymbol
@@ -44,11 +46,18 @@ def jacobi_p(n: int, a: complex, b: complex, x: complex) -> complex:
     return p_cur
 
 
+# the recurrence takes one step per degree, so a larger one is not evaluated
+_MAX_JACOBI_DEGREE = 1000
+
+
 def _as_degree(value: complex) -> int:
     if abs(value.imag) > 1e-12 or abs(value.real - round(value.real)) > 1e-12 \
             or value.real < 0:
         raise NoEvaluator("JacobiP with non-integer degree")
-    return int(round(value.real))
+    degree = int(round(value.real))
+    if degree > _MAX_JACOBI_DEGREE:
+        raise NoEvaluator(f"JacobiP of degree above {_MAX_JACOBI_DEGREE}")
+    return degree
 
 
 # (Maple function name, arity) -> evaluator
@@ -68,56 +77,94 @@ def evaluate(tree: InertForm, env: Dict[str, complex]) -> complex:
     unknown name raises UnknownSymbol, and an unknown function or node
     NoEvaluator, a function's arguments being evaluated before its lookup;
     arithmetic errors propagate to the caller."""
-    return _columns(tree, {name: (complex(v),) for name, v in env.items()}, 1)[0]
+    value = _columns(tree, {name: (complex(v),) for name, v in env.items()}, 1)[0]
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+class _Failed(list):
+    """A column in which some point holds its walk's exception, not a value."""
+    __slots__ = ()
+
+
+def _power(base: complex, expo: complex) -> complex:
+    """The POWER comprehension of ``_columns`` at one point."""
+    return 0j if base == 0 and expo.real > 0 and abs(expo.imag) < 1e-300 \
+        else base ** expo
+
+
+def _pointwise(fn, cols, n: int) -> _Failed:
+    """fn over the columns point by point: each point takes its first failed
+    operand, else fn's value there, else the exception fn raises there."""
+    out = _Failed()
+    for i in range(n):
+        values = [c[i] for c in cols]
+        failed = [v for v in values if isinstance(v, Exception)]
+        try:
+            out.append(failed[0] if failed else fn(*values))
+        except Exception as exc:  # kept without its frames, which hold out
+            out.append(exc.with_traceback(None))
+    return out
 
 
 def _columns(tree: InertForm, columns, n: int) -> list:
     """The tree's values at n points, ``columns`` mapping each name to its n
     values (a binding shadows a constant of the same name).  Each point gets
-    the operations of a walk of that point alone, in the same order."""
+    the operations of a walk of that point alone, in the same order; a point
+    whose walk would raise holds that exception, in a ``_Failed`` column."""
     tag = tree.tag
-    if tag == NAME:
-        name = tree.payload
-        if name in columns:
-            return columns[name]
-        value = CONSTANTS.get(name)
-        if value is None:
-            raise UnknownSymbol(name)
-        return [value] * n
+    if tag == NAME and tree.payload in columns:
+        return columns[tree.payload]
     if tag == FUNCTION:
         fname = tree.children[0].payload
         args = [_columns(c, columns, n) for c in tree.children[1].children]
         fn = _FUNCTIONS.get((fname, len(args)))
-        if fn is None:
-            raise NoEvaluator(fname)
-        return list(map(fn, *args))
-    if tag == INTPOS or tag == INTNEG:
-        return [complex(int_value(tree))] * n
-    if tag == PROD:
-        out = [1 + 0j] * n
+        if fn is None:  # the arguments' failures first, then this one
+            args.append(_Failed([NoEvaluator(fname)] * n))
+        elif _Failed not in map(type, args):
+            try:
+                return list(map(fn, *args))
+            except Exception:  # the points one by one keep what each raises
+                pass
+        return _pointwise(fn, args, n)
+    if tag == PROD or tag == SUM:
+        op, out = (mul, [1 + 0j] * n) if tag == PROD else (add, [0j] * n)
         for c in tree.children:
-            out = list(map(mul, out, _columns(c, columns, n)))
+            col = _columns(c, columns, n)
+            if out.__class__ is _Failed or col.__class__ is _Failed:
+                out = _pointwise(op, (out, col), n)
+            else:
+                out = list(map(op, out, col))
         return out
-    if tag == SUM:
-        if not tree.children:
-            return [0j] * n
-        return [sum(values, 0j) for values in
-                zip(*[_columns(c, columns, n) for c in tree.children])]
-    if tag == POWER:
-        base, expo = tree.children
-        return [0j if b == 0 and e.real > 0 and abs(e.imag) < 1e-300 else b ** e
-                for b, e in zip(_columns(base, columns, n),
-                                _columns(expo, columns, n))]
-    if tag == FLOAT:
-        return [complex(tree.payload)] * n
-    if tag == RATIONAL:
-        p, q = tree.children
-        return [complex(Fraction(int_value(p), q.payload))] * n
-    if tag == DIVIDE:
-        num, den = tree.children
-        return list(map(truediv, _columns(num, columns, n),
-                        _columns(den, columns, n)))
-    raise NoEvaluator(tag)
+    if tag == POWER or tag == DIVIDE:
+        a, b = [_columns(c, columns, n) for c in tree.children]
+        if a.__class__ is not _Failed and b.__class__ is not _Failed:
+            try:
+                if tag == DIVIDE:
+                    return list(map(truediv, a, b))
+                return [0j if x == 0 and y.real > 0 and abs(y.imag) < 1e-300
+                        else x ** y for x, y in zip(a, b)]
+            except Exception:  # the points one by one keep what each raises
+                pass
+        return _pointwise(truediv if tag == DIVIDE else _power, (a, b), n)
+    try:
+        if tag == NAME:
+            value = CONSTANTS.get(tree.payload)
+            if value is None:
+                raise UnknownSymbol(tree.payload)
+        elif tag == INTPOS or tag == INTNEG:
+            value = complex(int_value(tree))
+        elif tag == FLOAT:
+            value = complex(tree.payload)
+        elif tag == RATIONAL:
+            p, q = tree.children
+            value = complex(Fraction(int_value(p), q.payload))
+        else:
+            raise NoEvaluator(tag)
+    except Exception as exc:  # a constant fails at every point alike
+        return _Failed([exc.with_traceback(None)] * n)
+    return [value] * n
 
 
 def free_names(tree: InertForm) -> set:

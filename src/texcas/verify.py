@@ -5,11 +5,11 @@ with a light confluent rewrite set, falling back to seeded complex sampling
 at fixed machine precision (tolerance 1e-10 by default, annulus
 0.1 <= |z| <= 2, conjugate pairs included).  The sample points are drawn
 once per variable count, point count and seed, and all of them are
-evaluated in one walk of the difference over their value columns; on the
-first exception each point is evaluated alone with ``evaluate``, so each
-point is skipped or ends the check exactly as it would alone.  A verdict
-keeps each finite point's row of values and |difference|, and builds the
-point's env dict only when ``samples`` is first read.
+evaluated in one walk of the difference over their value columns.  A point
+whose own walk raises holds that exception in the column, which is read in
+row order, so each point is skipped or ends the check exactly as it would
+alone.  A verdict keeps each finite point's row of values and |difference|,
+and builds the point's env dict only when ``samples`` is first read.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from . import inert
 from .backward import backward_string
 from .errors import CheckOptionError, NoEvaluator, TexcasError, UnknownSymbol
-from .evaluator import _columns, evaluate, free_names
+# evaluate is unused here, but perfbench/worker.py traces it as verify.evaluate
+from .evaluator import _columns, _Failed, evaluate, free_names  # noqa: F401
 from .forward import translate_string
 from .inert import (DIVIDE, FLOAT, INTNEG, INTPOS, POWER, PROD,
                     RATIONAL, SUM, InertForm)
@@ -263,38 +264,41 @@ def check_options(tolerance: float, points: int) -> None:
         raise CheckOptionError(f"points must be at least 1, not {points}")
 
 
-def check_equivalence(lhs: InertForm, rhs: InertForm, vars: Sequence[str],
+def check_equivalence(lhs: InertForm, rhs: InertForm,
+                      vars: Optional[Sequence[str]] = None,
                       tolerance: float = DEFAULT_TOLERANCE,
                       points: int = DEFAULT_POINTS,
                       seed: int = DEFAULT_SEED) -> EquivalenceVerdict:
     """Decide whether lhs == rhs: first by simplifying the formula difference
-    to literal zero, else by seeded complex sampling of the difference.
+    to literal zero, else by seeded complex sampling of the difference over
+    ``vars``, by default the difference's own free names, sorted; a free
+    name that explicit ``vars`` leave out raises UnknownSymbol.
 
-    All points are evaluated in one walk of the difference; if that walk
-    raises, each point is evaluated alone with ``evaluate``, so a point that
-    raises is skipped (or, for NoEvaluator, ends the check) exactly as it
-    would be alone."""
+    All points are evaluated in one walk of the difference, and the points
+    are read in row order: a point whose walk raised NoEvaluator ends the
+    check as inconclusive, one that divided by zero, overflowed or raised
+    ValueError is skipped, and any other exception is raised."""
     check_options(tolerance, points)
     diff = _difference(lhs, rhs)
     if _simplify(diff) == (INTPOS, 0):
         return EquivalenceVerdict("symbolic-zero")
 
-    undeclared = free_names(diff).difference(vars)
-    if undeclared:
-        raise UnknownSymbol(min(undeclared))
+    names = free_names(diff)
+    if vars is None:
+        vars = sorted(names)
+    elif not names.issubset(vars):
+        raise UnknownSymbol(min(names.difference(vars)))
 
     rows, columns = _sample_points(len(vars), points, seed)
-    try:
-        values = _columns(diff, dict(zip(vars, columns)), len(rows))
-    except Exception:  # the points one by one tell which point raised what
-        values = []
-        for row in rows:
-            try:
-                values.append(evaluate(diff, dict(zip(vars, row))))
-            except NoEvaluator as exc:
-                return EquivalenceVerdict("inconclusive", reason=str(exc))
-            except (ZeroDivisionError, OverflowError, ValueError):
-                values.append(math.nan)  # skipped, as a value not finite
+    values = _columns(diff, dict(zip(vars, columns)), len(rows))
+    if values.__class__ is _Failed:  # each point as it fails alone
+        for i, value in enumerate(values):
+            if isinstance(value, NoEvaluator):
+                return EquivalenceVerdict("inconclusive", reason=str(value))
+            elif isinstance(value, (ZeroDivisionError, OverflowError, ValueError)):
+                values[i] = math.nan  # skipped, as a value not finite
+            elif isinstance(value, Exception):
+                raise value
     draws = _Draws([(row, abs(value)) for row, value in zip(rows, values)
                     if cmath.isfinite(value)])
     if not draws:

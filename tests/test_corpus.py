@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import test_cli
-from texcas import inert
+from texcas import inert, verify
 from texcas.cli import EXIT_OK, main
-from texcas.corpus import CorpusRecord, run_corpus
+from texcas.corpus import CorpusRecord, read_corpus, run_corpus
 from texcas.lexicon import seed_path
 
 GOLDEN = Path(__file__).parent / "data" / "corpus_report_golden.jsonl"
@@ -63,3 +63,26 @@ def test_each_relation_is_parsed_once(lex, monkeypatch):
     run_corpus([CorpusRecord("r", r"\sin@{z}^{2}+\cos@{z}^{2} = 1")], lex)
     assert parsed == ["sin(z)^2+cos(z)^2 = 1"]
 
+
+def test_each_relation_walks_its_names_once(lex, monkeypatch):
+    walks = []
+    real = verify.free_names
+    monkeypatch.setattr(verify, "free_names", lambda tree: walks.append(tree) or real(tree))
+    stats, log = run_corpus(read_corpus(seed_path("seed_corpus.tsv")), lex)
+    sampled = [e for e in log if e.get("outcome", "symbolic-zero") != "symbolic-zero"]
+    assert len(walks) == len(sampled) > 10
+
+
+@pytest.mark.parametrize("latex, reason", [
+    # a overflows at every point, and degree 0 never reads it: no point is
+    # finite, although JacobiP of degree 0 is 1 whatever a is
+    (r"\JacobiP{\cos@{\frac{P}{\tan@{\cpi}}}\idt 0.00066}{j}{0}@{\ln@@{j}} = 1",
+     "no finite evaluation point"),
+    (r"\JacobiP{0}{0}{100000}@{z} = \JacobiP{0}{0}{100000}@{z}+0.0",
+     "no numeric evaluator for JacobiP of degree above 1000")],
+    ids=["failed-argument", "degree-above-bound"])
+def test_an_unevaluated_jacobi_leaves_its_relation_inconclusive(latex, reason, lex):
+    _, log = run_corpus([CorpusRecord("r", latex)], lex)
+    assert log[0]["outcome"] == "inconclusive"
+    assert log[0]["classification"] == "translated-unverified"
+    assert log[0]["reason"] == reason

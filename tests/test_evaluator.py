@@ -5,7 +5,8 @@ tree walk.
 The evaluator's walk does a whole column of points at once, and each point
 must get bit-identical values and raise the same exceptions, at the same
 node, as the reference: ``evaluate`` at one point, and ``_columns`` at a
-column, which raises what its first point to fail raises alone.
+column, where each point that fails alone holds that point's exception and
+every other point keeps its value.
 """
 
 import cmath
@@ -17,7 +18,8 @@ import pytest
 
 from texcas import inert
 from texcas.errors import NoEvaluator, UnknownSymbol
-from texcas.evaluator import _FUNCTIONS, CONSTANTS, _columns, evaluate, free_names
+from texcas.evaluator import (_FUNCTIONS, CONSTANTS, _columns, _Failed, evaluate,
+                              free_names, jacobi_p)
 from texcas.inert import InertForm, parse_maple
 
 from treegen import name, random_evaluable, random_tree
@@ -71,16 +73,24 @@ def reference_walk(tree, env):
     raise NoEvaluator(tag)
 
 
+def point(value):
+    """A value's exact bits (signed zeros, NaNs), or an exception's type and
+    message."""
+    if isinstance(value, Exception):
+        return type(value).__name__, str(value)
+    return struct.pack("<dd", value.real, value.imag)
+
+
 def outcome(fn, *args):
-    """The value's exact bits (signed zeros, NaNs), or the exception raised;
-    for a column of values, the list of their bits."""
+    """The value's exact bits, or the exception raised; for a column, each
+    point's bits or the exception that point holds."""
     try:
         value = fn(*args)
     except Exception as exc:  # the exception itself is the outcome compared
-        return type(exc).__name__, str(exc)
+        return point(exc)
     if not isinstance(value, complex):
-        return [struct.pack("<dd", z.real, z.imag) for z in value]
-    return struct.pack("<dd", value.real, value.imag)
+        return [point(z) for z in value]
+    return point(value)
 
 
 def column(env, n=3):
@@ -103,19 +113,20 @@ def test_one_compiled_tree_matches_the_walk_at_every_point(builder):
         tree = builder(rng)
         walked = [outcome(reference_walk, tree, env) for env in ENVS]
         assert [outcome(evaluate, tree, env) for env in ENVS] == walked, tree
-        columned = outcome(_columns, tree, columns, len(ENVS))
-        if all(isinstance(w, bytes) for w in walked):
-            assert columned == walked, tree
-        else:
-            assert columned in walked, tree
+        assert outcome(_columns, tree, columns, len(ENVS)) == walked, tree
+        failed = _columns(tree, columns, len(ENVS)).__class__ is _Failed
+        assert failed == any(not isinstance(w, bytes) for w in walked), tree
 
 
 def assert_raises(exc, tree, env):
-    """tree raises exc at env, evaluated alone and as a column of 3 points."""
-    with pytest.raises(exc):
+    """tree raises exc at env evaluated alone, and each point of a column of
+    3 such points holds that exception."""
+    with pytest.raises(exc) as raised:
         evaluate(tree, env)
-    with pytest.raises(exc):
-        _columns(tree, column(env), 3)
+    assert type(raised.value) is exc
+    values = _columns(tree, column(env), 3)
+    assert values.__class__ is _Failed
+    assert [point(v) for v in values] == [point(raised.value)] * 3
 
 
 def test_unknown_function_raises_only_when_called():
@@ -133,9 +144,11 @@ def test_error_in_an_earlier_argument_wins_over_an_unknown_function():
     tree = parse_maple("BesselK(1/x, x)")
     assert_raises(ZeroDivisionError, tree, {"x": 0})
     assert_raises(NoEvaluator, tree, {"x": 1})
-    # one point dividing by zero is enough, wherever it sits in the column
-    with pytest.raises(ZeroDivisionError):
-        _columns(tree, {"x": (1 + 0j, 0j, 2 + 0j)}, 3)
+    # the point that divides by zero keeps that error, the others NoEvaluator
+    values = _columns(tree, {"x": (1 + 0j, 0j, 2 + 0j)}, 3)
+    assert [type(v) for v in values] == [NoEvaluator, ZeroDivisionError, NoEvaluator]
+    assert [point(v) for v in values] == [
+        outcome(evaluate, tree, {"x": x}) for x in (1, 0, 2)]
 
 
 @pytest.mark.parametrize("text", ["sin()", "BesselK()"])
@@ -162,12 +175,37 @@ def test_literal_too_large_for_a_double_raises_at_each_call():
         assert_raises(OverflowError, tree, {"x": 1})
 
 
+def test_a_jacobi_degree_above_the_bound_is_not_evaluated():
+    x = 0.3 + 0.2j
+    assert evaluate(parse_maple("JacobiP(1000, 0, 0, x)"), {"x": x}) == \
+        jacobi_p(1000, 0j, 0j, x)
+    tree = parse_maple("JacobiP(1001, 0, 0, x)")
+    assert_raises(NoEvaluator, tree, {"x": x})
+    assert outcome(evaluate, tree, {"x": x}) == (
+        "NoEvaluator", "no numeric evaluator for JacobiP of degree above 1000")
+
+
+def test_a_function_is_never_called_at_a_failed_point():
+    # degree 0 never reads its other arguments, yet a point whose argument
+    # failed keeps that failure
+    tree = parse_maple("JacobiP(0, 1/x, 0, 0)")
+    values = _columns(tree, {"x": (1 + 0j, 0j, 2 + 0j)}, 3)
+    assert [point(v) for v in values] == [
+        outcome(evaluate, tree, {"x": x}) for x in (1, 0, 2)]
+    assert [type(v) for v in values] == [complex, ZeroDivisionError, complex]
+
+
 def test_zero_to_a_positive_power_is_zero():
     tree = parse_maple("x^y")
     assert evaluate(tree, {"x": 0, "y": 2.5}) == 0j
     assert _columns(tree, {"x": (0j,) * 3, "y": (2.5 + 0j, 1 + 0j, 0.5 + 0j)},
                     3) == [0j] * 3
     assert_raises(ZeroDivisionError, tree, {"x": 0, "y": -1})
+    # a point that raises leaves its neighbours' values as they are
+    values = _columns(tree, {"x": (0j,) * 3, "y": (2.5 + 0j, -1 + 0j, 1 + 0j)}, 3)
+    assert [point(v) for v in values] == [
+        point(0j), ("ZeroDivisionError", "0.0 to a negative or complex power"),
+        point(0j)]
 
 
 # --- free names and the constant rule ---------------------------------------------

@@ -8,8 +8,8 @@ import mpmath
 import pytest
 
 from texcas import verify
-from texcas.errors import UnknownSymbol
-from texcas.evaluator import CONSTANTS, evaluate, jacobi_p
+from texcas.errors import NoEvaluator, UnknownSymbol
+from texcas.evaluator import _FUNCTIONS, CONSTANTS, evaluate, jacobi_p
 from texcas.inert import INTPOS, InertForm, intlit, parse_maple, preprocess
 from texcas.verify import (MAPLE_SIDE, SEMANTIC_LATEX, check_equivalence,
                            round_trip, simplify_light)
@@ -184,21 +184,48 @@ class TestCheckEquivalence:
         points = [env["z"] for env, _ in verdict.samples]
         assert points[1] == points[0].conjugate()
 
-    @pytest.mark.parametrize("lhs, rhs, calls, finite", [
-        # exp(1000 z) overflows at some points, so the column pass raises
-        # and each of the 20 points is evaluated alone
-        ("exp(1000*z)", "exp(1000*z*1.0)", 20, 16),
-        ("sin(z)^2+cos(z)^2", "1", 0, 20)])
+    @pytest.mark.parametrize("lhs, rhs, finite", [
+        # exp(1000 z) overflows at 4 of the 20 points, which the one walk
+        # skips without evaluating any point again
+        ("exp(1000*z)", "exp(1000*z*1.0)", 16),
+        ("sin(z)^2+cos(z)^2", "1", 20)])
     def test_fallback_points_go_through_evaluate(self, monkeypatch, lhs, rhs,
-                                                 calls, finite):
+                                                 finite):
         envs = []
         real = verify.evaluate
         monkeypatch.setattr(verify, "evaluate",
                             lambda tree, env: envs.append(env) or real(tree, env))
         verdict = equiv(lhs, rhs, ["z"])
         assert verdict.outcome == "numeric-converged"
-        assert len(envs) == calls
+        assert envs == []
         assert len(verdict.samples) == finite
+
+    def test_vars_default_to_the_sorted_free_names(self):
+        lhs, rhs = parse_maple("sqrt(y^2) + x"), parse_maple("y + x")
+        verdict = check_equivalence(lhs, rhs)
+        assert verdict == check_equivalence(lhs, rhs, ["x", "y"])
+        assert verdict.outcome == "numeric-mismatch"
+        assert list(verdict.samples[0][0]) == ["x", "y"]
+        assert check_equivalence(parse_maple("2*w"), parse_maple("w + w")).outcome \
+            == "symbolic-zero"
+
+    @pytest.mark.parametrize("first, then", [(NoEvaluator, LookupError),
+                                              (LookupError, NoEvaluator)])
+    def test_the_first_point_to_fail_decides(self, monkeypatch, first, then):
+        # a point ends the check (NoEvaluator) or raises (an error that is not
+        # skipped) as it would alone, and the first such point in row order wins
+        rows, _ = verify._sample_points(1, verify.DEFAULT_POINTS, verify.DEFAULT_SEED)
+
+        def f(z):
+            raise (first if z == rows[0][0] else then)("f")
+        monkeypatch.setitem(_FUNCTIONS, ("f", 1), f)
+        if first is NoEvaluator:
+            verdict = equiv("f(z)", "z", ["z"])
+            assert (verdict.outcome, verdict.reason) == \
+                ("inconclusive", "no numeric evaluator for f")
+        else:
+            with pytest.raises(LookupError):
+                equiv("f(z)", "z", ["z"])
 
 
 class TestRoundTrip:
