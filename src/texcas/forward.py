@@ -45,15 +45,6 @@ _ATOMIC_RE = re.compile(r"^(\d+(\.\d+)?|[A-Za-z][A-Za-z0-9_]*|\\\[[A-Za-z]+\])$"
 _BARE_RE = re.compile(r"(?<!\w)\((\$\d+)\)")
 
 
-class _Unit(Record):
-    __slots__ = ("text", "kind", "compact")
-
-    def __init__(self, text: str, kind: str, compact: Optional[str] = None):
-        self.text = text
-        self.kind = kind  # atom | frac | other; a bracketed group is an atom
-        self.compact = compact  # a fraction's text standing alone
-
-
 def unique_infos(pairs) -> List[InfoMessage]:
     """One info per distinct (kind, text) pair, in the order first seen."""
     return [InfoMessage(kind, text) for kind, text in dict.fromkeys(pairs)]
@@ -116,30 +107,33 @@ def _translate_sequence(children: List[PomTree | MathTerm], ctx: _Context) -> st
                 item, i = _scripted(item, children, i, ctx)
         items.append(item)
     if len(items) == 1 and items[0][0] == "val":
-        unit = items[0][1]
-        out = (unit.compact if unit.kind == "frac" else unit.text).strip()
+        _, text, _, compact = items[0]
+        out = (text if compact is None else compact).strip()
         if out:
             return out
     return _assemble(items, ctx)
 
 
 def _item(children: List[PomTree | MathTerm], i: int, ctx: _Context) -> Tuple[tuple, int]:
-    """The item that starts at ``children[i]``, and the index after it: a
-    value ``("val", _Unit)``, a product or quotient operator
-    ``("prod", text, symbol)`` with its LaTeX symbol, or another operator or
-    a relation ``("op", text)``."""
+    """The item that starts at ``children[i]``, and the index after it, a
+    tuple with its text at index 1: a value ``("val", text, atomic,
+    compact)``, bare as an exponent only if ``atomic`` (a bracketed group
+    is), whose ``compact`` is a fraction's text standing alone and ``None``
+    for any other value, a product or quotient operator ``("prod", text,
+    symbol)`` with its LaTeX symbol, or another operator or a relation
+    ``("op", text)``."""
     node = children[i]
     if not node.is_leaf:  # a group
         inner = _translate_sequence(node.children, ctx)
         if node.delimiter_class is _PAREN or not _ATOMIC_RE.match(inner):
             inner = f"({inner})"
-        return ("val", _Unit(inner, "atom")), i + 1
+        return ("val", inner, True, None), i + 1
     if node.kind is _DIGITS:
         # re-fuse decimal literals split by the shallow first scan
         if _is_leaf(children, i + 2, _DIGITS) and children[i + 1].is_leaf \
                 and children[i + 1].lexeme == ".":
-            return ("val", _Unit(f"{node.lexeme}.{children[i + 2].lexeme}", "atom")), i + 3
-        return ("val", _Unit(node.lexeme, "atom")), i + 1
+            return ("val", f"{node.lexeme}.{children[i + 2].lexeme}", True, None), i + 3
+        return ("val", node.lexeme, True, None), i + 1
     entry = node.entry
     leaf = ctx.leaves.get(node.lexeme)
     # a stored record serves only the entry it was built from
@@ -158,10 +152,11 @@ def _leaf(term: MathTerm, entry: Optional[LexiconEntry], ctx: _Context) -> tuple
     symbol, or a Greek letter, constant, operator (\\idt) or function
     macro, whose item is ``None``, as its arguments vary.  Its first
     occurrence stores the record in the leaf table, where every later
-    translation shares it: no stage may change a stored ``_Unit``.  A leaf
-    that does not translate raises and is never stored, and neither is an
-    entry of a tree scanned with another lexicon: the table holds only the
-    lexicon's names and the one-character symbols that translations met."""
+    translation shares it: its item and pairs are tuples of strings, bools
+    and ``None``, immutable by type.  A leaf that does not translate raises
+    and is never stored, and neither is an entry of a tree scanned with
+    another lexicon: the table holds only the lexicon's names and the
+    one-character symbols that translations met."""
     lexeme = term.lexeme
     kind = term.kind
     pairs = ()
@@ -175,7 +170,7 @@ def _leaf(term: MathTerm, entry: Optional[LexiconEntry], ctx: _Context) -> tuple
             pairs = (("constant-suggestion",
                       f"command '{lexeme}' may denote the constant "
                       f"{suggestion}; it is translated as a Greek letter"),)
-        item = ("val", _Unit(text, "atom"))
+        item = ("val", text, True, None)
     elif entry is not None:  # a function or constant: its DLMF link, then its advisories
         name = entry.macro_name
         link = [("dlmf-link", f"{name}: {entry.dlmf_link}")] if entry.dlmf_link else []
@@ -184,14 +179,14 @@ def _leaf(term: MathTerm, entry: Optional[LexiconEntry], ctx: _Context) -> tuple
             item = None  # its arguments vary
         else:
             text = _template(entry, lexeme, ctx.dialect)
-            item = ("val", _Unit(text, "atom" if _ATOMIC_RE.match(text) else "other"))
+            item = ("val", text, bool(_ATOMIC_RE.match(text)), None)
     elif kind is _LETTER:
         suggestion = ctx.lex.letter_suggestions.get(lexeme)
         if suggestion:
             pairs = (("constant-suggestion",
                       f"letter '{lexeme}' may denote the constant "
                       f"{suggestion}; it is translated as a plain letter"),)
-        item = ("val", _Unit(lexeme, "atom"))
+        item = ("val", lexeme, True, None)
     elif kind is _OPERATOR:  # * and /, like \idt, join the factors of a product
         item = ("prod", ctx.product() if lexeme == "*" else lexeme, lexeme) \
             if lexeme in "*/" else ("op", lexeme)
@@ -250,10 +245,10 @@ def _translate_macro(children: List[PomTree | MathTerm], i: int, entry: LexiconE
     # only a template that brackets its own operands is written as a fraction
     bare = name == "\\frac" and _unbracketed(template)
     if not bare:
-        return ("val", _Unit(text, "other")), j
+        return ("val", text, False, None), j
     # a fraction of atoms has a compact form, without the bare brackets
     compact = fill(bare, args) if all(map(_ATOMIC_RE.match, args)) else text
-    return ("val", _Unit(text, "frac", compact)), j
+    return ("val", text, False, compact), j
 
 
 @lru_cache(maxsize=64)
@@ -306,13 +301,12 @@ def _script(base: tuple, kind: TermKind, arg: tuple, ctx: _Context) -> tuple:
     exponent."""
     if base[0] != "val" or arg[0] != "val":
         raise TranslationError("script symbol without base or argument")
-    base, arg = base[1], arg[1]
-    text = f"({base.text})" if base.kind == "frac" else base.text
+    text = base[1] if base[3] is None else f"({base[1]})"
     if kind is _UNDERSCORE:
-        text = fill(DIALECTS[ctx.dialect], [text, arg.text])
+        text = fill(DIALECTS[ctx.dialect], [text, arg[1]])
     else:
-        text = f"{text}^{arg.text}" if arg.kind == "atom" else f"{text}^({arg.text})"
-    return ("val", _Unit(text, "other"))
+        text = f"{text}^{arg[1]}" if arg[2] else f"{text}^({arg[1]})"
+    return ("val", text, False, None)
 
 
 # --- assembly ---------------------------------------------------------------
@@ -334,14 +328,13 @@ def _assemble(items: List[tuple], ctx: _Context) -> str:
             parts.append(item[1])
             prev_value = False
             continue
-        unit = item[1]
         implicit = prev_value
-        text = unit.text
+        text = item[1]
         # a fraction alone is written compactly (see _translate_sequence), and
         # bracketed so beside a value or as a divisor
-        if unit.kind == "frac" and (implicit or (k > 0 and items[k - 1] == _OVER)
+        if item[3] is not None and (implicit or (k > 0 and items[k - 1] == _OVER)
                                     or (k + 1 < len(items) and items[k + 1][0] == "val")):
-            text = f"({unit.compact})"
+            text = f"({item[3]})"
         if k > 1 and items[k - 2][0] == "prod" and items[k - 1] in _SIGNS:
             # a sign after a product or quotient binds only this value
             parts[-1] = f"({parts[-1]}"
@@ -351,6 +344,8 @@ def _assemble(items: List[tuple], ctx: _Context) -> str:
         parts.append(text)
         prev_value = True
     out = ("".join(parts) + shut).strip()
-    if not out:
+    # a group of product signs alone, empty in Mathematica, is refused
+    # after the walk for its sign
+    if not out and ctx.unjoined is None:
         raise TranslationError("translation produced empty output")
     return out

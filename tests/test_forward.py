@@ -352,13 +352,17 @@ class TestErrors:
             assert str(info.value) == f"product sign {symbol} without a left operand"
 
     def test_a_product_sign_alone_in_a_group(self, lex):
-        # Mathematica's product template is a space: its group is empty
-        with pytest.raises(TranslationError,
-                           match=r"^product sign \\idt without a left operand$"):
-            maple(r"x^{\idt}", lex)
-        with pytest.raises(TranslationError,
-                           match="^translation produced empty output$"):
-            mma(r"x^{\idt}", lex)
+        # Mathematica's product template is a space, so its group is empty,
+        # but it is refused for its sign, as in Maple; a group of nothing
+        # is refused as empty
+        for dialect in DIALECTS:
+            with pytest.raises(TranslationError,
+                               match=r"^product sign \\idt without a left operand$"):
+                translate_string(r"x^{\idt}", lex, dialect)
+            for text in ("{}", "x^{}"):
+                with pytest.raises(TranslationError,
+                                   match="^translation produced empty output$"):
+                    translate_string(text, lex, dialect)
 
     def test_a_product_sign_may_follow_a_value_or_a_factorial(self, lex):
         assert maple(r"n!\idt x", lex).output == "n!*x"
@@ -375,8 +379,9 @@ class TestErrors:
     def test_a_product_sign_is_refused_where_the_scan_holds_one(self, lex):
         # over the generated texts: a text whose scan holds a product sign
         # with no value or factorial before it never translates, and only
-        # such a text is refused for its product sign
+        # such a text is refused for its product sign, in both dialects alike
         held = refused = 0
+        signed = {dialect: [] for dialect in DIALECTS}
         for text in GENERATED:
             try:
                 tree = scan(text, lex)
@@ -391,9 +396,12 @@ class TestErrors:
                     sign = str(exc).startswith("product sign ")
                     refused += sign
                     assert unjoined or not sign, text
+                    if sign:
+                        signed[dialect].append(text)
                 else:
                     assert not unjoined, text
-        assert held == 54 and refused == 48
+        assert held == 54 and refused == 52
+        assert signed["maple"] == signed["mathematica"]
 
 
 _PRODUCT_SIGNS = ("\\idt", "*", "/")

@@ -9,7 +9,7 @@ import pytest
 from texcas import backward, corpus, forward, inert, lexicon, scanner, verify
 from texcas.backward import ReverseRule
 from texcas.corpus import CorpusRecord, CorpusStats
-from texcas.forward import InfoMessage, TranslationResult, _Unit
+from texcas.forward import InfoMessage, TranslationResult
 from texcas.inert import INTPOS, PROD, InertForm
 from texcas.lexicon import Advisory, ConstantRecord, LexiconEntry, Record
 from texcas.scanner import MathTerm, PomTree
@@ -33,7 +33,6 @@ SIGNATURES = {
               "open_lexeme": "", "close_lexeme": ""},
     InfoMessage: {"kind": REQUIRED, "text": REQUIRED},
     TranslationResult: {"output": REQUIRED, "infos": FRESH_LIST},
-    _Unit: {"text": REQUIRED, "kind": REQUIRED, "compact": None},
     InertForm: {"tag": REQUIRED, "payload": None, "children": FRESH_LIST},
     ReverseRule: {"latex_template": REQUIRED, "advisories": FRESH_LIST},
     EquivalenceVerdict: {"outcome": REQUIRED, "samples": FRESH_LIST,

@@ -115,6 +115,25 @@ def test_the_leaf_table_fill_order_does_not_matter(lex, seed):
             for row in golden] == golden
 
 
+def test_a_stored_leaf_record_is_an_immutable_value(lex):
+    # every later translation shares a stored record: its item and info
+    # pairs are hashable, so nothing in them can change, and a second pass
+    # over the same texts neither replaces nor adds a record
+    fresh = Lexicon.from_json(lex.to_json())
+    texts = [row["text"] for row in read_golden("translate_generated_golden.json")]
+    for text in texts:
+        forward_row(text, fresh)
+    stored = {dialect: dict(table) for dialect, table in fresh.leaf_tables.items()}
+    for table in stored.values():
+        for record in table.values():
+            hash(record[1:])
+    for text in texts:
+        forward_row(text, fresh)
+    for dialect, table in fresh.leaf_tables.items():
+        assert table.keys() == stored[dialect].keys()
+        assert all(table[k] is stored[dialect][k] for k in table)
+
+
 def test_the_leaf_table_holds_only_the_leaves_met(lex):
     fresh = Lexicon.from_json(lex.to_json())
     translate_string(r"\alpha+x", fresh, "maple")

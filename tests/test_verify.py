@@ -189,8 +189,8 @@ class TestCheckEquivalence:
         # skips without evaluating any point again
         ("exp(1000*z)", "exp(1000*z*1.0)", 16),
         ("sin(z)^2+cos(z)^2", "1", 20)])
-    def test_fallback_points_go_through_evaluate(self, monkeypatch, lhs, rhs,
-                                                 finite):
+    def test_no_sampled_point_goes_through_evaluate(self, monkeypatch, lhs, rhs,
+                                                    finite):
         envs = []
         real = verify.evaluate
         monkeypatch.setattr(verify, "evaluate",
