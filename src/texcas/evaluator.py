@@ -89,14 +89,21 @@ class _Failed(list):
 
 
 def _power(base: complex, expo: complex) -> complex:
-    """The POWER comprehension of ``_columns`` at one point."""
+    """base ** expo, except that 0 to a power with a positive real part and
+    a negligible imaginary one is 0 (Python raises there)."""
     return 0j if base == 0 and expo.real > 0 and abs(expo.imag) < 1e-300 \
         else base ** expo
 
 
-def _pointwise(fn, cols, n: int) -> _Failed:
-    """fn over the columns point by point: each point takes its first failed
+def _apply(fn, cols, n: int) -> list:
+    """fn over the columns: one map where no column has failed and fn raises
+    at no point, else point by point, each point taking its first failed
     operand, else fn's value there, else the exception fn raises there."""
+    if _Failed not in map(type, cols):
+        try:
+            return list(map(fn, *cols))
+        except Exception:  # the points one by one keep what each raises
+            pass
     out = _Failed()
     for i in range(n):
         values = [c[i] for c in cols]
@@ -122,32 +129,21 @@ def _columns(tree: InertForm, columns, n: int) -> list:
         fn = _FUNCTIONS.get((fname, len(args)))
         if fn is None:  # the arguments' failures first, then this one
             args.append(_Failed([NoEvaluator(fname)] * n))
-        elif _Failed not in map(type, args):
-            try:
-                return list(map(fn, *args))
-            except Exception:  # the points one by one keep what each raises
-                pass
-        return _pointwise(fn, args, n)
+        return _apply(fn, args, n)
     if tag == PROD or tag == SUM:
         op, out = (mul, [1 + 0j] * n) if tag == PROD else (add, [0j] * n)
         for c in tree.children:
             col = _columns(c, columns, n)
+            # complex add and mul never raise, and on this hottest step two
+            # class tests cost less than _apply's type scan and try
             if out.__class__ is _Failed or col.__class__ is _Failed:
-                out = _pointwise(op, (out, col), n)
+                out = _apply(op, (out, col), n)
             else:
                 out = list(map(op, out, col))
         return out
     if tag == POWER or tag == DIVIDE:
-        a, b = [_columns(c, columns, n) for c in tree.children]
-        if a.__class__ is not _Failed and b.__class__ is not _Failed:
-            try:
-                if tag == DIVIDE:
-                    return list(map(truediv, a, b))
-                return [0j if x == 0 and y.real > 0 and abs(y.imag) < 1e-300
-                        else x ** y for x, y in zip(a, b)]
-            except Exception:  # the points one by one keep what each raises
-                pass
-        return _pointwise(truediv if tag == DIVIDE else _power, (a, b), n)
+        return _apply(truediv if tag == DIVIDE else _power,
+                      [_columns(c, columns, n) for c in tree.children], n)
     try:
         if tag == NAME:
             value = CONSTANTS.get(tree.payload)

@@ -6,7 +6,8 @@ convergent A_n / B_n, where A_k = b_k A_{k-1} + a_k A_{k-2} and B_k likewise,
 from A_{-1} = 1, A_0 = b_0, B_{-1} = 0 and B_0 = 1 (the Wallis-Euler
 recurrence).  Each relation below is a ladder against the convergent written
 out as text, against its exact value, or against a ladder with a_1 shifted
-by one.
+by one.  A ladder may be written with ``\\cfrac``, DLMF's and the datasets'
+spelling, which forward reads as ``\\frac``.
 """
 
 import random
@@ -15,7 +16,10 @@ from string import ascii_lowercase
 
 import pytest
 
+from texcas.backward import backward_string
 from texcas.corpus import CorpusRecord, run_corpus
+from texcas.forward import translate_string
+from texcas.inert import parse_maple
 
 DEPTHS = range(2, 11)
 
@@ -113,3 +117,27 @@ def test_a_ladder_in_z_with_a_shifted_term_is_not_the_same(lex, depth):
     entry = checked(lex, ladder(b, a), ladder(b, shifted(a)))
     assert (entry["classification"], entry["outcome"]) == \
         ("translated-unverified", "numeric-mismatch")
+
+
+@pytest.mark.parametrize("depth", DEPTHS)
+@pytest.mark.parametrize("terms", ["letters", "digits"])
+def test_a_cfrac_ladder_is_checked_as_its_frac_ladder(lex, terms, depth):
+    b, a = letters(depth) if terms == "letters" else digits(depth, seed=depth)
+    frac = checked(lex, ladder(b, a), convergent(b, a))
+    cfrac = checked(lex, ladder(b, a).replace(r"\frac", r"\cfrac"),
+                    convergent(b, a))
+    assert frac["classification"] == "verified"
+    verdict = ("classification", "outcome", "max_abs_difference")
+    assert [cfrac.get(k) for k in verdict] == [frac.get(k) for k in verdict]
+
+
+@pytest.mark.parametrize("latex", [
+    r"\frac{a}{b}", r"c/\frac{a}{b}", r"\frac{a}{b}^{2}", r"c\frac{a}{b}",
+    r"-\frac{a}{b}", r"c^{\frac{a}{b}}", r"\sin@{\frac{a+1}{b}}"])
+def test_a_cfrac_is_read_as_a_frac_wherever_it_stands(lex, latex):
+    """\\cfrac's template brackets the quotient whole, so it binds as one
+    operand as a divisor, a base or a factor; backward writes \\frac."""
+    frac, cfrac = (translate_string(t, lex, "maple").output
+                   for t in (latex, latex.replace(r"\frac", r"\cfrac")))
+    assert parse_maple(cfrac) == parse_maple(frac)
+    assert backward_string(cfrac, lex).output == backward_string(frac, lex).output

@@ -206,6 +206,20 @@ def test_zero_to_a_positive_power_is_zero():
     assert [point(v) for v in values] == [
         point(0j), ("ZeroDivisionError", "0.0 to a negative or complex power"),
         point(0j)]
+    # a subnormal imaginary part counts as none, where Python's own power
+    # raises: 0 alone, at every point of a clean column, and beside a point
+    # that raises, so the one map and the point-by-point walk agree
+    y = 2 + 1e-310j
+    with pytest.raises(ZeroDivisionError):
+        0j ** y
+    assert point(evaluate(tree, {"x": 0, "y": y})) == point(0j)
+    values = _columns(tree, {"x": (0j,) * 3, "y": (y,) * 3}, 3)
+    assert values.__class__ is not _Failed
+    assert [point(v) for v in values] == [point(0j)] * 3
+    values = _columns(tree, {"x": (0j,) * 3, "y": (y, -1 + 0j, y)}, 3)
+    assert [point(v) for v in values] == [
+        point(0j), ("ZeroDivisionError", "0.0 to a negative or complex power"),
+        point(0j)]
 
 
 # --- free names and the constant rule ---------------------------------------------

@@ -1,10 +1,10 @@
 """Per-relation and per-lexicon work is done once, with unchanged results.
 
-Work counts are exact and untimed.  The golden verdicts of the seed corpus
-(``data/seed_corpus_verdicts.json``) were recorded with the recursive
-evaluator and the text canonical key, before tree compilation and the tuple
-key replaced them: classification, outcome and ``max_abs_difference`` must
-match bit for bit.
+Work counts are exact and untimed.  The seed corpus's verdicts are read from
+its report in ``data/corpus_report_golden.jsonl``, which was recorded with
+the recursive evaluator and the text canonical key, before tree compilation
+and the tuple key replaced them: classification, outcome and
+``max_abs_difference`` must match bit for bit.
 """
 
 import json
@@ -24,14 +24,21 @@ from texcas.scanner import TermKind
 from texcas.verify import check_equivalence, simplify_light
 
 DATA = Path(__file__).parent / "data"
-GOLDEN = DATA / "seed_corpus_verdicts.json"
+GOLDEN = DATA / "corpus_report_golden.jsonl"
 
 
 def test_seed_corpus_verdicts_match_golden(lex):
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    """Each seed record's verdict fields equal its line in the report golden,
+    whose first line is the seed report's header and the next ones, as many
+    as its total, its records."""
+    header, *lines = GOLDEN.read_text(encoding="utf-8").splitlines()
+    records = lines[:json.loads(header)["stats"]["total"]]
     _, log = run_corpus(read_corpus(seed_path("seed_corpus.tsv")), lex)
     fields = ("id", "classification", "outcome", "max_abs_difference")
-    assert [{k: e[k] for k in fields if k in e} for e in log] == golden
+
+    def verdicts(entries):
+        return [{k: e[k] for k in fields if k in e} for e in entries]
+    assert verdicts(log) == verdicts(map(json.loads, records))
 
 
 # --- work counts ------------------------------------------------------------------
