@@ -90,8 +90,9 @@ def run_corpus(records: List[CorpusRecord], lex: Lexicon,
             entry.update(classification="errored", error=str(exc))
             continue
         entry["outcome"] = verdict.outcome
-        if verdict.max_abs_difference is not None:
-            entry["max_abs_difference"] = verdict.max_abs_difference
+        worst = verdict.max_abs_difference
+        if worst is not None:
+            entry["max_abs_difference"] = worst
         if verdict.outcome in ("symbolic-zero", "numeric-converged"):
             entry["classification"] = "verified"
         else:

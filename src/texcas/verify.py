@@ -3,7 +3,11 @@
 Equivalence of a relation is decided by simplifying the formula difference
 with a light confluent rewrite set, falling back to seeded complex sampling
 at fixed machine precision (tolerance 1e-10 by default, annulus
-0.1 <= |z| <= 2, conjugate pairs included).  The sample points are drawn
+0.1 <= |z| <= 2, conjugate pairs included).  The simplifier runs only where
+the difference's residue modulo a prime, every name, float and call an
+opaque atom, is 0 or undecided: the simplifier keeps that residue, so a
+nonzero one proves it would not reach 0.  The same walk collects the
+difference's free names.  The sample points are drawn
 once per variable count, point count and seed, and all of them are
 evaluated in one walk of the difference over their value columns.  A point
 whose own walk raises holds that exception in the column, which is read in
@@ -25,10 +29,11 @@ from . import inert
 from .backward import backward_string
 from .errors import CheckOptionError, NoEvaluator, TexcasError, UnknownSymbol
 # evaluate is unused here, but perfbench/worker.py traces it as verify.evaluate
-from .evaluator import _columns, _Failed, evaluate, free_names  # noqa: F401
+from .evaluator import (CONSTANTS, _columns, _Failed, evaluate,  # noqa: F401
+                        free_names)
 from .forward import translate_string
-from .inert import (DIVIDE, FLOAT, INTNEG, INTPOS, POWER, PROD,
-                    RATIONAL, SUM, InertForm)
+from .inert import (DIVIDE, FLOAT, FUNCTION, INTNEG, INTPOS, NAME, POWER,
+                    PROD, RATIONAL, SUM, InertForm)
 from .lexicon import MAPLE, MAPLE_SIDE, SEMANTIC_LATEX, Lexicon, Record
 
 DEFAULT_TOLERANCE = 1e-10
@@ -181,6 +186,107 @@ def _split_term(key: tuple) -> Tuple[Number, tuple]:
     return 1, key
 
 
+# --- residues modulo a prime ------------------------------------------------------
+
+# the Mersenne prime 2^61 - 1
+_P = 2 ** 61 - 1
+
+# the first entry of the tuple each kind of atom is hashed from; hash() of a
+# tuple of ints and floats (a nan aside) is the same in every process
+_NAME_ATOM, _FLOAT_ATOM, _CALL_ATOM, _POWER_ATOM = range(4)
+
+
+@lru_cache(maxsize=1024)
+def _name_atom(name: str) -> int:
+    """A name's residue, derived from its bytes alone."""
+    code = int.from_bytes(name.encode("utf-8", "surrogatepass"), "little")
+    return hash((_NAME_ATOM, code)) % _P
+
+
+def _residue(tree: InertForm, names: set) -> Optional[int]:
+    """The tree's value modulo the prime ``_P``, every name, float and call
+    an opaque atom, or None where that value is undecided; the names the
+    walk meets (not a call's own name) are added to ``names``, all of them
+    when the value is decided.
+
+    Integer and rational literals are exact; a sum, product or quotient
+    combines its operands' residues; a power with an integer exponent (a
+    literal, or an exponent ``_simplify`` reduces to an integer, so that
+    ``x^(y-y)`` is 1) goes through ``pow``; any other power is an atom of
+    its base's and exponent's residues.  A zero divisor (a denominator, or
+    the base of a negative power), a ``STRING``, and any node no rule
+    covers leave the value undecided.
+
+    The residue is sound for ``_simplify``: a node's residue depends only on
+    its tag and payload, its children's residues and, for a power, its
+    exponent's key, and every rewrite of ``_simplify`` (flattening, folding
+    rationals, dropping 0 and 1, x^1 -> x, x^0 -> 1, the zero coefficient,
+    sorting, collecting like terms, dividing rationals) keeps it.  So a
+    difference that ``_simplify`` takes to 0 has residue 0 or an undecided
+    one, and a nonzero residue proves it does not; two atoms that collide
+    only send a difference to ``_simplify`` for nothing."""
+    tag = tree.tag
+    if tag == NAME:
+        names.add(tree.payload)
+        return _name_atom(tree.payload)
+    if tag == FUNCTION:
+        fname, args = tree.children
+        mix = [_CALL_ATOM, _name_atom(fname.payload)]
+        for c in args.children:
+            r = _residue(c, names)
+            if r is None:
+                return None
+            mix.append(r)
+        return hash(tuple(mix)) % _P
+    if tag == INTPOS:
+        return tree.payload % _P
+    if tag == PROD:
+        out = 1
+        for c in tree.children:
+            r = _residue(c, names)
+            if r is None:
+                return None
+            out = out * r % _P
+        return out
+    if tag == SUM:
+        out = 0
+        for c in tree.children:
+            r = _residue(c, names)
+            if r is None:
+                return None
+            out += r
+        return out % _P
+    if tag == INTNEG:
+        return -tree.payload % _P
+    if tag == POWER:
+        base, expo = tree.children
+        b = _residue(base, names)
+        if b is None:
+            return None
+        if expo.tag == INTPOS:
+            k = expo.payload
+        elif expo.tag == INTNEG:
+            k = -expo.payload
+        else:
+            e = _residue(expo, names)
+            if e is None:
+                return None
+            k = _as_number(_simplify(expo))
+            if k is None or k.denominator != 1:
+                return hash((_POWER_ATOM, b, e)) % _P
+            k = k.numerator
+        return None if k < 0 and not b else pow(b, k, _P)
+    if tag == DIVIDE or tag == RATIONAL:
+        num, den = tree.children
+        n = _residue(num, names)
+        d = None if n is None else _residue(den, names)
+        return n * pow(d, -1, _P) % _P if d else None
+    if tag == FLOAT:
+        x = tree.payload
+        return hash((_FLOAT_ATOM, x, math.copysign(1.0, x))) % _P
+    return None
+
+
 # --- equivalence checking -------------------------------------------------------
 
 class EquivalenceVerdict(Record):
@@ -196,14 +302,17 @@ class EquivalenceVerdict(Record):
 
     @property
     def max_abs_difference(self) -> Optional[float]:
-        return max((d for _, d in _stored_samples(self)), default=None)
+        samples = _stored_samples(self)
+        if samples.__class__ is _Draws:
+            return samples.max
+        return max((d for _, d in samples), default=None)
 
 
 class _Draws(list):
     """A sampled verdict's finite points, each as (its values in ``vars``
     order, |difference|), kept until ``samples`` is first read and builds
-    each point's env dict."""
-    __slots__ = ("vars",)
+    each point's env dict; ``max`` is the largest |difference|."""
+    __slots__ = ("vars", "max")
 
 
 _stored_samples = EquivalenceVerdict.samples.__get__
@@ -270,20 +379,25 @@ def check_equivalence(lhs: InertForm, rhs: InertForm,
                       points: int = DEFAULT_POINTS,
                       seed: int = DEFAULT_SEED) -> EquivalenceVerdict:
     """Decide whether lhs == rhs: first by simplifying the formula difference
-    to literal zero, else by seeded complex sampling of the difference over
+    to literal zero (tried only where its residue is 0 or undecided), else
+    by seeded complex sampling of the difference over
     ``vars``, by default the difference's own free names, sorted; a free
     name that explicit ``vars`` leave out raises UnknownSymbol.
 
     All points are evaluated in one walk of the difference, and the points
     are read in row order: a point whose walk raised NoEvaluator ends the
     check as inconclusive, one that divided by zero, overflowed or raised
-    ValueError is skipped, and any other exception is raised."""
+    ValueError is skipped, as is a finite value whose modulus passes the
+    double range, and any other exception is raised."""
     check_options(tolerance, points)
     diff = _difference(lhs, rhs)
-    if _simplify(diff) == (INTPOS, 0):
+    names = set()
+    residue = _residue(diff, names)
+    # a nonzero residue proves that _simplify does not reach 0
+    if not residue and _simplify(diff) == (INTPOS, 0):
         return EquivalenceVerdict("symbolic-zero")
 
-    names = free_names(diff)
+    names = free_names(diff) if residue is None else names.difference(CONSTANTS)
     if vars is None:
         vars = sorted(names)
     elif not names.issubset(vars):
@@ -299,13 +413,21 @@ def check_equivalence(lhs: InertForm, rhs: InertForm,
                 values[i] = math.nan  # skipped, as a value not finite
             elif isinstance(value, Exception):
                 raise value
-    draws = _Draws([(row, abs(value)) for row, value in zip(rows, values)
-                    if cmath.isfinite(value)])
+    draws, worst = _Draws(), -1.0
+    for row, value in zip(rows, values):
+        if cmath.isfinite(value):
+            try:
+                d = abs(value)
+            except OverflowError:  # a finite value whose modulus is not
+                continue
+            draws.append((row, d))
+            if d > worst:
+                worst = d
     if not draws:
         return EquivalenceVerdict("inconclusive", samples=[],
                                   reason="no finite evaluation point")
-    draws.vars = tuple(vars)
-    if any(d >= tolerance for _, d in draws):
+    draws.vars, draws.max = tuple(vars), worst
+    if worst >= tolerance:
         return EquivalenceVerdict("numeric-mismatch", samples=draws)
     return EquivalenceVerdict("numeric-converged", samples=draws)
 

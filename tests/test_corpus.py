@@ -7,6 +7,7 @@ and then its stats line on stdout, followed by the same two for the
 ten-record corpus of ``test_cli.TestCorpus``.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -65,12 +66,23 @@ def test_each_relation_is_parsed_once(lex, monkeypatch):
 
 
 def test_each_relation_walks_its_names_once(lex, monkeypatch):
-    walks = []
-    real = verify.free_names
-    monkeypatch.setattr(verify, "free_names", lambda tree: walks.append(tree) or real(tree))
+    # the names are collected by the residue walk, into one set per
+    # relation; free_names walks them again only where the residue is
+    # undecided, which no seed-corpus relation is
+    walks, name_sets = [], []
+    real_free_names, real_residue = verify.free_names, verify._residue
+    monkeypatch.setattr(verify, "free_names",
+                        lambda tree: walks.append(tree) or real_free_names(tree))
+
+    def residue(tree, names):
+        if not any(names is seen for seen in name_sets):
+            name_sets.append(names)
+        return real_residue(tree, names)
+    monkeypatch.setattr(verify, "_residue", residue)
     stats, log = run_corpus(read_corpus(seed_path("seed_corpus.tsv")), lex)
-    sampled = [e for e in log if e.get("outcome", "symbolic-zero") != "symbolic-zero"]
-    assert len(walks) == len(sampled) > 10
+    checked = [e for e in log if "outcome" in e]
+    assert walks == []
+    assert len(name_sets) == len(checked) == stats.total > 30
 
 
 @pytest.mark.parametrize("latex, reason", [
@@ -86,3 +98,18 @@ def test_an_unevaluated_jacobi_leaves_its_relation_inconclusive(latex, reason, l
     assert log[0]["outcome"] == "inconclusive"
     assert log[0]["classification"] == "translated-unverified"
     assert log[0]["reason"] == reason
+
+
+def test_a_point_whose_modulus_overflows_is_skipped(tmp_path, capsys):
+    # the difference is finite at 12 of the 20 points, and at 4 of them its
+    # modulus passes the double range: those are skipped, not a traceback
+    corpus = tmp_path / "overflow.tsv"
+    corpus.write_text("big\t10^{308} (1 + \\iunit) x = 0\n", encoding="utf-8")
+    report = tmp_path / "report.jsonl"
+    assert main(["corpus", str(corpus), "--report", str(report)]) == EXIT_OK
+    header, entry = map(json.loads, report.read_text(encoding="utf-8").splitlines())
+    assert entry["maple"] == "10^308*(1+I)*x = 0"
+    assert entry["outcome"] == "numeric-mismatch"
+    assert entry["classification"] == "translated-unverified"
+    assert entry["max_abs_difference"] == 1.5152194818475313e+308
+    assert json.loads(capsys.readouterr().out)["translated_unverified"] == 1

@@ -9,12 +9,14 @@ import pytest
 
 from texcas import verify
 from texcas.errors import NoEvaluator, UnknownSymbol
-from texcas.evaluator import _FUNCTIONS, CONSTANTS, evaluate, jacobi_p
-from texcas.inert import INTPOS, InertForm, intlit, parse_maple, preprocess
+from texcas.evaluator import _FUNCTIONS, CONSTANTS, evaluate, free_names, jacobi_p
+from texcas.inert import (FLOAT, INTPOS, RATIONAL, InertForm, intlit, parse_maple,
+                          preprocess)
 from texcas.verify import (MAPLE_SIDE, SEMANTIC_LATEX, check_equivalence,
                            round_trip, simplify_light)
 
-from treegen import name, random_evaluable
+from test_startup import run_fresh
+from treegen import name, random_evaluable, random_tree
 
 
 def equiv(lhs, rhs, vars, **kw):
@@ -226,6 +228,126 @@ class TestCheckEquivalence:
         else:
             with pytest.raises(LookupError):
                 equiv("f(z)", "z", ["z"])
+
+    def test_a_finite_point_whose_modulus_overflows_is_skipped(self):
+        # 10^308*(1+I)*x is not finite at 8 of the 20 points, and at 4 more
+        # it is finite but |value| passes the double range, where abs()
+        # raises OverflowError: both are skipped, and 8 points are left
+        verdict = equiv("10^308*(1+I)*x", "0", ["x"])
+        assert verdict.outcome == "numeric-mismatch"
+        assert verdict.max_abs_difference == 1.5152194818475313e+308
+        assert len(verdict.samples) == 8
+        assert verdict.max_abs_difference == max(d for _, d in verdict.samples)
+
+
+def residue(tree):
+    return verify._residue(tree, set())
+
+
+class TestResidue:
+    """The residue modulo a prime gates the light simplifier: a nonzero one
+    proves that simplify_light does not reach 0."""
+
+    @pytest.mark.parametrize("make", [random_tree, random_evaluable])
+    def test_simplify_light_keeps_the_residue(self, make):
+        rng = random.Random(29)
+        defined = 0
+        for _ in range(3000):
+            tree = make(rng)
+            names = set()
+            r = verify._residue(tree, names)
+            if r is None:
+                continue
+            defined += 1
+            assert residue(simplify_light(tree)) == r
+            # a decided walk has met every free name
+            assert names.difference(CONSTANTS) == free_names(tree)
+        assert defined > 1000
+
+    @pytest.mark.parametrize("text, value", [
+        ("x^(y-y)", 1),  # _simplify reduces the exponent to 0
+        ("x^(2/2)", residue(name("x"))),
+        ("(2/4)^(-2)", 4),  # a quotient to a negative power
+        ("6/3", 2),
+        ("(-1)^3", verify._P - 1),
+    ])
+    def test_integer_exponents_and_rationals_are_exact(self, text, value):
+        assert residue(parse_maple(text)) == value
+        assert residue(preprocess(parse_maple(text))) == value
+
+    ATOMS = ("x", "y", "sin(x)", "cos(x)", "sin(y)", "x^y", "y^x", "x^(1/2)", "f()",
+             "2.5*x")
+
+    def test_atoms_are_the_same_in_every_process(self, monkeypatch):
+        # string hashing is salted per process; a name's residue is not
+        code = ("import sys; from texcas import inert, verify; print([verify._residue("
+                "inert.parse_maple(t), set()) for t in sys.argv[1:]])")
+        here = str([residue(parse_maple(text)) for text in self.ATOMS])
+        for salt in ("1", "2"):
+            monkeypatch.setenv("PYTHONHASHSEED", salt)
+            assert run_fresh(code, *self.ATOMS).strip() == here
+
+    def test_atoms_are_kept_apart(self):
+        values = [residue(parse_maple(text)) for text in self.ATOMS]
+        values += [residue(InertForm(FLOAT, v)) for v in (0.0, -0.0, 1.5)]
+        assert len(set(values)) == len(values)
+
+    @pytest.mark.parametrize("text", [
+        'f("s", x)',      # a STRING
+        "sin(x = 1)",     # a relation nested in a call
+        "x^(0^(-1))",     # an undecided exponent
+        "0^(-1) + x",     # a zero base to a negative power
+        "x/(y-y)",        # a zero denominator
+        "(0^(-1))^x",     # an undecided base
+        "x*0^(-1)",
+    ])
+    def test_an_undecided_residue(self, text):
+        assert residue(parse_maple(text)) is None
+
+    def test_a_rational_with_the_prime_as_denominator_is_undecided(self):
+        p = verify._P
+        tree = InertForm(RATIONAL, children=[intlit(1), intlit(p)])
+        assert residue(tree) is None
+        assert residue(InertForm(RATIONAL, children=[intlit(p), intlit(2)])) == 0
+
+    @staticmethod
+    def spy(monkeypatch, attr):
+        calls = []
+        real = getattr(verify, attr)
+        monkeypatch.setattr(verify, attr, lambda tree: calls.append(tree) or real(tree))
+        return calls
+
+    @pytest.mark.parametrize("lhs, rhs, simplified, outcome", [
+        ("x", "y+1", False, "numeric-mismatch"),
+        ("x*y", "y*x", True, "symbolic-zero"),
+        # residue 0, but simplify_light does not distribute the minus sign
+        ("w+1", "1+w", True, "numeric-converged"),
+    ])
+    def test_the_simplifier_runs_only_on_a_zero_residue(self, monkeypatch, lhs, rhs,
+                                                       simplified, outcome):
+        simplify_calls = self.spy(monkeypatch, "_simplify")
+        names_calls = self.spy(monkeypatch, "free_names")
+        assert equiv(lhs, rhs, None).outcome == outcome
+        assert bool(simplify_calls) == simplified
+        assert names_calls == []
+
+    @pytest.mark.parametrize("lhs, rhs, names, outcome", [
+        ('f("s", x)', "x", {"x"}, "inconclusive"),
+        ("0^(-1)", "0^(-1)", set(), "symbolic-zero"),
+        ("y*0^(-1)", "x", {"x", "y"}, "inconclusive"),
+        ("sin(x = 1)", "y", {"x", "y"}, "inconclusive"),
+    ])
+    def test_an_undecided_residue_takes_the_simplifier_and_free_names(
+            self, monkeypatch, lhs, rhs, names, outcome):
+        simplify_calls = self.spy(monkeypatch, "_simplify")
+        names_calls = self.spy(monkeypatch, "free_names")
+        assert equiv(lhs, rhs, None).outcome == outcome
+        assert simplify_calls
+        if outcome != "symbolic-zero":
+            assert len(names_calls) == 1
+            assert free_names(names_calls[0]) == names
+            with pytest.raises(UnknownSymbol):
+                equiv(lhs, rhs, [])
 
 
 class TestRoundTrip:
