@@ -4,8 +4,9 @@ One recursive walk evaluates a tree at a column of points at once, each
 point with the operations a walk of that point alone would do.  A point
 whose walk would raise holds its first exception in a ``_Failed`` column,
 the other points going on; a function is never called at a failed point.
-``evaluate`` is that walk at one point, raising that point's exception, and
-``free_names`` lists the names a caller must bind.
+``evaluate`` is that walk at one point, raising that point's exception.  The
+names a caller must bind are those ``verify``'s residue walk collects, less
+the constants.
 """
 
 from __future__ import annotations
@@ -161,17 +162,3 @@ def _columns(tree: InertForm, columns, n: int) -> list:
     except Exception as exc:  # a constant fails at every point alike
         return _Failed([exc.with_traceback(None)] * n)
     return [value] * n
-
-
-def free_names(tree: InertForm) -> set:
-    """Names in the tree that are not known constants (a call's own name is
-    not one)."""
-    names, stack = set(), [tree]
-    while stack:
-        t = stack.pop()
-        tag = t.tag
-        if tag == NAME:
-            names.add(t.payload)
-        else:
-            stack.extend([t.children[1]] if tag == FUNCTION else t.children)
-    return names.difference(CONSTANTS)

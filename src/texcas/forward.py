@@ -331,9 +331,10 @@ def _assemble(items: List[tuple], ctx: _Context) -> str:
         implicit = prev_value
         text = item[1]
         # a fraction alone is written compactly (see _translate_sequence), and
-        # bracketed so beside a value or as a divisor
+        # bracketed so beside a value, as a divisor or before a factorial
         if item[3] is not None and (implicit or (k > 0 and items[k - 1] == _OVER)
-                                    or (k + 1 < len(items) and items[k + 1][0] == "val")):
+                                    or (k + 1 < len(items) and (items[k + 1][0] == "val"
+                                                                or items[k + 1] == _BANG))):
             text = f"({item[3]})"
         if k > 1 and items[k - 2][0] == "prod" and items[k - 1] in _SIGNS:
             # a sign after a product or quotient binds only this value

@@ -423,7 +423,8 @@ def _parts(t: InertForm) -> tuple:
             over, under = _factors(preprocess(num)), []
         den = preprocess(den)
         if den.tag in _QUOTIENT_TAGS and den.children[0] == _ONE:  # p/(1/q) is p*q,
-            return over + [den.children[1]], under  # q where the division stands
+            # q where the division stands, signed by the parser's own rule
+            return _factors(_product(over + [den.children[1]])), under
         return over, under + [den]
     over, under = [], []
     for c in t.children:
@@ -511,6 +512,8 @@ def _from_list(nl, room: int) -> InertForm:
     if tag == RATIONAL and (n != 2 or children[0].tag not in (INTPOS, INTNEG)
                             or children[1].tag != INTPOS or children[1].payload == 0):
         raise MalformedList("RATIONAL takes (INTPOS|INTNEG, nonzero INTPOS)")
+    if tag == FUNCTION and (children[0].tag != NAME or children[1].tag != EXPSEQ):
+        raise MalformedList("FUNCTION takes (NAME, EXPSEQ)")
     return InertForm(tag, children=children)
 
 

@@ -6,14 +6,15 @@ at fixed machine precision (tolerance 1e-10 by default, annulus
 0.1 <= |z| <= 2, conjugate pairs included).  The simplifier runs only where
 the difference's residue modulo a prime, every name, float and call an
 opaque atom, is 0 or undecided: the simplifier keeps that residue, so a
-nonzero one proves it would not reach 0.  The same walk collects the
-difference's free names.  The sample points are drawn
-once per variable count, point count and seed, and all of them are
-evaluated in one walk of the difference over their value columns.  A point
-whose own walk raises holds that exception in the column, which is read in
-row order, so each point is skipped or ends the check exactly as it would
-alone.  A verdict keeps each finite point's row of values and |difference|,
-and builds the point's env dict only when ``samples`` is first read.
+nonzero one proves it would not reach 0.  The same walk, the only one that
+finds names, collects all the difference's free names, decided or not.  The
+sample points are drawn once per variable count, point count and seed, and
+all of them are evaluated in one walk of the difference over their value
+columns.  A point whose own walk raises holds that exception in the column,
+which is read once, in row order, so each point is skipped or ends the check
+exactly as it would alone.  A verdict keeps each finite point's row of
+values and |difference|, and builds the point's env dict only when
+``samples`` is first read.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from . import inert
 from .backward import backward_string
 from .errors import CheckOptionError, NoEvaluator, TexcasError, UnknownSymbol
 # evaluate is unused here, but perfbench/worker.py traces it as verify.evaluate
-from .evaluator import (CONSTANTS, _columns, _Failed, evaluate,  # noqa: F401
-                        free_names)
+from .evaluator import CONSTANTS, _columns, evaluate  # noqa: F401
 from .forward import translate_string
 from .inert import (DIVIDE, FLOAT, FUNCTION, INTNEG, INTPOS, NAME, POWER,
                     PROD, RATIONAL, SUM, InertForm)
@@ -205,9 +205,10 @@ def _name_atom(name: str) -> int:
 
 def _residue(tree: InertForm, names: set) -> Optional[int]:
     """The tree's value modulo the prime ``_P``, every name, float and call
-    an opaque atom, or None where that value is undecided; the names the
-    walk meets (not a call's own name) are added to ``names``, all of them
-    when the value is decided.
+    an opaque atom, or None where that value is undecided; every name the
+    walk meets (not a call's own name) is added to ``names``, all of them:
+    the walk goes on past an undecided child, and into the children of a
+    node no rule covers.
 
     Integer and rational literals are exact; a sum, product or quotient
     combines its operands' residues; a power with an integer exponent (a
@@ -232,58 +233,54 @@ def _residue(tree: InertForm, names: set) -> Optional[int]:
     if tag == FUNCTION:
         fname, args = tree.children
         mix = [_CALL_ATOM, _name_atom(fname.payload)]
-        for c in args.children:
-            r = _residue(c, names)
-            if r is None:
-                return None
-            mix.append(r)
+        mix += [_residue(c, names) for c in args.children]
+        if None in mix:
+            return None
         return hash(tuple(mix)) % _P
     if tag == INTPOS:
         return tree.payload % _P
-    if tag == PROD:
+    if tag == PROD or tag == SUM:
+        residues = [_residue(c, names) for c in tree.children]
+        if None in residues:
+            return None
+        if tag == SUM:
+            return sum(residues) % _P
         out = 1
-        for c in tree.children:
-            r = _residue(c, names)
-            if r is None:
-                return None
+        for r in residues:
             out = out * r % _P
         return out
-    if tag == SUM:
-        out = 0
-        for c in tree.children:
-            r = _residue(c, names)
-            if r is None:
-                return None
-            out += r
-        return out % _P
     if tag == INTNEG:
         return -tree.payload % _P
     if tag == POWER:
         base, expo = tree.children
         b = _residue(base, names)
-        if b is None:
-            return None
         if expo.tag == INTPOS:
             k = expo.payload
         elif expo.tag == INTNEG:
             k = -expo.payload
         else:
             e = _residue(expo, names)
-            if e is None:
+            if b is None or e is None:
                 return None
             k = _as_number(_simplify(expo))
             if k is None or k.denominator != 1:
                 return hash((_POWER_ATOM, b, e)) % _P
             k = k.numerator
-        return None if k < 0 and not b else pow(b, k, _P)
+        if b is None or (k < 0 and not b):
+            return None
+        return pow(b, k, _P)
     if tag == DIVIDE or tag == RATIONAL:
         num, den = tree.children
         n = _residue(num, names)
-        d = None if n is None else _residue(den, names)
-        return n * pow(d, -1, _P) % _P if d else None
+        d = _residue(den, names)
+        if n is None or not d:
+            return None
+        return n * pow(d, -1, _P) % _P
     if tag == FLOAT:
         x = tree.payload
         return hash((_FLOAT_ATOM, x, math.copysign(1.0, x))) % _P
+    for c in tree.children:
+        _residue(c, names)
     return None
 
 
@@ -397,7 +394,7 @@ def check_equivalence(lhs: InertForm, rhs: InertForm,
     if not residue and _simplify(diff) == (INTPOS, 0):
         return EquivalenceVerdict("symbolic-zero")
 
-    names = free_names(diff) if residue is None else names.difference(CONSTANTS)
+    names = names.difference(CONSTANTS)
     if vars is None:
         vars = sorted(names)
     elif not names.issubset(vars):
@@ -405,24 +402,21 @@ def check_equivalence(lhs: InertForm, rhs: InertForm,
 
     rows, columns = _sample_points(len(vars), points, seed)
     values = _columns(diff, dict(zip(vars, columns)), len(rows))
-    if values.__class__ is _Failed:  # each point as it fails alone
-        for i, value in enumerate(values):
-            if isinstance(value, NoEvaluator):
-                return EquivalenceVerdict("inconclusive", reason=str(value))
-            elif isinstance(value, (ZeroDivisionError, OverflowError, ValueError)):
-                values[i] = math.nan  # skipped, as a value not finite
-            elif isinstance(value, Exception):
-                raise value
     draws, worst = _Draws(), -1.0
-    for row, value in zip(rows, values):
-        if cmath.isfinite(value):
-            try:
-                d = abs(value)
-            except OverflowError:  # a finite value whose modulus is not
-                continue
-            draws.append((row, d))
-            if d > worst:
-                worst = d
+    for row, value in zip(rows, values):  # a point's value, or what it raised
+        if value.__class__ is complex:
+            if cmath.isfinite(value):
+                try:
+                    d = abs(value)
+                except OverflowError:  # a finite value whose modulus is not
+                    continue
+                draws.append((row, d))
+                if d > worst:
+                    worst = d
+        elif isinstance(value, NoEvaluator):
+            return EquivalenceVerdict("inconclusive", reason=str(value))
+        elif not isinstance(value, (ZeroDivisionError, OverflowError, ValueError)):
+            raise value
     if not draws:
         return EquivalenceVerdict("inconclusive", samples=[],
                                   reason="no finite evaluation point")

@@ -13,7 +13,7 @@ from texcas.inert import INTNEG, PROD, InertForm, parse_maple, preprocess
 from texcas.lexicon import Lexicon
 from texcas.scanner import scan
 from texcas.verify import MAPLE_SIDE, SEMANTIC_LATEX, round_trip
-from treegen import random_evaluable
+from treegen import free_names, random_evaluable
 
 
 def back(text, lex, **kw):
@@ -184,8 +184,6 @@ class TestProperties:
         """Forward translation of the backward output parses to a tree with
         the same value as the input at sample points."""
         import cmath
-
-        from texcas.evaluator import evaluate, free_names
 
         original = preprocess(parse_maple(text))
         cycled = preprocess(parse_maple(

@@ -66,23 +66,25 @@ def test_each_relation_is_parsed_once(lex, monkeypatch):
 
 
 def test_each_relation_walks_its_names_once(lex, monkeypatch):
-    # the names are collected by the residue walk, into one set per
-    # relation; free_names walks them again only where the residue is
-    # undecided, which no seed-corpus relation is
-    walks, name_sets = [], []
-    real_free_names, real_residue = verify.free_names, verify._residue
-    monkeypatch.setattr(verify, "free_names",
-                        lambda tree: walks.append(tree) or real_free_names(tree))
+    # the names are collected by the residue walk alone, one walk per
+    # relation: a call from outside the walk starts a new one
+    walks, depth = [], 0
+    real_residue = verify._residue
 
     def residue(tree, names):
-        if not any(names is seen for seen in name_sets):
-            name_sets.append(names)
-        return real_residue(tree, names)
+        nonlocal depth
+        if not depth:
+            walks.append(names)
+        depth += 1
+        try:
+            return real_residue(tree, names)
+        finally:
+            depth -= 1
     monkeypatch.setattr(verify, "_residue", residue)
     stats, log = run_corpus(read_corpus(seed_path("seed_corpus.tsv")), lex)
     checked = [e for e in log if "outcome" in e]
-    assert walks == []
-    assert len(name_sets) == len(checked) == stats.total > 30
+    assert len(walks) == len(checked) == stats.total > 30
+    assert len({id(names) for names in walks}) == len(walks)
 
 
 @pytest.mark.parametrize("latex, reason", [

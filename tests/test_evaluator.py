@@ -16,10 +16,9 @@ from fractions import Fraction
 
 import pytest
 
-from texcas import inert
+from texcas import inert, verify
 from texcas.errors import NoEvaluator, UnknownSymbol
-from texcas.evaluator import (_FUNCTIONS, CONSTANTS, _columns, _Failed, evaluate,
-                              free_names, jacobi_p)
+from texcas.evaluator import _FUNCTIONS, CONSTANTS, _columns, _Failed, evaluate, jacobi_p
 from texcas.inert import InertForm, parse_maple
 
 from treegen import name, random_evaluable, random_tree
@@ -246,6 +245,14 @@ def trees_with_constants(builder, seed, count=300):
     yield InertForm(inert.SUM, children=[name(c) for c in CONSTANT_NAMES])
 
 
+def walked_names(tree):
+    """The names the residue walk collects, less the constants: the names a
+    caller must bind."""
+    names = set()
+    verify._residue(tree, names)
+    return names.difference(CONSTANTS)
+
+
 def unknown_symbol(fn, *args):
     """The name an UnknownSymbol raised by fn(*args) names, else None."""
     try:
@@ -260,7 +267,7 @@ def unknown_symbol(fn, *args):
 @pytest.mark.parametrize("builder", [random_evaluable, random_tree])
 def test_every_name_free_names_leaves_out_has_a_value(builder):
     for tree in trees_with_constants(builder, 11):
-        names = free_names(tree)
+        names = walked_names(tree)
         env = {n: 0.5 + 0.25j for n in names}
         columns = {n: (0.5 + 0.25j, -1.5j, 2 + 0j) for n in names}
         assert unknown_symbol(evaluate, tree, env) is None, tree
@@ -270,7 +277,7 @@ def test_every_name_free_names_leaves_out_has_a_value(builder):
 @pytest.mark.parametrize("builder", [random_evaluable, random_tree])
 def test_an_unknown_symbol_is_a_free_name(builder):
     for tree in trees_with_constants(builder, 13):
-        names = free_names(tree)
+        names = walked_names(tree)
         for raised in (unknown_symbol(evaluate, tree, {}),
                        unknown_symbol(_columns, tree, {}, 2)):
             assert raised is None or raised in names, tree
@@ -294,14 +301,14 @@ def names_under_unsupported_nodes():
 
 @pytest.mark.parametrize("tree, names", names_under_unsupported_nodes())
 def test_names_under_a_node_never_run_are_free_names(tree, names):
-    assert free_names(tree) == names
+    assert walked_names(tree) == names
 
 
 def test_constants_are_not_free_names():
     tree = InertForm(inert.SUM, children=[name(c) for c in CONSTANT_NAMES])
-    assert free_names(tree) == set()
+    assert walked_names(tree) == set()
     assert cmath.isinf(evaluate(tree, {}))
-    assert free_names(InertForm(inert.PROD, children=[tree, name("x")])) == {"x"}
+    assert walked_names(InertForm(inert.PROD, children=[tree, name("x")])) == {"x"}
 
 
 @pytest.mark.parametrize("tag, value", [(inert.SUM, 0j), (inert.PROD, 1 + 0j)])

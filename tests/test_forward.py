@@ -215,6 +215,19 @@ class TestStructure:
                 if step.side == SEMANTIC_LATEX][-1] == r"\frac{a}{\frac{b}{c}}"
 
     @pytest.mark.parametrize("text,maple_out,mma_out", [
+        (r"\frac{a}{b}!", "(a/b)!", "(a/b)!"),
+        (r"\frac{a+1}{b}!", "((a+1)/(b))!", "((a+1)/(b))!"),
+        (r"x\frac{a}{b}!", "x*(a/b)!", "x (a/b)!"),
+        (r"x\idt\frac{a}{b}!", "x*(a/b)!", "x (a/b)!"),
+        (r"-\frac{a}{b}!!", "-(a/b)!!", "-(a/b)!!"),
+    ])
+    def test_fraction_before_a_factorial_is_bracketed(self, lex, text, maple_out,
+                                                      mma_out):
+        # (a)/(b)! would read as a/(b!)
+        assert maple(text, lex).output == maple_out
+        assert mma(text, lex).output == mma_out
+
+    @pytest.mark.parametrize("text,maple_out,mma_out", [
         (r"x^{\frac{1}{2}}", "x^(1/2)", "x^(1/2)"),
         (r"{\frac{a}{b}}", "(a/b)", "(a/b)"),
         (r"2{\frac{a}{b}}", "2*(a/b)", "2 (a/b)"),

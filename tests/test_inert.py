@@ -8,20 +8,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from texcas import inert
-from texcas.backward import backward_string
+from texcas.backward import backward_string, translate_backward
 from texcas.cli import EXIT_PARSE, main
 from texcas.corpus import CorpusRecord, run_corpus
 from texcas.errors import (MalformedList, MapleSyntaxError, MapleTooDeep,
-                           UnsupportedConstruct)
-from texcas.evaluator import evaluate, free_names
+                           TexcasError, UnsupportedConstruct)
+from texcas.evaluator import evaluate
 from texcas.inert import (DIVIDE, EQUATION, EXPSEQ, FUNCTION, INTNEG, INTPOS,
-                          NAME, POWER, PROD, RANGE, RATIONAL, SUM, InertForm,
+                          NAME, POWER, PROD, RANGE, RATIONAL, SUM, TAGS, InertForm,
                           from_nested_list, intlit, nested_list_to_text,
                           parse_maple, preprocess, render_maple,
                           to_nested_list)
-from texcas.verify import MAPLE_SIDE, check_equivalence, round_trip
+from texcas.verify import MAPLE_SIDE, check_equivalence, round_trip, simplify_light
 
-from treegen import name, random_evaluable, random_tree
+from treegen import free_names, name, random_evaluable, random_tree
 
 
 def fn(fname, *args):
@@ -354,10 +354,44 @@ class TestNestedList:
         ["FLOAT", float("inf")],
         ["FLOAT", float("nan")],
         ["FLOAT", 10 ** 400],
+        # a call is (NAME, EXPSEQ), as in Maple's inert form
+        ["FUNCTION", ["INTPOS", 1], ["EXPSEQ"]],
+        ["FUNCTION", ["NAME", "f"], ["NAME", "x"]],
     ])
     def test_malformed_lists_rejected(self, nl):
         with pytest.raises(MalformedList):
             from_nested_list(nl)
+
+    PAYLOADS = {"NAME": ["x", "y", "Pi", "sin"], "STRING": ["s"], "INTPOS": [0, 1, 2],
+                "INTNEG": [1, 3], "FLOAT": [0.5, -0.0]}
+
+    def random_list(self, rng, depth=0):
+        """A nested list of any tags and 0 to 3 children, whatever its shape."""
+        tag = rng.choice(sorted(TAGS))
+        if tag in self.PAYLOADS:
+            return [tag, rng.choice(self.PAYLOADS[tag])]
+        if depth >= 3:
+            return [tag]
+        return [tag] + [self.random_list(rng, depth + 1)
+                        for _ in range(rng.choice([0, 1, 2, 2, 2, 3]))]
+
+    def test_an_accepted_list_gives_a_result_or_a_texcas_error(self, lex):
+        rng = random.Random(5)
+        accepted = 0
+        for _ in range(2000):
+            try:
+                tree = from_nested_list(self.random_list(rng))
+            except MalformedList:
+                continue
+            accepted += 1
+            for stage in (simplify_light, preprocess, render_maple,
+                          lambda t: translate_backward(t, lex),
+                          lambda t: check_equivalence(t, parse_maple("x"))):
+                try:
+                    stage(tree)
+                except TexcasError:
+                    pass
+        assert accepted > 500
 
 
 class TestRendering:

@@ -511,6 +511,8 @@ def test_parse_matches_the_reference(text):
     "(1/b/3)*y^(-1)", "(x^(-1)/2)^(-1)", "sin(1/b/3)*y^(-1)", "-(4/3)",
     "-(-(1/3))", "(-1/3)*4", "a/b/c^(-2)", "a/b*c^2", "p/(1/q)", "1/(1/4)",
     "(x^(-1))^(-1)", "a/(1/x/y)", "(y/(-1))/((-1)/(x+y))",
+    # a signed quotient by a reciprocal, under a product and a minus sign
+    "2*((-1)/(1/2))", "-(2*((-1)/(1/2)))", "-5*1*(0.168*(-5)*((-1)/(1/2)))",
 ])
 def test_edge_cases_match_the_reference(text):
     _assert_matches(text)

@@ -24,7 +24,7 @@ import pytest
 
 from texcas import inert, verify
 from texcas.errors import NoEvaluator, UnknownSymbol
-from texcas.evaluator import _FUNCTIONS, CONSTANTS, free_names
+from texcas.evaluator import _FUNCTIONS, CONSTANTS
 from texcas.inert import (DIVIDE, EQUATION, EXPSEQ, FLOAT, FUNCTION, INTNEG,
                           INTPOS, POWER, PROD, RATIONAL, SUM, InertForm,
                           int_value, parse_maple, preprocess)
@@ -262,6 +262,19 @@ def _literal(value_of: Callable[[], complex]
     return lambda env: value
 
 
+def reference_free_names(tree: InertForm) -> set:
+    """Names in the tree that are not known constants (a call's own name is
+    not one)."""
+    names, stack = set(), [tree]
+    while stack:
+        t = stack.pop()
+        if t.tag == inert.NAME:
+            names.add(t.payload)
+        else:
+            stack.extend([t.children[1]] if t.tag == FUNCTION else t.children)
+    return names.difference(CONSTANTS)
+
+
 def _difference(lhs: InertForm, rhs: InertForm) -> InertForm:
     return InertForm(SUM, children=[lhs, inert._negate(rhs)])
 
@@ -284,7 +297,7 @@ def reference_check_equivalence(lhs: InertForm, rhs: InertForm, vars,
         return EquivalenceVerdict("symbolic-zero")
 
     declared = set(vars)
-    for name in sorted(free_names(diff)):
+    for name in sorted(reference_free_names(diff)):
         if name not in declared:
             raise UnknownSymbol(name)
 

@@ -1,8 +1,10 @@
-"""Seeded random inert-tree builders shared by the property tests."""
+"""Seeded random inert-tree builders shared by the property tests, and an
+independent list of a tree's free names."""
 
 import random
 import string
 
+from texcas.evaluator import CONSTANTS
 from texcas.inert import (DIVIDE, EQUATION, EXPSEQ, FLOAT, FUNCTION, INTNEG,
                           INTPOS, NAME, POWER, PROD, RANGE, RATIONAL, STRING,
                           SUM, InertForm)
@@ -82,3 +84,17 @@ def random_evaluable(rng: random.Random, depth: int = 0) -> InertForm:
     return InertForm(FUNCTION, children=[
         InertForm(NAME, rng.choice(["sin", "cos", "exp"])),
         InertForm(EXPSEQ, children=[random_evaluable(rng, depth + 1)])])
+
+
+def free_names(tree: InertForm) -> set:
+    """Names in the tree that are not known constants (a call's own name is
+    not one), found by a plain walk of every node."""
+    names, stack = set(), [tree]
+    while stack:
+        t = stack.pop()
+        tag = t.tag
+        if tag == NAME:
+            names.add(t.payload)
+        else:
+            stack.extend([t.children[1]] if tag == FUNCTION else t.children)
+    return names.difference(CONSTANTS)
